@@ -465,8 +465,18 @@ def solve_linear(gram, rhs):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in (t, s): dict {(et, es): Fraction}; et may be negative.
-# These are only ever used over an exact coefficient field.
+# Laurent polynomials in (t, s): dict {(et, es): coefficient}; et may be
+# negative.  Coefficients are rational; they are stored as int while integral
+# (every exponential table is), and become Fraction only once a non-integer
+# appears.  1 == Fraction(1) with equal hashes, so equality is unaffected.
+
+def _rational(v):
+    """v as an int when integral, else as a Fraction."""
+    if isinstance(v, int):
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
 
 class LaurentPoly:
     __slots__ = ("c",)
@@ -476,16 +486,16 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, v):
-        v = Fraction(v)
+        v = _rational(v)
         return cls({(0, 0): v} if v else {})
 
     @classmethod
     def var_t(cls, e=1):
-        return cls({(e, 0): Fraction(1)})
+        return cls({(e, 0): 1})
 
     @classmethod
     def var_s(cls, e=1):
-        return cls({(0, e): Fraction(1)})
+        return cls({(0, e): 1})
 
     def __add__(self, other):
         out = dict(self.c)
@@ -532,7 +542,7 @@ class LaurentPoly:
         return bool(self.c)
 
     def coeff(self, et, es):
-        return self.c.get((et, es), Fraction(0))
+        return self.c.get((et, es), 0)
 
     def evaluate(self, t, s):
         tot = Fraction(0)
@@ -578,7 +588,7 @@ class LaurentDomain:
         if len(a.c) != 1:
             raise ZeroDivisionError("non-monomial Laurent inverse")
         ((et, es), v), = a.c.items()
-        return LaurentPoly({(-et, -es): Fraction(1) / v})
+        return LaurentPoly({(-et, -es): _rational(1 / Fraction(v))})
 
     def power(self, a, n):
         if n >= 0:

@@ -4,9 +4,10 @@ Basis: one u_X per indecomposable X, plus H'_{S_1..S_m} for the parity-0
 simple objects.  The structure constants gamma_{XY}^L have magnitude p+1
 (root strings); their signs come from a deterministic extraspecial-pair
 construction of Chevalley constants N_{alpha,beta} on the underlying root
-system.  Every property the theory asserts about the gamma table (Jacobi,
-antisymmetry, class grading, the gamma*gamma range, the triangle-sign law)
-is re-verified, and construction aborts on any violation.
+system.  Antisymmetry and class grading hold by construction;
+`structure_constants` re-verifies the gamma*gamma range and the triangle-sign
+law and aborts on a violation.  Jacobi is not re-run at construction: it is
+checked by `LieAlgebraZ.jacobi_check` (`liekit verify liealg`).
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ class RootCategory:
         # simple parity-0 objects, in node order
         self.simples = [self._by_class[tuple(1 if k == i else 0 for k in range(rank))]
                         for i in range(rank)]
+        self._A = {}  # memo of A, at most objects^2 ints
 
     # -- object bookkeeping -------------------------------------------------
 
@@ -65,10 +66,13 @@ class RootCategory:
 
     def A(self, x, y):
         """A_{XY} = (H_X|H_Y)/d(X); always an integer."""
-        val = Fraction(self.euler_form(x, y), self.d(x))
-        if val.denominator != 1:
-            raise ArithmeticError(f"non-integer A for {x}, {y}")
-        return int(val)
+        val = self._A.get((x, y))
+        if val is None:
+            frac = Fraction(self.euler_form(x, y), self.d(x))
+            if frac.denominator != 1:
+                raise ArithmeticError(f"non-integer A for {x}, {y}")
+            val = self._A[x, y] = int(frac)
+        return val
 
     def A_class(self, x, cls):
         """A_{XY} when only Y's class is at hand."""

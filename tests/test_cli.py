@@ -93,6 +93,11 @@ def test_peterweyl_schur_cli():
     assert data["schur_deviation"] < 1e-6
     res = run("peterweyl", "schur", "--j1", "x", "--j2", "1")
     assert res.exit_code == 2
+    # 2/3 is not a spin; it must not be truncated to spin 0 and pass
+    res = run("peterweyl", "schur", "--j1", "1/3", "--j2", "1/3")
+    assert res.exit_code == 2
+    res = run("peterweyl", "schur", "--j1", "1/2", "--j2", "1/2", "--grid", "0")
+    assert res.exit_code == 2
 
 
 def test_peterweyl_plancherel_cli():
@@ -100,6 +105,10 @@ def test_peterweyl_plancherel_cli():
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["exact_equal"]
+    # a weight of the wrong length, and a non-dominant one
+    for trunc in ("1,0;5", "1,0;-1,2"):
+        res = run("peterweyl", "plancherel", "--type", "A2", "--trunc", trunc)
+        assert res.exit_code == 2, trunc
 
 
 def test_compact_exp_cli():
@@ -109,3 +118,24 @@ def test_compact_exp_cli():
     n = len(data["matrix"])
     assert data["matrix"] == [[float(i == j) for j in range(n)]
                               for i in range(n)]
+
+
+def test_verify_group_mutated_reports_steinberg_failure():
+    """A pair whose commutator has no constants is a Steinberg failure with
+    its reason as witness, not a traceback."""
+    res = run("verify", "group", "--type", "B2", "--mutate-gamma", "7,4")
+    assert res.exit_code == 1
+    data = json.loads(res.output)
+    assert data["ok"] is False
+    st = next(c for c in data["checks"] if c["check"] == "steinberg")
+    assert st["ok"] is False
+    pairs = {tuple(f[:3]) for f in st["witness"]["constants"]}
+    assert ("commutator_constants", 7, 4) in pairs
+    assert all(isinstance(f[3], str) and f[3] for f in st["witness"]["constants"])
+
+
+def test_verify_ignores_liekit_threads():
+    res = CliRunner().invoke(main, ["verify", "liealg", "--type", "A1"],
+                             env={"LIEKIT_THREADS": "x"})
+    assert res.exit_code == 0
+    assert "threads" not in json.loads(res.output)

@@ -23,10 +23,22 @@ trig = st.builds(
     coeffs, coeffs, coeffs, st.integers(-2, 2))
 
 
-@given(trig, trig, st.floats(0.1, 3.0))
-def test_trigpoly_mul_evaluates(a, b, t):
-    assert abs((a * b).evaluate(t) - a.evaluate(t) * b.evaluate(t)) < 1e-9
-    assert abs((a + b).evaluate(t) - (a.evaluate(t) + b.evaluate(t))) < 1e-9
+def exact_value(p, s, c):
+    return sum(v * s ** sd * c ** cd for (sd, cd), v in p.c.items())
+
+
+# u != +-1 keeps c != 0, as c^-1 may appear
+circle_u = coeffs.filter(lambda u: abs(u) != 1)
+
+
+@given(trig, trig, circle_u)
+def test_trigpoly_mul_evaluates(a, b, u):
+    """Products and sums agree exactly at the rational point
+    (s, c) = (2u, 1 - u^2) / (1 + u^2) of the unit circle."""
+    s, c = 2 * u / (1 + u * u), (1 - u * u) / (1 + u * u)
+    assert s * s + c * c == 1
+    assert exact_value(a * b, s, c) == exact_value(a, s, c) * exact_value(b, s, c)
+    assert exact_value(a + b, s, c) == exact_value(a, s, c) + exact_value(b, s, c)
 
 
 @given(trig)

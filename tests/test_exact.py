@@ -82,3 +82,19 @@ def test_identity_is_multiplicative_unit():
     mat = sp_from_dense([[Fraction(i + 2 * j) for j in range(4)]
                          for i in range(4)], QQ)
     assert sp_eq(sp_mul(ident, mat, QQ), mat, QQ)
+
+
+def test_laurent_int_and_fraction_coefficients_agree():
+    """Integral coefficients are stored as int; equality and hashing do not
+    see the difference, and inverting a non-unit makes a Fraction."""
+    t = LaurentPoly.var_t()
+    assert type(t.c[(1, 0)]) is int
+    assert type(LaurentPoly.const(Fraction(6, 3)).c[(0, 0)]) is int
+    frac = LaurentPoly({(1, 0): Fraction(1)})
+    assert t == frac and hash(t) == hash(frac)
+    two_t = LaurentPoly({(1, 0): 2})
+    inv = LAURENT.inv(two_t)
+    assert inv.c == {(-1, 0): Fraction(1, 2)}
+    assert type(inv.c[(-1, 0)]) is Fraction
+    assert LAURENT.mul(two_t, inv) == LAURENT.one
+    assert type(LAURENT.inv(LaurentPoly({(2, 1): -1})).c[(-2, -1)]) is int
