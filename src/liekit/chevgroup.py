@@ -15,9 +15,10 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (LAURENT, QQ, LaurentPoly, PrimeField, sp_eq, sp_identity,
-                    sp_mul, sp_mul_many)
-from .liealg import LieAlgebraZ
+from .exact import (LAURENT, QQ, LaurentPoly, PrimeField, divided_powers,
+                    sp_eq, sp_identity, sp_map, sp_mul, sp_mul_many,
+                    sum_powers)
+from .liealg import LieAlgebraZ, bracket_over
 from .rootdata import invariant_factors
 
 
@@ -33,63 +34,23 @@ class ChevalleyGroup:
 
     def exp_table(self, ix):
         """[I, ad u_X, (ad u_X)^2/2!, ...] as integer sparse matrices."""
-        if ix in self._exp_tables:
-            return self._exp_tables[ix]
-        ad = self.alg.ad_matrix(ix)
-        mats = [{i: {i: 1} for i in range(self.dim)}]
-        cur = {i: {j: Fraction(v) for j, v in row.items()} for i, row in ad.items()}
-        k = 1
-        while cur:
-            if k > self.dim + 2:
-                raise ArithmeticError("generator is not nilpotent")
-            intmat = {}
-            for i, row in cur.items():
-                r = {}
-                for j, v in row.items():
-                    if v.denominator != 1:
-                        raise ArithmeticError(
-                            f"non-integer exponential coefficient at power {k}")
-                    if v:
-                        r[j] = int(v)
-                if r:
-                    intmat[i] = r
-            mats.append(intmat)
-            k += 1
-            nxt = {}
-            for i, row in cur.items():
-                acc = {}
-                for l, v in row.items():
-                    for j, w in ad.get(l, {}).items():
-                        acc[j] = acc.get(j, 0) + v * w
-                acc = {j: v / k for j, v in acc.items() if v}
-                if acc:
-                    nxt[i] = acc
-            cur = nxt
-        self._exp_tables[ix] = mats
+        mats = self._exp_tables.get(ix)
+        if mats is None:
+            mats = []
+            powers = divided_powers(self.alg.ad_matrix(ix), self.dim)
+            for k, mat in enumerate(powers):
+                intmat = sp_map(mat, int)
+                if intmat != mat:  # int() truncates a non-integral entry
+                    raise ArithmeticError(
+                        f"non-integer exponential coefficient at power {k}")
+                mats.append(intmat)
+            self._exp_tables[ix] = mats
         return mats
 
     # -- generators over an arbitrary domain ----------------------------------
 
     def E_index(self, ix, t, dom):
-        out = {}
-        tk = dom.one
-        for k, mat in enumerate(self.exp_table(ix)):
-            if k:
-                tk = dom.mul(tk, t) if k > 1 else t
-            terms = {}  # v -> v t^k; a table has few distinct entries
-            for i, row in mat.items():
-                r = out.setdefault(i, {})
-                for j, v in row.items():
-                    w = terms.get(v)
-                    if w is None:
-                        w = dom.from_int(v)
-                        w = terms[v] = dom.mul(tk, w) if k else w
-                    r[j] = dom.add(r[j], w) if j in r else w
-        for i in list(out):
-            out[i] = {j: v for j, v in out[i].items() if not dom.is_zero(v)}
-            if not out[i]:
-                del out[i]
-        return out
+        return sum_powers(self.exp_table(ix), t, dom)
 
     def E(self, x, t, dom):
         return self.E_index(self.cat.index(x), t, dom)
@@ -344,7 +305,7 @@ def _steinberg_point_check(alg, grp, dom, t0, s0, const_cache):
             lhs = sp_mul_many([E_t[ix], E_s[iy], E_mt[ix], E_ms[iy]], dom)
             rhs = None
             for (i, j), il, c in const_cache[(ix, iy)]:
-                arg = dom.mul(dom.from_int(c),
+                arg = dom.mul(dom.embed(c),
                               dom.mul(dom.power(t0, i), dom.power(s0, j)))
                 factor = factors.get((il, arg))
                 if factor is None:
@@ -444,18 +405,6 @@ def center_order_bruteforce(alg, p):
 # ---------------------------------------------------------------------------
 # automorphism utilities
 
-def bracket_over(alg, a, b, dom):
-    """Bilinear bracket of dict vectors with coefficients in `dom`."""
-    out = {}
-    for i, ca in a.items():
-        row = alg._brackets[i]
-        for j, cb in b.items():
-            for k, v in row[j].items():
-                w = dom.mul(dom.mul(ca, cb), dom.from_int(v))
-                out[k] = dom.add(out[k], w) if k in out else w
-    return {k: v for k, v in out.items() if not dom.is_zero(v)}
-
-
 def preserves_bracket(alg, mat, dom):
     """Does the matrix act as a Lie algebra automorphism?"""
     n = alg.dim
@@ -468,15 +417,14 @@ def preserves_bracket(alg, mat, dom):
             img = {}
             for k, v in alg._brackets[i][j].items():
                 for r, w in cols[k].items():
-                    z = dom.mul(dom.from_int(v), w)
+                    z = dom.mul(dom.embed(v), w)
                     img[r] = dom.add(img[r], z) if r in img else z
             img = {r: v for r, v in img.items() if not dom.is_zero(v)}
-            if img != bracket_over(alg, cols[i], cols[j], dom):
-                got = bracket_over(alg, cols[i], cols[j], dom)
-                keys = set(img) | set(got)
-                if any(not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
-                       for k in keys):
-                    return False
+            got = bracket_over(alg._brackets, cols[i], cols[j], dom)
+            if img != got and any(
+                    not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
+                    for k in set(img) | set(got)):
+                return False
     return True
 
 

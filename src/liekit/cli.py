@@ -22,7 +22,7 @@ from .compactform import (CompactForm, closed_form_vs_expm, d_equals_dual_check,
                           gamma_string_product_check,
                           gram_preservation_deviation, trig_matrix_numeric)
 from .exact import GaussianRational
-from .hwmodules import (ModuleGenerators, adjoint_check, build_irrep,
+from .hwmodules import (DIM_CAP, ModuleGenerators, adjoint_check, build_irrep,
                         shapovalov_binomial_check, unitarity_deviation,
                         weyl_dim)
 from .liealg import LieAlgebraZ, lie_algebra
@@ -40,6 +40,15 @@ def _type(name):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     return series, rank
+
+
+def _check_cap(cartan, lam):
+    """Refuse a module larger than `build_irrep` builds, before any work."""
+    dim = weyl_dim(cartan, lam)
+    if dim > DIM_CAP:
+        raise click.UsageError(
+            f"the module of highest weight {_key(lam)} has dimension {dim}, "
+            f"above the cap of {DIM_CAP}")
 
 
 def _jsonable(v):
@@ -267,6 +276,7 @@ def irrep(type_name, weight, what):
     except ValueError:
         raise click.UsageError(f"bad dominant weight {weight!r} for rank {rank}")
     cartan = build_cartan(series, rank)
+    _check_cap(cartan, lam)
     mod = build_irrep(cartan, lam)
     out = {"type": f"{series}{rank}", "weight": list(lam),
            "dim": mod.dim, "weyl_dim": weyl_dim(cartan, lam)}
@@ -304,6 +314,8 @@ def schur(j1, j2, grid):
     if tj1 < 0 or tj2 < 0:
         raise click.UsageError("spins must be nonnegative")
     tj1, tj2 = int(tj1), int(tj2)
+    for tj in (tj1, tj2):
+        _check_cap(build_cartan("A", 1), (tj,))
     q = SU2Quadrature(grid)
     r1, r2 = SU2Rep(tj1), SU2Rep(tj2)
 
@@ -346,6 +358,8 @@ def plancherel(type_name, trunc):
     except ValueError:
         raise click.UsageError(
             f"bad truncation {trunc!r}: want dominant weights of rank {rank}")
+    for lam in lams:
+        _check_cap(cartan, lam)
     modules = {lam: build_irrep(cartan, lam) for lam in lams}
     import random
     rng = random.Random(20240821)
@@ -379,6 +393,11 @@ def plancherel(type_name, trunc):
 def verify(suite, type_name, seed, mutate_gamma):
     """Run a verification suite; exit 0 iff every check passes."""
     series, rank = _type(type_name)
+    cartan = build_cartan(series, rank)
+    fundamental = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    if suite in ("all", "modules"):
+        for lam in fundamental:
+            _check_cap(cartan, lam)
     checks = []
 
     def record(name, ok, witness=None):
@@ -423,9 +442,7 @@ def verify(suite, type_name, seed, mutate_gamma):
         dev = closed_form_vs_expm(cf)
         record("closed_form_exponentials", dev < 1e-10, dev)
     if suite in ("all", "modules"):
-        cartan = build_cartan(series, rank)
-        for i in range(rank):
-            lam = tuple(1 if j == i else 0 for j in range(rank))
+        for lam in fundamental:
             mod = build_irrep(cartan, lam)
             record(f"irrep_dim_{_key(lam)}", mod.dim == weyl_dim(cartan, lam))
             record(f"irrep_gram_pd_{_key(lam)}", mod.gram_positive_definite()[0])

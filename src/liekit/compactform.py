@@ -14,26 +14,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import (QI, GaussianRational, dense_inverse, leading_principal_minors,
-                    sp_eq, sp_mul, sp_mul_many)
-from .liealg import LieAlgebraZ
+from .chevgroup import ChevalleyGroup
+from .exact import (QI, Domain, GaussianRational, SparsePoly,
+                    leading_principal_minors, sp_apply, sp_eq, sp_map,
+                    sp_mul_many)
+from .liealg import LieAlgebraZ, bracket_over, jacobi_sweep, table_bracket
 from .rootcat import RootCatObject
 
 
 # ---------------------------------------------------------------------------
 # the trigonometric ring
 
-class TrigPoly:
+class TrigPoly(SparsePoly):
     """Elements of k[s, c, c^-1] / (s^2 + c^2 - 1), normal form s-degree <= 1.
 
     Stored as {(s_deg, c_deg): coeff} with s_deg in {0, 1}; the coefficient
     field k is whatever the values are (rationals or Gaussian rationals).
     """
 
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = dict(c) if c else {}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, coeff, s_deg, c_deg):
@@ -56,29 +55,6 @@ class TrigPoly:
     def cos(cls, e=1):
         return cls({(0, e): Fraction(1)})
 
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return TrigPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) - v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return TrigPoly(out)
-
-    def __neg__(self):
-        return TrigPoly({k: -v for k, v in self.c.items()})
-
     def __mul__(self, other):
         out = {}
         for (s1, c1), v1 in self.c.items():
@@ -91,14 +67,11 @@ class TrigPoly:
             return TrigPoly()
         return TrigPoly({k: v * w for k, w in self.c.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, TrigPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self):
-        return bool(self.c)
+    def inverse(self):
+        out = super().inverse()
+        if any(sd for sd, _ in out.c):
+            raise ZeroDivisionError("sin is not invertible")
+        return out
 
     def evaluate(self, t):
         """Numeric value at angle t (complex if coefficients are Gaussian)."""
@@ -111,9 +84,6 @@ class TrigPoly:
                 v = float(v)
             tot += v * (s ** sd) * (c ** cd)
         return tot
-
-    def __repr__(self):
-        return f"TrigPoly({self.c!r})"
 
 
 def _accumulate(out, coeff, s_deg, c_deg):
@@ -133,74 +103,29 @@ def _accumulate(out, coeff, s_deg, c_deg):
         _accumulate(out, coeff * sign * math.comb(n, l), r, c_deg + 2 * l)
 
 
-def trig_cos_multiple(a):
-    """cos(a*t) as a TrigPoly, integer a."""
-    a = abs(a)
+def trig_multiple(a):
+    """(cos(a*t), sin(a*t)) as TrigPolys, integer a."""
     cosk, sink = TrigPoly.const(Fraction(1)), TrigPoly()
     c, s = TrigPoly.cos(), TrigPoly.sin()
-    for _ in range(a):
+    for _ in range(abs(a)):
         cosk, sink = c * cosk - s * sink, s * cosk + c * sink
-    return cosk
+    return cosk, (-sink if a < 0 else sink)
 
 
-def trig_sin_multiple(a):
-    """sin(a*t) as a TrigPoly, integer a."""
-    neg = a < 0
-    a = abs(a)
-    cosk, sink = TrigPoly.const(Fraction(1)), TrigPoly()
-    c, s = TrigPoly.cos(), TrigPoly.sin()
-    for _ in range(a):
-        cosk, sink = c * cosk - s * sink, s * cosk + c * sink
-    return -sink if neg else sink
-
-
-class TrigDomain:
+class TrigDomain(Domain):
     """Domain wrapper so the sparse-matrix helpers run over TrigPoly."""
 
-    name = "Trig"
-    exact = True
     zero = TrigPoly()
 
     def __init__(self, coeff_one=Fraction(1)):
         self.coeff_one = coeff_one
         self.one = TrigPoly.const(coeff_one)
 
-    def from_int(self, n):
-        return TrigPoly.const(self.coeff_one * n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return not a
+    def embed(self, v):
+        return TrigPoly.const(self.coeff_one * v)
 
     def inv(self, a):
-        if len(a.c) != 1:
-            raise ZeroDivisionError("non-monomial trig inverse")
-        ((sd, cd), v), = a.c.items()
-        if sd:
-            raise ZeroDivisionError("sin is not invertible")
-        return TrigPoly({(0, -cd): 1 / v})
-
-    def power(self, a, n):
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        out = self.one
-        for _ in range(n):
-            out = out * a
-        return out
+        return a.inverse()
 
 
 TRIG = TrigDomain()
@@ -316,7 +241,7 @@ class CompactForm:
         self.npos = len(rs.positive)
         self.m = alg.m
         self.dim = self.m + 2 * self.npos
-        self._pos_index = {r: k for k, r in enumerate(rs.positive)}
+        self._pos_index = rs.pos_index
         self._brackets = self._build_brackets()
 
     # basis indexing
@@ -405,37 +330,10 @@ class CompactForm:
         return table
 
     def bracket(self, a, b):
-        out = {}
-        for i, ca in a.items():
-            row = self._brackets[i]
-            for j, cb in b.items():
-                for k, v in row[j].items():
-                    w = out.get(k, 0) + ca * cb * v
-                    if w:
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
-        return out
+        return table_bracket(self._brackets, a, b)
 
     def jacobi_check(self):
-        n = self.dim
-        br = self._brackets
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = br[i][j]
-                for k in range(j + 1, n):
-                    acc = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, v in br[a][b].items():
-                            for q, w in br[l][c].items():
-                                t = acc.get(q, 0) + v * w
-                                if t:
-                                    acc[q] = t
-                                elif q in acc:
-                                    del acc[q]
-                    if acc:
-                        return False, (i, j, k)
-        return True, None
+        return jacobi_sweep(self._brackets)
 
     # -- the complexification map ------------------------------------------
 
@@ -484,8 +382,6 @@ class CompactForm:
 
     def phi_homomorphism_check(self):
         """phi([a,b]) == [phi a, phi b] on all basis pairs, over Q(i)."""
-        from .chevgroup import bracket_over
-        from .exact import sp_apply
         phi = self.phi_matrix()
         cols = [sp_apply(phi, {i: QI.one}, QI) for i in range(self.dim)]
         for i in range(self.dim):
@@ -496,7 +392,7 @@ class CompactForm:
                         z = w * v
                         lhs[r] = lhs.get(r, QI.zero) + z
                 lhs = {r: v for r, v in lhs.items() if v}
-                rhs = bracket_over(self.alg, cols[i], cols[j], QI)
+                rhs = bracket_over(self.alg._brackets, cols[i], cols[j], QI)
                 if lhs != rhs:
                     return False, (i, j)
         return True, None
@@ -595,7 +491,7 @@ def exp_alpha_matrix(cf: CompactForm, x):
         y = RootCatObject(r, 0)
         a = cat.A(x, y)
         bi, xi_ = cf.beta_index(r), cf.xi_index(r)
-        ca, sa = trig_cos_multiple(a), trig_sin_multiple(a)
+        ca, sa = trig_multiple(a)
         mat[bi] = {bi: ca, xi_: sa}
         mat[xi_] = {bi: -sa, xi_: ca}
         for k in (bi, xi_):
@@ -607,8 +503,8 @@ def _alpha_column_terms(cf, x, partner_coords, sign):
     """Common alpha_Y column of exp(t ad beta_X) / exp(t ad xi_X):
     alpha_j + (A_{S_j,X}/2) [(cos2t - 1) alpha_X + sign * sin2t * partner]."""
     cat = cf.cat
-    cos2m1 = trig_cos_multiple(2) - TrigPoly.const(Fraction(1))
-    sin2 = trig_sin_multiple(2)
+    cos2, sin2 = trig_multiple(2)
+    cos2m1 = cos2 - TrigPoly.const(Fraction(1))
     ax = cf.alpha_coords(x)
     cols = {}
     for j in range(cf.m):
@@ -626,83 +522,70 @@ def _alpha_column_terms(cf, x, partner_coords, sign):
 def exp_beta_matrix(cf: CompactForm, x):
     """exp(t ad beta_X); beta_{TX} = beta_X so only the root of X matters."""
     x = _parity0(x)
-    cat = cf.cat
     cols = _alpha_column_terms(cf, x, cf.xi_coords(x), 1)
     bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
     cols[bx] = {bx: TrigPoly.const(Fraction(1))}
-    cos2, sin2 = trig_cos_multiple(2), trig_sin_multiple(2)
+    cos2, sin2 = trig_multiple(2)
     col = {xx: cos2}
     for k, v in cf.alpha_coords(x).items():
         col[k] = sin2.scale(-v)
     cols[xx] = col
-    for r in cf.positive:
-        if r == x.pos_root:
-            continue
-        y = RootCatObject(r, 0)
-        p, q = cat.pq(x, y)
-        bcol, xcol = {}, {}
-        for k in range(-p, q + 1):
-            lk = y if k == 0 else (
-                cat.chain_object(x, y, k, 1) if k > 0
-                else cat.chain_object(cat.shift(x), y, -k, 1))
-            dk = d_coefficient(cf.alg, x, y, k)
-            if not dk:
-                continue
-            bi = cf.beta_index(lk.pos_root)
-            xi_ = cf.xi_index(lk.pos_root)
-            bcol[bi] = bcol.get(bi, TrigPoly()) + dk
-            xdk = -dk if lk.parity else dk
-            xcol[xi_] = xcol.get(xi_, TrigPoly()) + xdk
-        cols[cf.beta_index(r)] = {k: v for k, v in bcol.items() if v}
-        cols[cf.xi_index(r)] = {k: v for k, v in xcol.items() if v}
-    return _cols_to_matrix(cols, cf.dim)
+    for r, k, lk, dk in _chain_terms(cf, x):
+        bcol = cols.setdefault(cf.beta_index(r), {})
+        xcol = cols.setdefault(cf.xi_index(r), {})
+        bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
+        bcol[bi] = bcol.get(bi, TrigPoly()) + dk
+        xcol[xi_] = xcol.get(xi_, TrigPoly()) + (-dk if lk.parity else dk)
+    return _cols_to_matrix(cols)
 
 
 def exp_xi_matrix(cf: CompactForm, x):
     """exp(t ad xi_X) for parity-0 X; for TX substitute t -> -t."""
     flip = x.parity == 1
     x = _parity0(x)
-    cat = cf.cat
     cols = _alpha_column_terms(cf, x, cf.beta_coords(x), -1)
     bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
-    cos2, sin2 = trig_cos_multiple(2), trig_sin_multiple(2)
+    cos2, sin2 = trig_multiple(2)
     col = {bx: cos2}
     for k, v in cf.alpha_coords(x).items():
         col[k] = sin2.scale(v)
     cols[bx] = col
     cols[xx] = {xx: TrigPoly.const(Fraction(1))}
+    for r, k, lk, dk in _chain_terms(cf, x):
+        bcol = cols.setdefault(cf.beta_index(r), {})
+        xcol = cols.setdefault(cf.xi_index(r), {})
+        bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
+        xsign = -1 if lk.parity else 1
+        if k % 2 == 0:
+            s = Fraction(1 if (k // 2) % 2 == 0 else -1)
+            bcol[bi] = bcol.get(bi, TrigPoly()) + dk.scale(s)
+            xcol[xi_] = xcol.get(xi_, TrigPoly()) + dk.scale(s * xsign)
+        else:
+            sb = Fraction(1 if ((k - 1) // 2) % 2 == 0 else -1)
+            sx = Fraction(1 if ((k + 1) // 2) % 2 == 0 else -1)
+            bcol[xi_] = bcol.get(xi_, TrigPoly()) + dk.scale(sb * xsign)
+            xcol[bi] = xcol.get(bi, TrigPoly()) + dk.scale(sx)
+    mat = _cols_to_matrix(cols)
+    if flip:
+        mat = {i: {j: _flip_sin(v) for j, v in row.items()}
+               for i, row in mat.items()}
+    return mat
+
+
+def _chain_terms(cf, x):
+    """(r, k, L_k, D_{X,Y,k}) for Y = (r, parity 0) over every positive root
+    r other than X's and every k in [-p_XY, q_XY] with D nonzero; L_k is the
+    object of class zeta_Y + k zeta_X."""
+    cat = cf.cat
     for r in cf.positive:
         if r == x.pos_root:
             continue
         y = RootCatObject(r, 0)
         p, q = cat.pq(x, y)
-        bcol, xcol = {}, {}
         for k in range(-p, q + 1):
-            lk = y if k == 0 else (
-                cat.chain_object(x, y, k, 1) if k > 0
-                else cat.chain_object(cat.shift(x), y, -k, 1))
             dk = d_coefficient(cf.alg, x, y, k)
-            if not dk:
-                continue
-            bi = cf.beta_index(lk.pos_root)
-            xi_ = cf.xi_index(lk.pos_root)
-            xsign = -1 if lk.parity else 1
-            if k % 2 == 0:
-                s = Fraction(1 if (k // 2) % 2 == 0 else -1)
-                bcol[bi] = bcol.get(bi, TrigPoly()) + dk.scale(s)
-                xcol[xi_] = xcol.get(xi_, TrigPoly()) + dk.scale(s * xsign)
-            else:
-                sb = Fraction(1 if ((k - 1) // 2) % 2 == 0 else -1)
-                sx = Fraction(1 if ((k + 1) // 2) % 2 == 0 else -1)
-                bcol[xi_] = bcol.get(xi_, TrigPoly()) + dk.scale(sb * xsign)
-                xcol[bi] = xcol.get(bi, TrigPoly()) + dk.scale(sx)
-        cols[cf.beta_index(r)] = {k: v for k, v in bcol.items() if v}
-        cols[cf.xi_index(r)] = {k: v for k, v in xcol.items() if v}
-    mat = _cols_to_matrix(cols, cf.dim)
-    if flip:
-        mat = {i: {j: _flip_sin(v) for j, v in row.items()}
-               for i, row in mat.items()}
-    return mat
+            if dk:
+                yield r, k, cat.chain_object(x, y, k, 1), dk
 
 
 def _flip_sin(tp):
@@ -710,7 +593,7 @@ def _flip_sin(tp):
     return TrigPoly({k: (-v if k[0] else v) for k, v in tp.c.items()})
 
 
-def _cols_to_matrix(cols, dim):
+def _cols_to_matrix(cols):
     mat = {}
     for c, col in cols.items():
         for r, v in col.items():
@@ -798,13 +681,11 @@ def exp_beta_factorization_check(alg, cf=None):
     """exp(t ad(u_X+u_TX)) = E_X(tan t) h_X(1/cos t) E_TX(tan t), and the
     Gaussian twin for i(u_X - u_TX), as identities of TrigPoly matrices
     transported through phi.  Returns (ok, witness)."""
-    from .chevgroup import ChevalleyGroup
     if cf is None:
         cf = CompactForm(alg)
     grp = ChevalleyGroup(alg)
-    cat = alg.cat
-    phi = sp_map_qi_to_trig(cf.phi_matrix())
-    phiinv = sp_map_qi_to_trig(cf.phi_inverse())
+    phi = sp_map(cf.phi_matrix(), TrigPoly.const)
+    phiinv = sp_map(cf.phi_inverse(), TrigPoly.const)
     tan = TrigPoly({(1, -1): GaussianRational(1)})
     itan = TrigPoly({(1, -1): QI.i})
     sec = TrigPoly({(0, -1): GaussianRational(1)})
@@ -812,7 +693,7 @@ def exp_beta_factorization_check(alg, cf=None):
         x = RootCatObject(r, 0)
         tx = RootCatObject(r, 1)
         # beta: transport exp(t ad beta_X) into the integer-form basis
-        sym = sp_map_frac_to_trig(exp_beta_matrix(cf, x))
+        sym = sp_map(exp_beta_matrix(cf, x), _gaussian)
         lhs = sp_mul_many([phi, sym, phiinv], TRIG_QI)
         rhs = sp_mul_many([
             grp.E(x, tan, TRIG_QI),
@@ -821,7 +702,7 @@ def exp_beta_factorization_check(alg, cf=None):
         if not sp_eq(lhs, rhs, TRIG_QI):
             return False, ("beta", r)
         # xi: exp(t ad i(u_X - u_TX)) = E_X(i tan t) h_X(1/cos t) E_TX(-i tan t)
-        sym = sp_map_frac_to_trig(exp_xi_matrix(cf, x))
+        sym = sp_map(exp_xi_matrix(cf, x), _gaussian)
         lhs = sp_mul_many([phi, sym, phiinv], TRIG_QI)
         rhs = sp_mul_many([
             grp.E(x, itan, TRIG_QI),
@@ -832,13 +713,7 @@ def exp_beta_factorization_check(alg, cf=None):
     return True, None
 
 
-def sp_map_qi_to_trig(mat):
-    return {i: {j: TrigPoly.const(v) for j, v in row.items()}
-            for i, row in mat.items()}
 
-
-def sp_map_frac_to_trig(mat):
-    """Lift a Fraction-coefficient TrigPoly matrix to Gaussian coefficients."""
-    return {i: {j: TrigPoly({k: GaussianRational(c) for k, c in v.c.items()})
-                for j, v in row.items()}
-            for i, row in mat.items()}
+def _gaussian(tp):
+    """A rational-coefficient TrigPoly with its coefficients in Q(i)."""
+    return tp.scale(QI.one)

@@ -1,10 +1,21 @@
-"""Exact scalar domains and sparse exact linear algebra.
+"""Exact scalar domains, sparse polynomials and sparse exact linear algebra.
 
 Everything downstream (structure constants, Chevalley group elements,
-trig-polynomial identities) runs over one of the domains defined here, so
-equality is decidable wherever the domain is exact.  Matrices are kept as
-dicts of rows because almost every operator we build (exp of a nilpotent ad,
-torus elements, reflection elements) is sparse.
+trig-polynomial identities, module actions) runs over a `Domain`: a ring of
+exact scalars whose operations are Python's operators on its elements, with
+`embed` taking an int or Fraction into the ring and `inv` inverting a unit.
+`RationalDomain` (QQ), `GaussianDomain` (QI) and `LaurentDomain` (LAURENT)
+are defined here and `TrigDomain` in `compactform`; `PrimeField` overrides
+the operations with residue arithmetic.  `LaurentPoly` and the trigonometric
+`TrigPoly` share the sparse-dict base `SparsePoly`, which holds everything
+but the product.
+
+Matrices are kept as dicts of rows because almost every operator we build
+(exp of a nilpotent ad, torus elements, reflection elements) is sparse.  The
+divided powers M^k/k! and the sums sum_k t^k M^k/k! behind every
+one-parameter subgroup, of the group and of the modules alike, are built
+here, and one Gauss-Jordan routine backs the dense inverse, the linear solve
+and the module kernels.
 """
 
 from __future__ import annotations
@@ -22,20 +33,20 @@ class GaussianRational:
         self.im = Fraction(im)
 
     def __add__(self, other):
-        other = _gi(other)
+        other = QI.embed(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _gi(other)
+        other = QI.embed(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _gi(other) - self
+        return QI.embed(other) - self
 
     def __mul__(self, other):
-        other = _gi(other)
+        other = QI.embed(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -44,7 +55,7 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _gi(other)
+        other = QI.embed(other)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -54,7 +65,7 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other):
-        return _gi(other) / self
+        return QI.embed(other) / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -92,28 +103,124 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-def _gi(x):
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
+# ---------------------------------------------------------------------------
+# sparse polynomials: dict {exponent tuple: coefficient}, zero terms absent
+
+def _rational(v):
+    """An integral Fraction as an int; any other coefficient unchanged."""
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    return v
 
 
-QI_I = GaussianRational(0, 1)
+class SparsePoly:
+    """Construction, sums, equality, hashing and monomial inversion of a
+    sparse polynomial; each subclass supplies the product of its ring."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c=None):
+        self.c = dict(c) if c else {}
+
+    def __add__(self, other):
+        out = dict(self.c)
+        for k, v in other.c.items():
+            w = out.get(k, 0) + v
+            if w:
+                out[k] = w
+            elif k in out:
+                del out[k]
+        return type(self)(out)
+
+    def __sub__(self, other):
+        out = dict(self.c)
+        for k, v in other.c.items():
+            w = out.get(k, 0) - v
+            if w:
+                out[k] = w
+            elif k in out:
+                del out[k]
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.c.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.c == other.c
+
+    def __hash__(self):
+        return hash(frozenset(self.c.items()))
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def inverse(self):
+        """The inverse of a monomial, the only units used here."""
+        if len(self.c) != 1:
+            raise ZeroDivisionError(
+                f"non-monomial {type(self).__name__} inverse")
+        (e, v), = self.c.items()
+        return type(self)({tuple(-x for x in e): _rational(Fraction(1) / v)})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.c!r})"
+
+
+class LaurentPoly(SparsePoly):
+    """Laurent polynomials in (t, s), keyed by (et, es); exponents may be
+    negative.  Coefficients are rational; they are stored as int while
+    integral (every exponential table is), and become Fraction only once a
+    non-integer appears.  1 == Fraction(1) with equal hashes, so equality is
+    unaffected."""
+
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, v):
+        if not isinstance(v, int):
+            v = _rational(Fraction(v))
+        return cls({(0, 0): v} if v else {})
+
+    @classmethod
+    def var_t(cls, e=1):
+        return cls({(e, 0): 1})
+
+    @classmethod
+    def var_s(cls, e=1):
+        return cls({(0, e): 1})
+
+    def __mul__(self, other):
+        out = {}
+        for (a1, b1), v1 in self.c.items():
+            for (a2, b2), v2 in other.c.items():
+                k = (a1 + a2, b1 + b2)
+                w = out.get(k, 0) + v1 * v2
+                if w:
+                    out[k] = w
+                elif k in out:
+                    del out[k]
+        return LaurentPoly(out)
+
+    def coeff(self, et, es):
+        return self.c.get((et, es), 0)
+
+    def evaluate(self, t, s):
+        tot = Fraction(0)
+        for (et, es), v in self.c.items():
+            tot += v * t ** et * s ** es
+        return tot
 
 
 # ---------------------------------------------------------------------------
 # scalar domains
 
-class RationalDomain:
-    """Exact rationals."""
+class Domain:
+    """A commutative ring of exact scalars as the sparse-matrix code sees it.
 
-    name = "QQ"
-    exact = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
+    The operations are Python's operators on the elements.  A subclass sets
+    `zero` and `one` and supplies `embed`, which takes an int or a Fraction
+    into the ring, and `inv`, which inverts a unit.
+    """
 
     def add(self, a, b):
         return a + b
@@ -127,54 +234,58 @@ class RationalDomain:
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
     def eq(self, a, b):
         return a == b
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def conj(self, a):
-        return a
+        return a.conjugate()
 
     def power(self, a, n):
-        if n >= 0:
-            return a ** n
-        return self.inv(a) ** (-n)
+        """a^n for any integer n; a negative n needs a unit a."""
+        if n < 0:
+            a, n = self.inv(a), -n
+        if n == 0:
+            return self.one
+        out = a
+        for _ in range(n - 1):
+            out = self.mul(out, a)
+        return out
 
 
-class GaussianDomain(RationalDomain):
-    """Exact Gaussian rationals Q(i)."""
+class RationalDomain(Domain):
+    """Exact rationals."""
 
-    name = "QI"
-    zero = GaussianRational(0)
-    one = GaussianRational(1)
-    i = QI_I
+    zero = Fraction(0)
+    one = Fraction(1)
 
-    def from_int(self, n):
-        return GaussianRational(n)
+    def embed(self, v):
+        return Fraction(v)
 
     def inv(self, a):
-        return GaussianRational(1) / _gi(a)
-
-    def eq(self, a, b):
-        return _gi(a) == _gi(b)
-
-    def is_zero(self, a):
-        return not bool(_gi(a))
-
-    def conj(self, a):
-        return _gi(a).conjugate()
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
 
 
-class PrimeField:
+class GaussianDomain(Domain):
+    """Exact Gaussian rationals Q(i)."""
+
+    zero = GaussianRational(0)
+    one = GaussianRational(1)
+    i = GaussianRational(0, 1)
+
+    def embed(self, v):
+        return v if isinstance(v, GaussianRational) else GaussianRational(v)
+
+    def inv(self, a):
+        return self.one / a
+
+
+class PrimeField(Domain):
     """F_p, elements stored as ints in [0, p)."""
-
-    exact = True
 
     def __init__(self, p):
         # a probable-prime check would be overkill; trial division is enough
@@ -182,12 +293,14 @@ class PrimeField:
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.name = f"F{p}"
         self.zero = 0
         self.one = 1 % p
 
-    def from_int(self, n):
-        return n % self.p
+    def embed(self, v):
+        if isinstance(v, int):
+            return v % self.p
+        v = Fraction(v)
+        return v.numerator * self.inv(v.denominator) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -212,9 +325,6 @@ class PrimeField:
     def is_zero(self, a):
         return a % self.p == 0
 
-    def conj(self, a):
-        return a
-
     def power(self, a, n):
         if n < 0:
             return pow(self.inv(a), -n, self.p)
@@ -224,51 +334,23 @@ class PrimeField:
         return list(range(1, self.p))
 
 
-class ComplexDomain:
-    """Complex double precision with tolerance-based equality."""
+class LaurentDomain(Domain):
+    """Domain wrapper so sparse-matrix code can run over LaurentPoly entries."""
 
-    name = "CC"
-    exact = False
-    zero = 0j
-    one = 1 + 0j
+    zero = LaurentPoly()
+    one = LaurentPoly.const(1)
 
-    def __init__(self, tol=1e-10):
-        self.tol = tol
-
-    def from_int(self, n):
-        return complex(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def embed(self, v):
+        return LaurentPoly.const(v)
 
     def inv(self, a):
-        return 1 / a
-
-    def eq(self, a, b):
-        return abs(a - b) <= self.tol
-
-    def is_zero(self, a):
-        return abs(a) <= self.tol
-
-    def conj(self, a):
-        return complex(a).conjugate()
-
-    def power(self, a, n):
-        return a ** n
+        # only monomials are invertible; that is all we ever invert
+        return a.inverse()
 
 
 QQ = RationalDomain()
 QI = GaussianDomain()
-CC = ComplexDomain()
+LAURENT = LaurentDomain()
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +420,6 @@ def sp_add(a, b, dom, asign=1, bsign=1):
     return out
 
 
-def sp_scale(a, c, dom):
-    out = {}
-    for i, row in a.items():
-        r = {}
-        for j, v in row.items():
-            w = dom.mul(c, v)
-            if not dom.is_zero(w):
-                r[j] = w
-        if r:
-            out[i] = r
-    return out
-
-
 def sp_eq(a, b, dom):
     for i in set(a) | set(b):
         ra, rb = a.get(i, {}), b.get(i, {})
@@ -380,16 +449,49 @@ def sp_map(m, f):
     return {i: {j: f(v) for j, v in row.items()} for i, row in m.items()}
 
 
-def sp_transpose(m):
+def divided_powers(mat, dim):
+    """[I, M, M^2/2!, ...] over Q, up to the last nonzero term, for a
+    matrix M that is nilpotent on a space of dimension `dim`."""
+    out = [sp_identity(dim, QQ)]
+    cur = mat
+    k = 1
+    while cur:
+        if k > dim:
+            raise ArithmeticError("generator is not nilpotent")
+        out.append(cur)
+        k += 1
+        inv_k = Fraction(1, k)
+        cur = {i: {j: v * inv_k for j, v in row.items()}
+               for i, row in sp_mul(cur, mat, QQ).items()}
+    return out
+
+
+def sum_powers(table, t, dom):
+    """sum_k t^k M_k over `dom` for a table [M_0, M_1, ...] of exact
+    rational matrices, such as one from `divided_powers`."""
     out = {}
-    for i, row in m.items():
-        for j, v in row.items():
-            out.setdefault(j, {})[i] = v
+    tk = dom.one
+    for k, mat in enumerate(table):
+        if k:
+            tk = dom.mul(tk, t) if k > 1 else t
+        terms = {}  # v -> v t^k; a table has few distinct entries
+        for i, row in mat.items():
+            r = out.setdefault(i, {})
+            for j, v in row.items():
+                w = terms.get(v)
+                if w is None:
+                    w = dom.embed(v)
+                    w = terms[v] = dom.mul(tk, w) if k else w
+                r[j] = dom.add(r[j], w) if j in r else w
+    for i in list(out):
+        out[i] = {j: v for j, v in out[i].items() if not dom.is_zero(v)}
+        if not out[i]:
+            del out[i]
     return out
 
 
 # ---------------------------------------------------------------------------
-# dense exact linear algebra (Gram matrices, inverses, minors)
+# dense exact linear algebra over Q (Gram matrices, inverses, minors)
 
 def dense_matmul(a, b):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
@@ -398,26 +500,34 @@ def dense_matmul(a, b):
     return out
 
 
-def dense_inverse(mat, dom=QQ):
-    """Gauss-Jordan inverse over an exact field; raises on singular input."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    inv = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not dom.is_zero(a[r][col])), None)
+def gauss_jordan(rows, ncols):
+    """Reduce `rows`, lists of Fractions, in place to reduced row echelon
+    form on their first `ncols` columns; returns the pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][c] != 0), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        s = dom.inv(a[col][col])
-        a[col] = [dom.mul(s, v) for v in a[col]]
-        inv[col] = [dom.mul(s, v) for v in inv[col]]
-        for r in range(n):
-            if r != col and not dom.is_zero(a[r][col]):
-                f = a[r][col]
-                a[r] = [dom.sub(a[r][j], dom.mul(f, a[col][j])) for j in range(n)]
-                inv[r] = [dom.sub(inv[r][j], dom.mul(f, inv[col][j])) for j in range(n)]
-    return inv
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        s = rows[top][c]
+        rows[top] = [v / s for v in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+        pivots.append(c)
+    return pivots
+
+
+def dense_inverse(mat):
+    """Gauss-Jordan inverse over Q; raises on singular input."""
+    n = len(mat)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(mat)]
+    if len(gauss_jordan(rows, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rows]
 
 
 def dense_det(mat):
@@ -449,154 +559,7 @@ def leading_principal_minors(mat):
 def solve_linear(gram, rhs):
     """Solve gram @ x = rhs for exact square invertible gram (Fractions)."""
     n = len(gram)
-    aug = [list(gram[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = aug[col][col]
-        aug[col] = [v / s for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][j] - f * aug[col][j] for j in range(n + 1)]
-    return [aug[i][n] for i in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in (t, s): dict {(et, es): coefficient}; et may be
-# negative.  Coefficients are rational; they are stored as int while integral
-# (every exponential table is), and become Fraction only once a non-integer
-# appears.  1 == Fraction(1) with equal hashes, so equality is unaffected.
-
-def _rational(v):
-    """v as an int when integral, else as a Fraction."""
-    if isinstance(v, int):
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
-class LaurentPoly:
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = dict(c) if c else {}
-
-    @classmethod
-    def const(cls, v):
-        v = _rational(v)
-        return cls({(0, 0): v} if v else {})
-
-    @classmethod
-    def var_t(cls, e=1):
-        return cls({(e, 0): 1})
-
-    @classmethod
-    def var_s(cls, e=1):
-        return cls({(0, e): 1})
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) - v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return LaurentPoly(out)
-
-    def __neg__(self):
-        return LaurentPoly({k: -v for k, v in self.c.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (a1, b1), v1 in self.c.items():
-            for (a2, b2), v2 in other.c.items():
-                k = (a1 + a2, b1 + b2)
-                w = out.get(k, 0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return LaurentPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def coeff(self, et, es):
-        return self.c.get((et, es), 0)
-
-    def evaluate(self, t, s):
-        tot = Fraction(0)
-        for (et, es), v in self.c.items():
-            tot += v * t ** et * s ** es
-        return tot
-
-    def __repr__(self):
-        return f"LaurentPoly({self.c!r})"
-
-
-class LaurentDomain:
-    """Domain wrapper so sparse-matrix code can run over LaurentPoly entries."""
-
-    name = "QQ[t,t^-1,s]"
-    exact = True
-    zero = LaurentPoly()
-    one = LaurentPoly.const(1)
-
-    def from_int(self, n):
-        return LaurentPoly.const(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return not a
-
-    def inv(self, a):
-        # only monomials are invertible; that is all we ever invert
-        if len(a.c) != 1:
-            raise ZeroDivisionError("non-monomial Laurent inverse")
-        ((et, es), v), = a.c.items()
-        return LaurentPoly({(-et, -es): _rational(1 / Fraction(v))})
-
-    def power(self, a, n):
-        if n >= 0:
-            out = self.one
-            for _ in range(n):
-                out = out * a
-            return out
-        return self.power(self.inv(a), -n)
-
-
-LAURENT = LaurentDomain()
+    rows = [list(gram[i]) + [rhs[i]] for i in range(n)]
+    if len(gauss_jordan(rows, n)) < n:
+        raise ValueError("singular system")
+    return [row[n] for row in rows]

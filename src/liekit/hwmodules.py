@@ -15,10 +15,11 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (QQ, QI, GaussianRational, dense_inverse, solve_linear,
-                    leading_principal_minors, sp_mul, sp_mul_many, sp_eq,
-                    sp_identity, sp_apply, sp_map, sp_add)
-from .rootdata import build_cartan, root_system
+from .exact import (QQ, QI, GaussianRational, dense_inverse, divided_powers,
+                    gauss_jordan, leading_principal_minors, solve_linear,
+                    sp_add, sp_apply, sp_eq, sp_map, sp_mul, sp_mul_many,
+                    sum_powers)
+from .rootdata import root_system
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +194,7 @@ class WeightModule:
                     continue
                 for b, gb in enumerate(basis):
                     if gb in y:
-                        yv = y[gb]
-                        yv = yv.conjugate() if isinstance(yv, GaussianRational) else yv
-                        tot = x[ga] * yv * gram[a][b] + tot
+                        tot = x[ga] * y[gb].conjugate() * gram[a][b] + tot
         return tot
 
     def commutation_check(self):
@@ -217,7 +216,7 @@ class WeightModule:
     def serre_check(self):
         """sum_{p+q=1-a_ij} (-1)^q E_i^(p) E_j E_i^(q) = 0, and the F twin."""
         for mats in (self.E, self.F):
-            dp = [_divided_power_table(mats[i], self.dim) for i in range(self.m)]
+            dp = [divided_powers(mats[i], self.dim) for i in range(self.m)]
             for i in range(self.m):
                 for j in range(self.m):
                     if i == j:
@@ -243,23 +242,11 @@ class WeightModule:
         return True, None
 
 
-def _divided_power_table(mat, dim):
-    """[I, M, M^2/2!, ...] until zero (M nilpotent on a finite module)."""
-    out = [sp_identity(dim, QQ)]
-    cur = mat
-    k = 1
-    while cur:
-        out.append(cur)
-        k += 1
-        nxt = sp_mul(cur, mat, QQ)
-        cur = {i: {j: v / k for j, v in row.items()}
-               for i, row in nxt.items()}
-        if k > dim + 1:
-            raise ArithmeticError("generator not nilpotent on module")
-    return out
+# the largest module `build_irrep` builds unless asked for a larger one
+DIM_CAP = 5000
 
 
-def build_irrep(cartan, lam, cap=5000):
+def build_irrep(cartan, lam, cap=DIM_CAP):
     lam = tuple(lam)
     if any(v < 0 for v in lam):
         raise ValueError("weight is not dominant")
@@ -469,29 +456,12 @@ def _nullspace(rows, cols):
     """Exact nullspace of the sparse matrix (restricted to `cols`) as
     coordinate dicts over the global column labels."""
     collist = list(cols)
-    dense = [[rows.get(r, {}).get(c, Fraction(0)) for c in collist]
-             for r in rows]
-    n = len(collist)
-    # row reduce
-    mat = [list(r) for r in dense]
-    pivots = []
-    rr = 0
-    for c in range(n):
-        piv = next((k for k in range(rr, len(mat)) if mat[k][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rr], mat[piv] = mat[piv], mat[rr]
-        s = mat[rr][c]
-        mat[rr] = [v / s for v in mat[rr]]
-        for k in range(len(mat)):
-            if k != rr and mat[k][c] != 0:
-                f = mat[k][c]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[rr])]
-        pivots.append(c)
-        rr += 1
-    free = [c for c in range(n) if c not in pivots]
+    mat = [[row.get(c, Fraction(0)) for c in collist] for row in rows.values()]
+    pivots = gauss_jordan(mat, len(collist))
     out = []
-    for fcol in free:
+    for fcol in range(len(collist)):
+        if fcol in pivots:
+            continue
         vec = {collist[fcol]: Fraction(1)}
         for prow, pcol in enumerate(pivots):
             v = -mat[prow][fcol]
@@ -510,33 +480,14 @@ class ModuleGenerators:
 
     def __init__(self, mod: WeightModule):
         self.mod = mod
-        self.ex = [_divided_power_table(mod.E[i], mod.dim)
-                   for i in range(mod.m)]
-        self.fx = [_divided_power_table(mod.F[i], mod.dim)
-                   for i in range(mod.m)]
-
-    def _sum_powers(self, table, h, dom):
-        out = {}
-        hk = dom.one
-        for k, mat in enumerate(table):
-            if k:
-                hk = dom.mul(hk, h) if k > 1 else h
-            for i, row in mat.items():
-                r = out.setdefault(i, {})
-                for j, v in row.items():
-                    w = dom.mul(hk, _into(dom, v)) if k else _into(dom, v)
-                    r[j] = dom.add(r[j], w) if j in r else w
-        for i in list(out):
-            out[i] = {j: v for j, v in out[i].items() if not dom.is_zero(v)}
-            if not out[i]:
-                del out[i]
-        return out
+        self.ex = [divided_powers(mod.E[i], mod.dim) for i in range(mod.m)]
+        self.fx = [divided_powers(mod.F[i], mod.dim) for i in range(mod.m)]
 
     def x(self, i, h, dom=QQ):
-        return self._sum_powers(self.ex[i], h, dom)
+        return sum_powers(self.ex[i], h, dom)
 
     def y(self, i, h, dom=QQ):
-        return self._sum_powers(self.fx[i], h, dom)
+        return sum_powers(self.fx[i], h, dom)
 
     def s_second(self, i, dom=QQ):
         one = dom.one
@@ -588,16 +539,6 @@ class ModuleGenerators:
         return out
 
 
-def _into(dom, v):
-    """Embed an exact rational into `dom`."""
-    if dom is QQ:
-        return v
-    if dom is QI:
-        return GaussianRational(v)
-    return dom.mul(dom.from_int(v.numerator),
-                   dom.inv(dom.from_int(v.denominator)))
-
-
 # ---------------------------------------------------------------------------
 # adjoints and unitarity
 
@@ -609,8 +550,8 @@ def dagger(mod, mat, dom=QI):
     for r, row in mat.items():
         for c, v in row.items():
             mh.setdefault(c, {})[r] = dom.conj(v)
-    return sp_mul_many([sp_map(ginv, lambda v: _into(dom, v)), mh,
-                        sp_map(g, lambda v: _into(dom, v))], dom)
+    return sp_mul_many([sp_map(ginv, dom.embed), mh, sp_map(g, dom.embed)],
+                       dom)
 
 
 def adjoint_check(mod, hs=None):
@@ -621,8 +562,8 @@ def adjoint_check(mod, hs=None):
               GaussianRational(Fraction(3, 5)),
               GaussianRational(Fraction(1, 2), Fraction(-2, 3))]
     for i in range(mod.m):
-        emat = sp_map(mod.E[i], lambda v: GaussianRational(v))
-        fmat = sp_map(mod.F[i], lambda v: GaussianRational(v))
+        emat = sp_map(mod.E[i], QI.embed)
+        fmat = sp_map(mod.F[i], QI.embed)
         if not sp_eq(dagger(mod, emat), fmat, QI):
             return False, (i, "E")
         for h in hs:

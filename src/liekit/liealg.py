@@ -8,6 +8,10 @@ system.  Antisymmetry and class grading hold by construction;
 `structure_constants` re-verifies the gamma*gamma range and the triangle-sign
 law and aborts on a violation.  Jacobi is not re-run at construction: it is
 checked by `LieAlgebraZ.jacobi_check` (`liekit verify liealg`).
+
+The bracket, the bracket over a scalar domain and the Jacobi sweep work on
+any basis bracket table, table[i][j] = {k: coefficient of e_k in [e_i, e_j]};
+the integer form here and the compact form (`compactform`) share them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,57 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .rootcat import RootCategory, root_category
+from .rootdata import root_string
+
+
+# ---------------------------------------------------------------------------
+# brackets through a basis table: table[i][j] = {k: coeff of e_k in [e_i, e_j]}
+
+def table_bracket(table, a, b):
+    """Bracket of dict vectors {basis_index: coeff}."""
+    out = {}
+    for i, ca in a.items():
+        row = table[i]
+        for j, cb in b.items():
+            for k, v in row[j].items():
+                w = out.get(k, 0) + ca * cb * v
+                if w:
+                    out[k] = w
+                elif k in out:
+                    del out[k]
+    return out
+
+
+def bracket_over(table, a, b, dom):
+    """Bilinear bracket of dict vectors with coefficients in `dom`."""
+    out = {}
+    for i, ca in a.items():
+        row = table[i]
+        for j, cb in b.items():
+            for k, v in row[j].items():
+                w = dom.mul(dom.mul(ca, cb), dom.embed(v))
+                out[k] = dom.add(out[k], w) if k in out else w
+    return {k: v for k, v in out.items() if not dom.is_zero(v)}
+
+
+def jacobi_sweep(table):
+    """Exhaustive Jacobi over basis triples i < j < k; returns (ok, witness)."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, v in table[a][b].items():
+                        for q, w in table[l][c].items():
+                            t = acc.get(q, 0) + v * w
+                            if t:
+                                acc[q] = t
+                            elif q in acc:
+                                del acc[q]
+                if acc:
+                    return False, (i, j, k)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -32,17 +87,8 @@ class ChevalleyConstants:
     def __init__(self, rs):
         self.rs = rs
         self._npos = {}
-        self._order = {r: k for k, r in enumerate(rs.positive)}
+        self._order = rs.pos_index
         self._build()
-
-    def _p_exponent(self, alpha, beta):
-        """max r >= 0 with beta - r*alpha a root."""
-        p = 0
-        cur = tuple(b - a for a, b in zip(alpha, beta))
-        while self.rs.contains(cur):
-            p += 1
-            cur = tuple(c - a for a, c in zip(alpha, cur))
-        return p
 
     def _norm(self, v):
         return self.rs.sym_form(v, v)
@@ -54,15 +100,13 @@ class ChevalleyConstants:
                 continue
             pairs = []
             for alpha in rs.positive:
-                if self._order[alpha] >= len(rs.positive):
-                    continue
                 beta = tuple(g - a for a, g in zip(alpha, gamma))
                 if rs.contains(beta) and sum(beta) > 0 \
                         and self._order[alpha] < self._order[beta]:
                     pairs.append((alpha, beta))
             pairs.sort(key=lambda ab: self._order[ab[0]])
             alpha0, beta0 = pairs[0]  # the extraspecial pair of gamma
-            self._npos[(alpha0, beta0)] = self._p_exponent(alpha0, beta0) + 1
+            self._npos[(alpha0, beta0)] = root_string(rs, alpha0, beta0)[0] + 1
             for (xi, eta) in pairs[1:]:
                 self._npos[(xi, eta)] = self._solve_special(
                     gamma, alpha0, beta0, xi, eta)
@@ -81,7 +125,7 @@ class ChevalleyConstants:
         if val.denominator != 1:
             raise ArithmeticError("non-integer structure constant")
         n = int(val)
-        pexp = self._p_exponent(xi, eta)
+        pexp = root_string(self.rs, xi, eta)[0]
         if abs(n) != pexp + 1:
             raise ArithmeticError(
                 f"structure constant magnitude {n} != p+1 = {pexp + 1}")
@@ -219,17 +263,7 @@ class LieAlgebraZ:
 
     def bracket(self, a, b):
         """Bracket of dict vectors {basis_index: coeff}."""
-        out = {}
-        for i, ca in a.items():
-            row = self._brackets[i]
-            for j, cb in b.items():
-                for k, v in row[j].items():
-                    w = out.get(k, 0) + ca * cb * v
-                    if w:
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
-        return out
+        return table_bracket(self._brackets, a, b)
 
     def ad_matrix(self, i):
         """Sparse column-action matrix of ad(e_i): ad[k][j] = coeff of e_k in [e_i, e_j]."""
@@ -255,24 +289,7 @@ class LieAlgebraZ:
 
     def jacobi_check(self):
         """Exhaustive Jacobi over basis triples; returns (ok, witness)."""
-        n = self.dim
-        br = self._brackets
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = br[i][j]
-                for k in range(j + 1, n):
-                    acc = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, v in br[a][b].items():
-                            for q, w in br[l][c].items():
-                                t = acc.get(q, 0) + v * w
-                                if t:
-                                    acc[q] = t
-                                elif q in acc:
-                                    del acc[q]
-                    if acc:
-                        return False, (i, j, k)
-        return True, None
+        return jacobi_sweep(self._brackets)
 
     def gamma_pair_products(self):
         """All nonzero gamma_{XY}^L * gamma_{X,TL}^{TY}; theory says in {-1..-4}."""

@@ -12,14 +12,13 @@ independent numeric oracle at rank <= 2.
 from __future__ import annotations
 
 import cmath
-import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (QI, GaussianRational, dense_inverse, sp_mul, sp_eq)
+from .exact import QI, GaussianRational, dense_inverse, sp_apply, sp_mul
 from .hwmodules import (FreudenthalTable, WeightModule, build_irrep, dagger,
-                        root_fund, weyl_dim)
-from .rootdata import build_cartan, invariant_factors, root_system
+                        root_fund)
+from .rootdata import build_cartan, lattice_index, root_system
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +30,8 @@ class MatrixCoefficient:
     def __init__(self, mod: WeightModule, z, zp):
         self.mod = mod
         self.lam = mod.lam
-        self.z = {k: _qi(v) for k, v in z.items()}
-        self.zp = {k: _qi(v) for k, v in zp.items()}
-
-
-def _qi(v):
-    return v if isinstance(v, GaussianRational) else GaussianRational(v)
+        self.z = {k: QI.embed(v) for k, v in z.items()}
+        self.zp = {k: QI.embed(v) for k, v in zp.items()}
 
 
 def inner_product(f: MatrixCoefficient, g: MatrixCoefficient):
@@ -45,23 +40,13 @@ def inner_product(f: MatrixCoefficient, g: MatrixCoefficient):
         return GaussianRational(0)
     mod = f.mod
     val = mod.inner(f.z, g.z) * mod.inner(g.zp, f.zp)
-    return _qi(val) / GaussianRational(mod.dim)
+    return QI.embed(val) / GaussianRational(mod.dim)
 
 
 def fourier_coeff(f: MatrixCoefficient):
     """The block T_{z,z'} = z (G conj(z'))^T; satisfies tr(pi(x) T) = f(x)."""
-    mod = f.mod
-    g = mod.gram_sparse()
-    gz = {}
-    for r, row in g.items():
-        acc = GaussianRational(0)
-        hit = False
-        for c, v in row.items():
-            if c in f.zp:
-                acc = acc + f.zp[c].conjugate() * v
-                hit = True
-        if hit and acc:
-            gz[r] = acc
+    gz = sp_apply(f.mod.gram_sparse(),
+                  {c: v.conjugate() for c, v in f.zp.items()}, QI)
     out = {}
     for a, za in f.z.items():
         row = {}
@@ -81,7 +66,7 @@ def end_inner(mod, a, b):
     tot = GaussianRational(0)
     for i, row in prod.items():
         if i in row:
-            tot = tot + _qi(row[i])
+            tot = tot + QI.embed(row[i])
     return tot / GaussianRational(mod.dim)
 
 
@@ -118,7 +103,7 @@ class OElement:
         return OElement(self.modules, blocks)
 
     def scale(self, c):
-        c = _qi(c)
+        c = QI.embed(c)
         return OElement(self.modules, {
             lam: {r: {cc: v * c for cc, v in row.items()}
                   for r, row in blk.items()}
@@ -412,7 +397,7 @@ def integral_lattice_report(series, rank, box=3):
         "kernel_generators_trivial": kernel_ok,
         "equals_root_lattice": not mismatches,
         "mismatches": mismatches,
-        "fundamental_group_order": math.prod(invariant_factors(cartan.a)),
+        "fundamental_group_order": lattice_index(cartan),
     }
     if (series, rank) == ("A", 3):
         # the half-lattice kernel element i*pi*(H'_1 + H'_3): trivial under

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import build_cartan, root_system, RootSystem
+from .rootdata import build_cartan, root_string, root_system, RootSystem
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,6 @@ class RootCategory:
             val = self._A[x, y] = int(frac)
         return val
 
-    def A_class(self, x, cls):
-        """A_{XY} when only Y's class is at hand."""
-        val = Fraction(self.rs.sym_form(x.cls, tuple(cls)), self.d(x))
-        assert val.denominator == 1
-        return int(val)
-
     # -- extension chains ---------------------------------------------------
 
     def chain_class(self, x, y, i, j):
@@ -99,13 +93,7 @@ class RootCategory:
         """(p_XY, q_XY): extents of the zeta_X-chain through zeta_Y."""
         if x.pos_root == y.pos_root:
             raise ValueError("p/q undefined for X isomorphic to Y or TY")
-        p = 0
-        while self.chain_class(self.shift(x), y, p + 1, 1) is not None:
-            p += 1
-        q = 0
-        while self.chain_class(x, y, q + 1, 1) is not None:
-            q += 1
-        return p, q
+        return root_string(self.rs, x.cls, y.cls)
 
     def omega(self, m, n):
         """The omega_M(N) symbol: TN on the degenerate diagonal, else the

@@ -1,5 +1,11 @@
 """Finite-type Cartan data, root systems, root strings and lattice utilities.
 
+The order of the Weyl group is read off the root heights rather than by
+enumerating W: if n_k positive roots have height k, the exponent k occurs
+n_k - n_{k+1} times, and |W| is the product of (exponent + 1) (Kostant).
+Root strings (`root_string`) serve the Chevalley constants and the p/q
+exponents of the root category alike.
+
 Conventions fixed here and used by every other module:
 
 * Bourbaki node numbering for all series.
@@ -13,6 +19,8 @@ Conventions fixed here and used by every other module:
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,25 +46,6 @@ class CartanDatum:
     def sym(self, i, j):
         """( alpha_i | alpha_j ) = d_i a_ij."""
         return self.d[i] * self.a[i][j]
-
-    @property
-    def type_name(self):
-        return f"{self.series}{self.rank}"
-
-
-@dataclass(frozen=True)
-class Root:
-    coeffs: tuple  # int coefficients in the simple-root basis
-
-    @property
-    def height(self):
-        return sum(self.coeffs)
-
-    def is_positive(self):
-        return all(c >= 0 for c in self.coeffs) and any(c > 0 for c in self.coeffs)
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coeffs))
 
 
 def _edges(series, n):
@@ -117,23 +106,16 @@ def build_cartan(series, rank):
                 todo.append(j)
     lcm_den = 1
     for v in d:
-        lcm_den = lcm_den * v.denominator // _gcd(lcm_den, v.denominator)
+        lcm_den = lcm_den * v.denominator // math.gcd(lcm_den, v.denominator)
     d = [v * lcm_den for v in d]
     g = 0
     for v in d:
-        g = _gcd(g, int(v))
+        g = math.gcd(g, int(v))
     d = tuple(int(v) // g for v in d)
     for i in range(n):
         for j in range(n):
             assert d[i] * a[i][j] == d[j] * a[j][i], "symmetrizer failure"
     return CartanDatum(series, rank, tuple(tuple(r) for r in a), d)
-
-
-def _gcd(x, y):
-    x, y = abs(x), abs(y)
-    while y:
-        x, y = y, x % y
-    return x
 
 
 class RootSystem:
@@ -156,10 +138,9 @@ class RootSystem:
             frontier = nxt
         self.positive = sorted((r for r in roots if sum(r) > 0),
                                key=lambda r: (sum(r), r))
-        self.negative = [tuple(-c for c in r) for r in self.positive]
         self.roots = sorted(roots, key=lambda r: (sum(r), r))
         self._set = roots
-        self._pos_index = {r: k for k, r in enumerate(self.positive)}
+        self.pos_index = {r: k for k, r in enumerate(self.positive)}
 
     def _reflect(self, beta, i):
         c = self.pairing_with_coroot(beta, i)
@@ -171,9 +152,6 @@ class RootSystem:
         """<beta, alpha_i^vee> = sum_j beta_j a_ij."""
         a = self.cartan.a
         return sum(a[i][j] * beta[j] for j in range(self.cartan.rank))
-
-    def simple_reflection(self, beta, i):
-        return self._reflect(tuple(beta), i)
 
     def contains(self, v):
         return tuple(v) in self._set
@@ -190,9 +168,6 @@ class RootSystem:
         assert val % 2 == 0
         return val // 2
 
-    def pos_index(self, v):
-        return self._pos_index[tuple(v)]
-
     def reflect_in_root(self, alpha, beta):
         """s_alpha(beta) = beta - <beta, alpha^vee> alpha."""
         c = Fraction(self.sym_form(alpha, beta), self.root_d(alpha))
@@ -200,25 +175,12 @@ class RootSystem:
         return tuple(b - int(c) * a for a, b in zip(alpha, beta))
 
     def weyl_order(self):
-        """|W| by orbit-stabilizer-free closure on root permutations."""
-        n = self.cartan.rank
-        idx = {r: k for k, r in enumerate(self.roots)}
-        gens = []
-        for i in range(n):
-            gens.append(tuple(idx[self._reflect(r, i)] for r in self.roots))
-        ident = tuple(range(len(self.roots)))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = tuple(s[x] for x in g)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return len(seen)
+        """|W| = prod (e + 1) over the exponents e; exponent k occurs
+        n_k - n_{k+1} times, n_k being the number of positive roots of
+        height k."""
+        heights = Counter(sum(r) for r in self.positive)
+        return math.prod((k + 1) ** (n - heights[k + 1])
+                         for k, n in heights.items())
 
 
 @lru_cache(maxsize=None)
@@ -352,59 +314,6 @@ def invariant_factors(mat):
     return [d[i][i] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class LatticePair:
-    """Weight lattice X (fundamental coords), coweight lattice Y, and Q <= X."""
-
-    cartan: CartanDatum
-
-    def pairing(self, coweight, weight):
-        """<y, x> for y in Y (simple-coroot coords), x in X (fund coords)."""
-        n = self.cartan.rank
-        return sum(coweight[i] * weight[i] for i in range(n))
-
-    def simple_root_in_X(self, j):
-        """alpha_j in fundamental-weight coordinates: column j of the Cartan matrix."""
-        return tuple(self.cartan.a[i][j] for i in range(self.cartan.rank))
-
-    def q_basis(self):
-        return [self.simple_root_in_X(j) for j in range(self.cartan.rank)]
-
-    def in_root_lattice(self, weight):
-        """Is the weight (fund coords) in Q?  Solve a @ x = weight over Z."""
-        n = self.cartan.rank
-        sol = _solve_integer(self.cartan.a, list(weight), n)
-        return sol is not None
-
-    def index_X_over_Q(self):
-        facs = invariant_factors([list(r) for r in self.cartan.a])
-        prod = 1
-        for f in facs:
-            if f == 0:
-                raise ValueError("singular Cartan matrix")
-            prod *= f
-        return prod
-
-
-def _solve_integer(a, rhs, n):
-    """Solve a @ x = rhs for integer x, a being n x n integer; None if no solution."""
-    u, d, v = smith_normal_form([list(r) for r in a])
-    # a = u^-1 d v^-1, so x = v y with d y = u rhs
-    ur = [sum(u[i][j] * rhs[j] for j in range(n)) for i in range(n)]
-    y = []
-    for i in range(n):
-        di = d[i][i]
-        if di == 0:
-            if ur[i] != 0:
-                return None
-            y.append(0)
-        else:
-            if ur[i] % di != 0:
-                return None
-            y.append(ur[i] // di)
-    return [sum(v[i][j] * y[j] for j in range(n)) for i in range(n)]
-
-
 def lattice_index(cartan):
     """[X : Q] = product of the invariant factors of the Cartan matrix."""
-    return LatticePair(cartan).index_X_over_Q()
+    return math.prod(invariant_factors(cartan.a))

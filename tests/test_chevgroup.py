@@ -9,7 +9,7 @@ from liekit.chevgroup import (ChevalleyGroup, center_order_bruteforce,
                               center_order_formula, commutator_constants,
                               preserves_bracket, random_group_element,
                               steinberg_report, verify_conjugation_relations)
-from liekit.exact import QQ, PrimeField, sp_eq, sp_identity, sp_mul
+from liekit.exact import QI, QQ, PrimeField, sp_eq, sp_identity, sp_mul
 from liekit.liealg import lie_algebra
 
 
@@ -96,3 +96,12 @@ def test_group_elements_are_automorphisms():
     f7 = PrimeField(7)
     g = random_group_element(grp, f7, rng, 5, [1, 3, 6])
     assert preserves_bracket(alg, g, f7)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2)])
+def test_unit_modulus_torus_preserves_bracket(series, rank):
+    """h_X(i) over Q(i), an element of the compact torus, is an automorphism."""
+    alg = lie_algebra(series, rank)
+    grp = ChevalleyGroup(alg)
+    for x in alg.objects:
+        assert preserves_bracket(alg, grp.h(x, QI.i, QI), QI)

@@ -28,7 +28,7 @@ class FractionLaurent(LaurentDomain):
 
     one = LaurentPoly({(0, 0): Fraction(1)})
 
-    def from_int(self, n):
+    def embed(self, n):
         return LaurentPoly({(0, 0): Fraction(n)} if n else {})
 
     def inv(self, a):
@@ -62,7 +62,7 @@ class RefGroup:
             for i, row in mat.items():
                 r = out.setdefault(i, {})
                 for j, v in row.items():
-                    w = dom.mul(tk, dom.from_int(v))
+                    w = dom.mul(tk, dom.embed(v))
                     r[j] = dom.add(r[j], w) if j in r else w
         return out
 
@@ -197,7 +197,7 @@ def ref_point_check(alg, grp, dom, t0, s0, consts):
                                grp.E(y, dom.neg(s0), dom)], dom)
             rhs = sp_identity(alg.dim, dom)
             for (i, j), il, c in consts[(ix, iy)]:
-                arg = dom.mul(dom.from_int(c),
+                arg = dom.mul(dom.embed(c),
                               dom.mul(dom.power(t0, i), dom.power(s0, j)))
                 rhs = sp_mul(rhs, grp.E(cat.objects[il], arg, dom), dom)
             if not sp_eq(lhs, rhs, dom):

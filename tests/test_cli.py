@@ -139,3 +139,25 @@ def test_verify_ignores_liekit_threads():
                              env={"LIEKIT_THREADS": "x"})
     assert res.exit_code == 0
     assert "threads" not in json.loads(res.output)
+
+
+def test_roots_weyl_order_e7_e8():
+    for name, order in (("E7", 2903040), ("E8", 696729600)):
+        res = run("roots", "--type", name)
+        assert res.exit_code == 0
+        assert json.loads(res.output)["weyl_order"] == order
+
+
+def test_over_cap_module_is_usage_error():
+    """The 8645-dimensional E7 module is over the cap: a usage error that
+    names the weight and its dimension, raised before anything is built."""
+    res = run("irrep", "--type", "E7", "--weight", "0,0,1,0,0,0,0")
+    assert res.exit_code == 2
+    assert "0,0,1,0,0,0,0" in res.output and "8645" in res.output
+    for suite in ("modules", "all"):
+        res = run("verify", suite, "--type", "E7")
+        assert res.exit_code == 2
+        assert "0,0,1,0,0,0,0" in res.output and "8645" in res.output
+    res = run("peterweyl", "plancherel", "--type", "A2", "--trunc", "1,0;100,0")
+    assert res.exit_code == 2
+    assert "100,0" in res.output and "5151" in res.output

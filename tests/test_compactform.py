@@ -10,8 +10,7 @@ from liekit.compactform import (CompactForm, TrigPoly, closed_form_vs_expm,
                                 d_equals_dual_check,
                                 exp_beta_factorization_check,
                                 gamma_string_product_check,
-                                gram_preservation_deviation,
-                                trig_cos_multiple, trig_sin_multiple)
+                                gram_preservation_deviation, trig_multiple)
 from liekit.liealg import lie_algebra
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
@@ -50,8 +49,9 @@ def test_trigpoly_normal_form(a):
 
 @given(st.integers(0, 6), st.floats(0.1, 3.0))
 def test_multiple_angle_polynomials(k, t):
-    assert abs(trig_cos_multiple(k).evaluate(t) - math.cos(k * t)) < 1e-9
-    assert abs(trig_sin_multiple(k).evaluate(t) - math.sin(k * t)) < 1e-9
+    cos_k, sin_k = trig_multiple(k)
+    assert abs(cos_k.evaluate(t) - math.cos(k * t)) < 1e-9
+    assert abs(sin_k.evaluate(t) - math.sin(k * t)) < 1e-9
 
 
 @pytest.mark.parametrize("series,rank", TYPES)

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+import pytest
+
+from liekit.compactform import TRIG_QI, TrigPoly
 from liekit.exact import (GaussianRational, LAURENT, LaurentPoly, PrimeField,
                           QI, QQ, dense_inverse, dense_matmul, dense_det,
                           leading_principal_minors, solve_linear, sp_eq,
@@ -98,3 +101,28 @@ def test_laurent_int_and_fraction_coefficients_agree():
     assert type(inv.c[(-1, 0)]) is Fraction
     assert LAURENT.mul(two_t, inv) == LAURENT.one
     assert type(LAURENT.inv(LaurentPoly({(2, 1): -1})).c[(-2, -1)]) is int
+
+
+F7 = PrimeField(7)
+# (domain, a unit, a non-unit or None) for every domain kind
+POWER_CASES = [
+    (QQ, Fraction(-3, 2), Fraction(0)),
+    (QI, GaussianRational(Fraction(1, 2), -2), GaussianRational(0)),
+    (F7, 3, 0),
+    (LAURENT, LaurentPoly({(2, -1): Fraction(-3, 4)}),
+     LaurentPoly({(1, 0): 1, (0, 1): 2})),
+    (TRIG_QI, TrigPoly({(0, -1): GaussianRational(0, 2)}),
+     TrigPoly({(1, 0): GaussianRational(1), (0, 2): GaussianRational(0, 1)})),
+]
+
+
+@pytest.mark.parametrize("dom,unit,other", POWER_CASES,
+                         ids=["QQ", "QI", "F7", "LAURENT", "TRIG_QI"])
+def test_power_is_repeated_product(dom, unit, other):
+    for a in (unit, other):
+        prod = dom.one
+        for n in range(6):
+            assert dom.eq(dom.power(a, n), prod)
+            prod = dom.mul(prod, a)
+    for n in range(6):
+        assert dom.eq(dom.mul(dom.power(unit, -n), dom.power(unit, n)), dom.one)

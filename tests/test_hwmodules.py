@@ -111,6 +111,16 @@ def test_generator_identities(series, rank, lam):
             assert sp_eq(gens.t_torus(i, u), gens.t_torus_diagonal(i, u), QQ)
 
 
+def test_unit_modulus_torus_closed_form():
+    """t_i(u) is diagonal with entries u^<i, mu> at |u| = 1 over Q(i)."""
+    mod = build_irrep(build_cartan("A", 2), (1, 0))
+    gens = ModuleGenerators(mod)
+    for u in (QI.i, GaussianRational(Fraction(3, 5), Fraction(4, 5))):
+        for i in range(2):
+            assert sp_eq(gens.t_torus(i, u, QI),
+                         gens.t_torus_diagonal(i, u, QI), QI)
+
+
 def test_torus_conjugates_unipotents():
     """t_j(u) x_i(h) t_j(u)^-1 = x_i(u^{a_ji} h)."""
     cartan = build_cartan("A", 2)

@@ -25,6 +25,41 @@ def test_root_counts_and_weyl_order(series, rank):
     assert rs.weyl_order() == WEYL[(series, rank)]
 
 
+def enumerated_weyl_order(rs):
+    """|W| by closing the simple reflections, as permutations of the roots,
+    under composition: every element of W is stored, so this is the slow
+    reference for the formula by exponents."""
+    idx = {r: k for k, r in enumerate(rs.roots)}
+
+    def reflect(beta, i):
+        out = list(beta)
+        out[i] -= rs.pairing_with_coroot(beta, i)
+        return tuple(out)
+
+    gens = [tuple(idx[reflect(r, i)] for r in rs.roots)
+            for i in range(rs.cartan.rank)]
+    ident = tuple(range(len(rs.roots)))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(s[x] for x in g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5), ("G", 2), ("F", 4),
+    ("E", 6)])
+def test_weyl_order_formula_matches_enumeration(series, rank):
+    rs = root_system(series, rank)
+    assert rs.weyl_order() == enumerated_weyl_order(rs)
+
+
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_symmetrized_cartan(series, rank):
     c = build_cartan(series, rank)
