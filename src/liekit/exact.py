@@ -15,12 +15,14 @@ Matrices are kept as dicts of rows because almost every operator we build
 divided powers M^k/k! and the sums sum_k t^k M^k/k! behind every
 one-parameter subgroup, of the group and of the modules alike, are built
 here, and one Gauss-Jordan routine backs the dense inverse, the linear solve
-and the module kernels.
+and the module kernels.  `LDL`, an exact LDL^T grown a row at a time, picks
+the basis of each module weight space and factors its Gram.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 class GaussianRational:
@@ -563,3 +565,59 @@ def solve_linear(gram, rhs):
     if len(gauss_jordan(rows, n)) < n:
         raise ValueError("singular system")
     return [row[n] for row in rows]
+
+
+class LDL:
+    """The exact factorisation G = L D L^T of a symmetric matrix over Q,
+    grown one row and column at a time; L is unit lower triangular.
+
+    `reduce` eliminates a new column against the rows already in, in O(k^2)
+    for k rows; its residual is the new pivot d, so the leading minors of G
+    are the prefix products of `d` and no pivoting is needed while every d
+    is nonzero.
+    """
+
+    def __init__(self):
+        self.low = []  # row k of L left of its unit diagonal
+        self.d = []
+
+    def forward(self, col):
+        """y with L y = col, over the first len(d) entries of col."""
+        y = []
+        for row, c in zip(self.low, col):
+            y.append(c - sum(map(mul, row, y)))
+        return y
+
+    def reduce(self, col, diag):
+        """For G the matrix so far, its new column `col` and diagonal entry
+        `diag`: the residual diag - col^T G^{-1} col and z = D^{-1} L^{-1} col,
+        which is the new row of L when the residual is nonzero."""
+        y = self.forward(col)
+        z = [v / dk for v, dk in zip(y, self.d)]
+        return diag - sum(map(mul, y, z)), z
+
+    def push(self, z, resid):
+        self.low.append(z)
+        self.d.append(resid)
+
+    def back(self, z):
+        """x with L^T x = z; for z from `reduce(col, .)`, G x = col."""
+        x = list(z)
+        for k in range(len(x) - 1, -1, -1):
+            for l in range(k + 1, len(x)):
+                x[k] -= self.low[l][k] * x[l]
+        return x
+
+    @classmethod
+    def of(cls, gram):
+        """The factorisation of a symmetric matrix, stopped after its first
+        pivot that is not positive: G is positive definite iff every
+        d > 0, and otherwise d[-1] <= 0 sits at the first leading minor
+        that is not positive."""
+        f = cls()
+        for k, row in enumerate(gram):
+            resid, z = f.reduce(row[:k], row[k])
+            f.push(z, resid)
+            if resid <= 0:
+                break
+        return f

@@ -4,9 +4,12 @@ The irreducible with highest weight lambda is built breadth-first by weight:
 every candidate vector F_i b at a new weight gets its E-actions from the
 commutation rule E_j F_i = F_i E_j + delta_ij H_j and its pairings from the
 contravariance (F_i x, y) = (x, E_i y); each weight space is then quotiented
-by the radical of its Gram matrix by greedy pivot selection.  Dimensions and
-weight multiplicities are cross-checked against two independent oracles (the
-Weyl dimension formula and the Freudenthal recursion).
+by the radical of its Gram matrix: the candidates are taken in order into an
+incremental exact LDL^T of the Gram of those kept, a nonzero residual makes a
+candidate a new basis vector and a zero one expresses it in the basis so far.
+Dimensions and weight multiplicities are cross-checked against two
+independent oracles (the Weyl dimension formula and the Freudenthal
+recursion).
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (QQ, QI, GaussianRational, dense_inverse, divided_powers,
-                    gauss_jordan, leading_principal_minors, solve_linear,
-                    sp_add, sp_apply, sp_eq, sp_map, sp_mul, sp_mul_many,
-                    sum_powers)
+from .exact import (LDL, QQ, QI, GaussianRational, dense_inverse,
+                    divided_powers, gauss_jordan, solve_linear, sp_add,
+                    sp_apply, sp_eq, sp_map, sp_mul, sp_mul_many, sum_powers)
 from .rootdata import root_system
 
 
@@ -158,31 +160,36 @@ class WeightModule:
         self.F = F
         self.weights = weights  # {depth: {"fund","basis","gram","raw_gram","raw_labels"}}
         self.weight_of = weight_of  # global index -> fundamental coords
+        self._gram = self._gram_inverse = None
 
     def h_value(self, i, g):
         return self.weight_of[g][i]
 
-    def gram_sparse(self):
+    def _block_sparse(self, block_of):
+        """The block-diagonal matrix with block_of(weight data) on each
+        weight space, as a sparse matrix over global indices."""
         out = {}
         for data in self.weights.values():
-            basis, gram = data["basis"], data["gram"]
+            basis, blk = data["basis"], block_of(data)
             for a, ga in enumerate(basis):
-                for b, gb in enumerate(basis):
-                    v = gram[a][b]
-                    if v:
-                        out.setdefault(ga, {})[gb] = v
+                row = {gb: v for gb, v in zip(basis, blk[a]) if v}
+                if row:
+                    out[ga] = row
         return out
 
+    def gram_sparse(self):
+        """The Gram as a sparse matrix, built once per module; the dict is
+        shared between callers, who must not change it."""
+        if self._gram is None:
+            self._gram = self._block_sparse(lambda data: data["gram"])
+        return self._gram
+
     def gram_inverse_sparse(self):
-        out = {}
-        for data in self.weights.values():
-            basis = data["basis"]
-            inv = dense_inverse(data["gram"])
-            for a, ga in enumerate(basis):
-                for b, gb in enumerate(basis):
-                    if inv[a][b]:
-                        out.setdefault(ga, {})[gb] = inv[a][b]
-        return out
+        """The inverse Gram, built once per module like `gram_sparse`."""
+        if self._gram_inverse is None:
+            self._gram_inverse = self._block_sparse(
+                lambda data: dense_inverse(data["gram"]))
+        return self._gram_inverse
 
     def inner(self, x, y):
         """Hermitian inner product of coordinate dicts (conjugate-linear in y)."""
@@ -235,10 +242,13 @@ class WeightModule:
         return True, None
 
     def gram_positive_definite(self):
+        """Every weight block's LDL^T pivots are positive; otherwise (depth, k)
+        of the first pivot that is not, which is where the first leading
+        minor that is not positive sits."""
         for depth, data in self.weights.items():
-            for k, mnr in enumerate(leading_principal_minors(data["gram"])):
-                if mnr <= 0:
-                    return False, (depth, k)
+            d = LDL.of(data["gram"]).d
+            if d[-1] <= 0:
+                return False, (depth, len(d) - 1)
         return True, None
 
 
@@ -257,8 +267,12 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
     m = len(cartan.a)
     E = [{} for _ in range(m)]
     F = [{} for _ in range(m)]
+    # column views beside the row dicts: Ecol[j][g] is column g of E[j]
+    Ecol = [{} for _ in range(m)]
+    Fcol = [{} for _ in range(m)]
     weights = {}
     weight_of = []
+    local = []  # global index -> its position in its weight's basis
 
     def fund_of(depth):
         return tuple(lam[j] - sum(depth[i] * cartan.a[j][i] for i in range(m))
@@ -268,6 +282,7 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
     weights[zero] = {"fund": lam, "basis": [0], "gram": [[Fraction(1)]],
                      "raw_gram": [[Fraction(1)]], "raw_labels": [None]}
     weight_of.append(lam)
+    local.append(0)
     nglobal = 1
     level = [zero]
     while level:
@@ -293,70 +308,56 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
             if not cands:
                 continue
             fund = fund_of(depth)
-            # E_j of each candidate F_i b, as a dict over global indices
+            # E_j of each candidate F_i b, as a dict over global indices:
+            # E_j F_i b = F_i (E_j b) + delta_ij <j, wt b> b
             cand_E = []
             for (i, b) in cands:
                 mu = weight_of[b]
-                evec = [dict() for _ in range(m)]
+                fcol = Fcol[i]
+                evec = []
                 for j in range(m):
-                    # E_j F_i b = F_i (E_j b) + delta_ij <j, wt b> b
-                    ejb = {r: row[b] for r, row in E[j].items() if b in row}
-                    acc = sp_apply(F[i], ejb, QQ)
+                    acc = {}
+                    for c, v in Ecol[j].get(b, {}).items():
+                        for r, w in fcol.get(c, {}).items():
+                            acc[r] = acc[r] + w * v if r in acc else w * v
                     if i == j and mu[j]:
                         acc[b] = acc.get(b, Fraction(0)) + mu[j]
-                        if not acc[b]:
-                            del acc[b]
-                    evec[j] = acc
+                    evec.append({r: v for r, v in acc.items() if v})
                 cand_E.append(evec)
-            # candidate Gram via contravariance
+            # candidate Gram via contravariance: (F_i b, y) = (b, E_i y); the
+            # form is symmetric, so each pair is computed once
             nc = len(cands)
-            C = [[Fraction(0)] * nc for _ in range(nc)]
-            pos_in_weight = {}
-            for w, data in weights.items():
-                for loc, g in enumerate(data["basis"]):
-                    pos_in_weight[g] = (w, loc)
-            for r_ in range(nc):
-                i_r, b_r = cands[r_]
+            C = [[None] * nc for _ in range(nc)]
+            for r_, (i_r, b_r) in enumerate(cands):
                 up = list(depth)
                 up[i_r] -= 1
-                wdata = weights[tuple(up)]
-                gram_up = wdata["gram"]
-                loc_b = wdata["basis"].index(b_r)
-                for c_ in range(nc):
-                    vec = cand_E[c_][i_r]
-                    tot = Fraction(0)
-                    for g, v in vec.items():
-                        _, loc = pos_in_weight[g]
-                        tot += gram_up[loc_b][loc] * v
-                    C[r_][c_] = tot
-            # greedy pivot selection / radical quotient
+                grow = weights[tuple(up)]["gram"][local[b_r]]
+                for c_ in range(r_, nc):
+                    C[r_][c_] = C[c_][r_] = sum(
+                        (grow[local[g]] * v for g, v in cand_E[c_][i_r].items()),
+                        Fraction(0))
+            # radical quotient: a candidate whose residual against the
+            # pivots so far is nonzero is a new pivot of the LDL^T of the
+            # pivot Gram; any other is a combination of the pivots
+            ldl = LDL()
             pivots = []
-            coords = [None] * nc
-            gp = []
+            coords = []
             for c_ in range(nc):
-                col = [C[p][c_] for p in pivots]
-                if pivots:
-                    x = solve_linear([[gp[a][b] for b in range(len(pivots))]
-                                      for a in range(len(pivots))], col)
-                else:
-                    x = []
-                resid = C[c_][c_] - sum(xx * cc for xx, cc in zip(x, col))
-                if resid != 0:
-                    coords[c_] = ("pivot", len(pivots))
+                resid, z = ldl.reduce([C[p][c_] for p in pivots], C[c_][c_])
+                if resid:
+                    coords.append(("pivot", len(pivots)))
                     pivots.append(c_)
-                    gp = [[C[p][q] for q in pivots] for p in pivots]
+                    ldl.push(z, resid)
                 else:
-                    coords[c_] = ("span", x)
+                    coords.append(("span", ldl.back(z)))
             if not pivots:
                 continue
-            basis = []
-            for p in pivots:
-                basis.append(nglobal)
-                weight_of.append(fund)
-                nglobal += 1
-                if nglobal > cap:
-                    raise ValueError(
-                        f"module exceeded the configured cap {cap}")
+            basis = list(range(nglobal, nglobal + len(pivots)))
+            nglobal += len(pivots)
+            if nglobal > cap:
+                raise ValueError(f"module exceeded the configured cap {cap}")
+            weight_of.extend([fund] * len(pivots))
+            local.extend(range(len(pivots)))
             weights[depth] = {
                 "fund": fund, "basis": basis,
                 "gram": [[C[p][q] for q in pivots] for p in pivots],
@@ -364,21 +365,21 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
             }
             # F columns for every candidate; E columns for pivots
             for c_, (i, b) in enumerate(cands):
-                kind, data_ = coords[c_]
+                kind, x = coords[c_]
                 if kind == "pivot":
-                    g = basis[data_]
-                    F[i].setdefault(g, {})[b] = Fraction(1)
+                    col = {basis[x]: Fraction(1)}
                 else:
-                    for k_, v in enumerate(data_):
-                        if v:
-                            F[i].setdefault(basis[k_], {})[b] = \
-                                F[i].get(basis[k_], {}).get(b, Fraction(0)) + v
-            for k_, p in enumerate(pivots):
-                g = basis[k_]
+                    col = {basis[k]: v for k, v in enumerate(x) if v}
+                if col:
+                    Fcol[i][b] = col
+                for g, v in col.items():
+                    F[i].setdefault(g, {})[b] = v
+            for k, p in enumerate(pivots):
+                g = basis[k]
                 for j in range(m):
+                    Ecol[j][g] = cand_E[p][j]
                     for r, v in cand_E[p][j].items():
-                        if v:
-                            E[j].setdefault(r, {})[g] = v
+                        E[j].setdefault(r, {})[g] = v
             newlevel.append(depth)
         level = newlevel
     mod = WeightModule(cartan, lam, nglobal, E, F, weights, weight_of)
@@ -542,34 +543,50 @@ class ModuleGenerators:
 # ---------------------------------------------------------------------------
 # adjoints and unitarity
 
-def dagger(mod, mat, dom=QI):
-    """Adjoint with respect to the hermitian Gram: G^{-1} M^H G."""
-    g = mod.gram_sparse()
-    ginv = mod.gram_inverse_sparse()
-    mh = {}
+def _conj_transpose(mat, dom):
+    out = {}
     for r, row in mat.items():
         for c, v in row.items():
-            mh.setdefault(c, {})[r] = dom.conj(v)
-    return sp_mul_many([sp_map(ginv, dom.embed), mh, sp_map(g, dom.embed)],
-                       dom)
+            out.setdefault(c, {})[r] = dom.conj(v)
+    return out
+
+
+def dagger(mod, mat, dom=QI):
+    """Adjoint with respect to the hermitian Gram: G^{-1} M^H G."""
+    return sp_mul_many([sp_map(mod.gram_inverse_sparse(), dom.embed),
+                        _conj_transpose(mat, dom),
+                        sp_map(mod.gram_sparse(), dom.embed)], dom)
+
+
+def _is_adjoint(mat, other, gram, dom):
+    """M^H G == G N: (M x, y) = (x, N y) for all x, y, which for the
+    nondegenerate Gram of a module is M^dagger = N with no inverse formed."""
+    return sp_eq(sp_mul(_conj_transpose(mat, dom), gram, dom),
+                 sp_mul(gram, other, dom), dom)
 
 
 def adjoint_check(mod, hs=None):
-    """x_i(h)^dagger = y_i(conj h) and E^dagger = F, exact over Q(i)."""
+    """x_i(h)^dagger = y_i(conj h) and E^dagger = F, exact; over Q for E and
+    for real h, over Q(i) otherwise."""
     gens = ModuleGenerators(mod)
     if hs is None:
         hs = [GaussianRational(2), GaussianRational(-1),
               GaussianRational(Fraction(3, 5)),
               GaussianRational(Fraction(1, 2), Fraction(-2, 3))]
+    gram = mod.gram_sparse()
+    gram_qi = sp_map(gram, QI.embed)
     for i in range(mod.m):
-        emat = sp_map(mod.E[i], QI.embed)
-        fmat = sp_map(mod.F[i], QI.embed)
-        if not sp_eq(dagger(mod, emat), fmat, QI):
+        if not _is_adjoint(mod.E[i], mod.F[i], gram, QQ):
             return False, (i, "E")
         for h in hs:
-            lhs = dagger(mod, gens.x(i, h, QI))
-            rhs = gens.y(i, h.conjugate(), QI)
-            if not sp_eq(lhs, rhs, QI):
+            hq = QI.embed(h)
+            if hq.im == 0:
+                ok = _is_adjoint(gens.x(i, hq.re, QQ), gens.y(i, hq.re, QQ),
+                                 gram, QQ)
+            else:
+                ok = _is_adjoint(gens.x(i, hq, QI),
+                                 gens.y(i, hq.conjugate(), QI), gram_qi, QI)
+            if not ok:
                 return False, (i, h)
     return True, None
 
@@ -577,30 +594,46 @@ def adjoint_check(mod, hs=None):
 def unitarity_deviation(mod, ts=(0.37, 1.1)):
     """exp(t(E_i - F_i)) and exp(it(E_i + F_i)) are unitary for the
     hermitian inner product; returns the worst |U U^H - I| entry in the
-    orthonormalized coordinates."""
+    orthonormalized coordinates.
+
+    Each weight block of the Gram is factored exactly as L D L^T, so
+    u = D^{1/2} L^T x are orthonormal coordinates and an operator M becomes
+    D^{1/2} (L^T M L^{-T}) D^{-1/2}.  The middle factor is exact; only the
+    scale sqrt(d_i / d_j) is taken in float, so the error does not grow
+    with the condition of the Gram."""
     import numpy as np
     from scipy.linalg import expm
     n = mod.dim
-    g = np.zeros((n, n))
-    for r, row in mod.gram_sparse().items():
-        for c, v in row.items():
-            g[r, c] = float(v)
-    L = np.linalg.cholesky(g)
+    lt, lt_inv = {}, {}
+    sqrt_d = np.zeros(n)
+    for data in mod.weights.values():
+        basis = data["basis"]
+        nb = len(basis)
+        fac = LDL.of(data["gram"])
+        if fac.d[-1] <= 0:
+            raise ValueError("the Gram is not positive definite")
+        for k, g in enumerate(basis):
+            sqrt_d[g] = math.sqrt(fac.d[k])
+            # row k of L^T is column k of L; row k of L^{-T} solves L y = e_k
+            lt[g] = {g: Fraction(1)}
+            lt[g].update({basis[l]: fac.low[l][k] for l in range(k + 1, nb)
+                          if fac.low[l][k]})
+            lt_inv[g] = {basis[l]: v for l, v in enumerate(
+                fac.forward([Fraction(int(l == k)) for l in range(nb)])) if v}
 
-    def dense(mat):
+    def orthonormal(mat):
         out = np.zeros((n, n))
-        for r, row in mat.items():
+        for r, row in sp_mul_many([lt, mat, lt_inv], QQ).items():
             for c, v in row.items():
                 out[r, c] = float(v)
-        return out
+        return out * sqrt_d[:, None] / sqrt_d[None, :]
 
     worst = 0.0
-    linv = np.linalg.inv(L)
     for i in range(mod.m):
-        e, f = dense(mod.E[i]), dense(mod.F[i])
+        e, f = orthonormal(mod.E[i]), orthonormal(mod.F[i])
         for base in (e - f, 1j * (e + f)):
             for t in ts:
-                u = L.T @ expm(t * base) @ linv.T
+                u = expm(t * base)
                 worst = max(worst, float(
                     np.abs(u @ u.conj().T - np.eye(n)).max()))
     return worst

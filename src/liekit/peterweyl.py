@@ -60,13 +60,14 @@ def fourier_coeff(f: MatrixCoefficient):
 
 
 def end_inner(mod, a, b):
-    """(A, B) = tr(B* A)/dim with B* the Gram adjoint; exact over Q(i)."""
-    bstar = dagger(mod, b, QI)
-    prod = sp_mul(bstar, a, QI)
+    """(A, B) = tr(B* A)/dim with B* the Gram adjoint; exact over Q(i).
+    Only the diagonal of B* A is summed, never the whole product."""
     tot = GaussianRational(0)
-    for i, row in prod.items():
-        if i in row:
-            tot = tot + QI.embed(row[i])
+    for i, row in dagger(mod, b, QI).items():
+        for k, v in row.items():
+            w = a.get(k, {}).get(i)
+            if w is not None:
+                tot = tot + v * w
     return tot / GaussianRational(mod.dim)
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from liekit.cli import main
@@ -161,3 +162,12 @@ def test_over_cap_module_is_usage_error():
     res = run("peterweyl", "plancherel", "--type", "A2", "--trunc", "1,0;100,0")
     assert res.exit_code == 2
     assert "100,0" in res.output and "5151" in res.output
+
+
+@pytest.mark.slow
+def test_verify_modules_f4():
+    """Every module check passes on F4, unitarity of the 1274-dimensional
+    module of the second fundamental weight included, at the 1e-10 bound."""
+    res = run("verify", "modules", "--type", "F4")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"] is True

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import pytest
 
 from liekit.compactform import TRIG_QI, TrigPoly
-from liekit.exact import (GaussianRational, LAURENT, LaurentPoly, PrimeField,
-                          QI, QQ, dense_inverse, dense_matmul, dense_det,
+from liekit.exact import (GaussianRational, LAURENT, LDL, LaurentPoly,
+                          PrimeField, QI, QQ, dense_inverse, dense_matmul, dense_det,
                           leading_principal_minors, solve_linear, sp_eq,
                           sp_from_dense, sp_identity, sp_mul, sp_to_dense)
 
@@ -71,6 +71,58 @@ def test_dense_inverse_roundtrip(a):
 def test_leading_minors():
     mat = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     assert leading_principal_minors(mat) == [Fraction(2), Fraction(5)]
+
+
+def _prefix_products(d):
+    out, acc = [], Fraction(1)
+    for v in d:
+        acc *= v
+        out.append(acc)
+    return out
+
+
+@given(sq3)
+def test_ldl_reconstructs_a_positive_definite_matrix(a):
+    g = [[sum(a[k][i] * a[k][j] for k in range(3)) + (i == j)
+          for j in range(3)] for i in range(3)]
+    f = LDL.of(g)
+    low = [row + [Fraction(1)] + [Fraction(0)] * (2 - k)
+           for k, row in enumerate(f.low)]
+    ldlt = dense_matmul(dense_matmul(
+        low, [[f.d[i] * (i == j) for j in range(3)] for i in range(3)]),
+        [list(col) for col in zip(*low)])
+    assert ldlt == g
+    assert _prefix_products(f.d) == leading_principal_minors(g)
+
+
+@given(sq3)
+def test_ldl_stops_at_the_first_nonpositive_minor(a):
+    g = [[a[i][j] + a[j][i] for j in range(3)] for i in range(3)]
+    d = LDL.of(g).d
+    minors = leading_principal_minors(g)
+    first = next((k for k, v in enumerate(minors) if v <= 0), None)
+    if first is None:
+        assert len(d) == 3 and min(d) > 0
+    else:
+        assert len(d) == first + 1 and d[-1] <= 0
+    assert _prefix_products(d) == minors[:len(d)]
+
+
+@given(sq3, st.lists(fracs, min_size=2, max_size=2))
+def test_ldl_residual_and_span_coordinates(a, x0):
+    """A column in the span of the pivots leaves residual 0, and `back`
+    recovers its coordinates; any other column is a new pivot."""
+    g = [[sum(a[k][i] * a[k][j] for k in range(3)) + (i == j)
+          for j in range(2)] for i in range(2)]
+    f = LDL.of(g)
+    col = [sum(g[i][j] * x0[j] for j in range(2)) for i in range(2)]
+    diag = sum(x0[i] * col[i] for i in range(2))
+    resid, z = f.reduce(col, diag)
+    assert resid == 0 and f.back(z) == x0
+    resid, z = f.reduce(col, diag + 1)
+    assert resid == 1
+    x = f.back(z)
+    assert [sum(g[i][j] * x[j] for j in range(2)) for i in range(2)] == col
 
 
 def test_solve_linear():

@@ -157,3 +157,11 @@ def test_direct_sum_dimensions():
 def test_unipotent_parametrization_injective():
     ok, count = xh_injectivity_probe(build_cartan("A", 2), samples=40)
     assert ok and count == 40
+
+
+@pytest.mark.slow
+def test_b3_211_dimension():
+    cartan = build_cartan("B", 3)
+    mod = build_irrep(cartan, (2, 1, 1))
+    assert mod.dim == weyl_dim(cartan, (2, 1, 1)) == 1512
+    assert mod.gram_positive_definite() == (True, None)
