@@ -5,7 +5,11 @@ matrix polynomial in t with integer coefficient matrices, h_X(t) is diagonal
 with entries t^{A_{XY}}, and n_X(t) = E_X(t) E_{TX}(t^{-1}) E_X(t).  All
 group relations are verified two ways: as identities of matrices over the
 Laurent-polynomial ring Q[t^{+-1}, s^{+-1}] (a complete proof), and at fresh
-random sample points over Q or a prime field.
+random sample points over Q or a prime field.  The sample points run
+fraction-free on a `PointGroup`: a matrix at a point of Q is an integer
+matrix over one integer denominator, E_X(a/b) = (sum_k a^k b^(K-k) M_k, b^K),
+and over F_p the same integer kernel works on residues, so no product takes
+a gcd.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import random
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import (LAURENT, QQ, LaurentPoly, PrimeField, divided_powers,
-                    sp_eq, sp_identity, sp_map, sp_mul, sp_mul_many,
-                    sum_powers)
+from .exact import (LAURENT, QQ, ZZ, LaurentPoly, PrimeField, divided_powers,
+                    ff_eq, ff_mul, ff_reduce, sp_eq, sp_identity, sp_map,
+                    sp_mul, sp_mul_many, sum_powers)
 from .liealg import LieAlgebraZ, bracket_over
 from .rootdata import invariant_factors
 
@@ -50,7 +54,8 @@ class ChevalleyGroup:
     # -- generators over an arbitrary domain ----------------------------------
 
     def E_index(self, ix, t, dom):
-        return sum_powers(self.exp_table(ix), t, dom)
+        table = self.exp_table(ix)
+        return sum_powers(table, dom.powers(t, len(table)), dom)
 
     def E(self, x, t, dom):
         return self.E_index(self.cat.index(x), t, dom)
@@ -95,17 +100,111 @@ class ChevalleyGroup:
         return sp_mul_many([e1, self.E(tx, mtinv, dom), e1], dom)
 
 
+class PointGroup:
+    """E, h, n and n^{-1} of `grp` at points of Q, or over F_p when `p` is
+    given, as fraction-free pairs (N, d) for `ff_mul` and `ff_eq`.
+
+    Objects are named by index and arguments are Fractions, or residues
+    mod p.  Over F_p an argument t is the pair (t, 1) and each generator is
+    reduced mod p once; products are compared mod p.  Every generator is
+    memoised by its argument, so one PointGroup should live for one rational
+    point or for one prime field.
+    """
+
+    def __init__(self, grp, p=None):
+        self.grp, self.p = grp, p
+        self.dom = QQ if p is None else PrimeField(p)
+        self.cat = grp.cat
+        self._memo = {}
+
+    def _split(self, t):
+        """(a, b) with t = a / b."""
+        if self.p is None:
+            return t.numerator, t.denominator
+        return t % self.p, 1
+
+    def _pair(self, n, d):
+        return ff_reduce((n, d), self.p) if self.p else (n, d)
+
+    def mul(self, *mats):
+        out = mats[0]
+        for m in mats[1:]:
+            out = ff_mul(out, m)
+        return out
+
+    def eq(self, a, b):
+        return ff_eq(a, b, self.p)
+
+    def identity(self):
+        return sp_identity(self.grp.dim, ZZ), 1
+
+    def E(self, ix, t):
+        key = ("E", ix, t)
+        out = self._memo.get(key)
+        if out is None:
+            table = self.grp.exp_table(ix)
+            a, b = self._split(t)
+            top = len(table) - 1
+            coeffs = [a ** k * b ** (top - k) for k in range(top + 1)]
+            out = self._memo[key] = self._pair(
+                sum_powers(table, coeffs, ZZ), b ** top)
+        return out
+
+    def h(self, ix, t):
+        """h_X(a/b) = diag(a^(e-lo) b^(hi-e)) / (a^-lo b^hi) for the
+        exponents e of h_X, lo <= 0 <= hi."""
+        key = ("h", ix, t)
+        out = self._memo.get(key)
+        if out is None:
+            a, b = self._split(t)
+            if not a:
+                raise ZeroDivisionError("h_X at argument 0")
+            exps = self.grp.h_exponents(self.cat.objects[ix])
+            lo, hi = min(exps), max(exps)
+            diag = {i: {i: a ** (e - lo) * b ** (hi - e)}
+                    for i, e in enumerate(exps)}
+            out = self._memo[key] = self._pair(diag, a ** -lo * b ** hi)
+        return out
+
+    def conj_by_h(self, ix, t, mat):
+        """h_X(t) M h_X(t)^{-1}."""
+        return self.mul(self.h(ix, t), mat, self.h(ix, self.dom.inv(t)))
+
+    def n(self, ix, t):
+        return self._reflection(ix, t, False)
+
+    def n_inv(self, ix, t):
+        return self._reflection(ix, t, True)
+
+    def _reflection(self, ix, t, inverse):
+        """E_X(u) E_TX(u^{-1}) E_X(u) at u = t, or at u = -t for the
+        inverse."""
+        key = ("n", ix, t, inverse)
+        out = self._memo.get(key)
+        if out is None:
+            dom = self.dom
+            u, uinv = t, dom.inv(t)
+            if inverse:
+                u, uinv = dom.neg(u), dom.neg(uinv)
+            itx = self.cat.index(self.cat.shift(self.cat.objects[ix]))
+            e1 = self.E(ix, u)
+            out = self._memo[key] = self._pair(
+                *self.mul(e1, self.E(itx, uinv), e1))
+        return out
+
+
 # ---------------------------------------------------------------------------
 # reflection / torus conjugation relations
 
-def verify_conjugation_relations(alg, samples=2, seed=20240817):
+def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     """Check the six conjugation identities on every ordered pair of objects.
 
     Symbolically over Laurent polynomials in (t, s), then at `samples` fresh
     random rational points.  Returns a report with the extracted signs
     eta_{XY} (asserted to be +-1 by construction of the check).
     """
-    grp = ChevalleyGroup(alg)
+    if grp is None:
+        grp = ChevalleyGroup(alg)
     cat = alg.cat
     objs = cat.objects
     t = LaurentPoly.var_t()
@@ -117,12 +216,13 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817):
     h_s = [grp.h(x, s, LAURENT) for x in objs]
     eta = {}
     failures = []
+    n_memo = {}  # (3) and (6) ask for each n_X(arg) about twice
 
     def n_of(obj, arg):
-        arginv = LAURENT.inv(arg)
-        tob = cat.shift(obj)
-        e1 = grp.E(obj, arg, LAURENT)
-        return sp_mul_many([e1, grp.E(tob, arginv, LAURENT), e1], LAURENT)
+        out = n_memo.get((obj, arg))
+        if out is None:
+            out = n_memo[obj, arg] = grp.n(obj, arg, LAURENT)
+        return out
 
     for ix, x in enumerate(objs):
         for iy, y in enumerate(objs):
@@ -174,32 +274,8 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817):
         s0 = Fraction(rng.choice([v for v in range(-9, 10) if v]),
                       rng.randint(1, 9))
         points.append((t0, s0))
-        nt = [grp.n(x, t0, QQ) for x in objs]
-        nti = [grp.n_inv(x, t0, QQ) for x in objs]
-        ns = [grp.n(x, s0, QQ) for x in objs]
-        es = [grp.E_index(ix, s0, QQ) for ix in range(len(objs))]
-        # right-hand sides recur across pairs: E_w(e t0^-A s0) by (w, e, A),
-        # n_Y(t0^A s0) by (Y, A); both tables live for this point only
-        E_rhs, n_rhs = {}, {}
-        for ix, x in enumerate(objs):
-            for iy, y in enumerate(objs):
-                e = eta.get((ix, iy))
-                if e is None:
-                    continue
-                w = cat.omega(x, y)
-                A = cat.A(x, y)
-                lhs = sp_mul_many([nt[ix], es[iy], nti[ix]], QQ)
-                rhs = E_rhs.get((w, e, A))
-                if rhs is None:
-                    rhs = E_rhs[w, e, A] = grp.E(w, e * t0 ** (-A) * s0, QQ)
-                if not sp_eq(lhs, rhs, QQ):
-                    sample_failures.append(("n_E_conj", ix, iy, t0, s0))
-                lhs = grp.conj_by_h(x, t0, ns[iy], QQ)
-                rhs1 = n_rhs.get((y, A))
-                if rhs1 is None:
-                    rhs1 = n_rhs[y, A] = grp.n(y, t0 ** A * s0, QQ)
-                if not sp_eq(lhs, rhs1, QQ):
-                    sample_failures.append(("h_n_conj", ix, iy, t0, s0))
+        sample_failures += _conjugation_point_check(
+            alg, PointGroup(grp), t0, s0, eta)
 
     return {
         "ok": not failures and not sample_failures,
@@ -210,6 +286,28 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817):
         "pairs": len(objs) ** 2,
         "sample_points": points,
     }
+
+
+def _conjugation_point_check(alg, pg, t0, s0, eta):
+    """Relations (1) and (6) at one point, on the PointGroup `pg`, for every
+    pair with a sign in `eta`."""
+    cat, dom = alg.cat, pg.dom
+    fails = []
+    for ix, x in enumerate(cat.objects):
+        for iy, y in enumerate(cat.objects):
+            e = eta.get((ix, iy))
+            if e is None:
+                continue
+            iw = cat.index(cat.omega(x, y))
+            A = cat.A(x, y)
+            lhs = pg.mul(pg.n(ix, t0), pg.E(iy, s0), pg.n_inv(ix, t0))
+            arg = dom.mul(dom.embed(e), dom.mul(dom.power(t0, -A), s0))
+            if not pg.eq(lhs, pg.E(iw, arg)):
+                fails.append(("n_E_conj", ix, iy, t0, s0))
+            lhs = pg.conj_by_h(ix, t0, pg.n(iy, s0))
+            if not pg.eq(lhs, pg.n(iy, dom.mul(dom.power(t0, A), s0))):
+                fails.append(("h_n_conj", ix, iy, t0, s0))
+    return fails
 
 
 # ---------------------------------------------------------------------------
@@ -272,61 +370,46 @@ def commutator_constants(alg, x, y, grp=None):
     return out
 
 
-def _steinberg_point_check(alg, grp, dom, t0, s0, const_cache):
-    """All four Steinberg families at one (t0, s0) over `dom`.
-
-    E_X(t0), E_X(s0), E_X(-t0) and E_X(-s0) are built once for every X, and
-    each commutator factor E_L(C t0^i s0^j) once per (L, argument); all of
-    them are dropped when the point is done.
-    """
-    cat = alg.cat
-    idx = range(len(cat.objects))
-    E_t, E_s, E_mt, E_ms = (
-        [grp.E_index(ix, a, dom) for ix in idx]
-        for a in (t0, s0, dom.neg(t0), dom.neg(s0)))
-    factors = {}
+def _steinberg_point_check(alg, pg, t0, s0, const_cache):
+    """All four Steinberg families at one (t0, s0), on the PointGroup `pg`."""
+    cat, dom = alg.cat, pg.dom
     fails = []
     for ix, x in enumerate(cat.objects):
-        lhs = sp_mul(E_t[ix], E_s[ix], dom)
-        if not sp_eq(lhs, grp.E_index(ix, dom.add(t0, s0), dom), dom):
+        lhs = pg.mul(pg.E(ix, t0), pg.E(ix, s0))
+        if not pg.eq(lhs, pg.E(ix, dom.add(t0, s0))):
             fails.append(("additive", ix))
-        lhs = sp_mul(grp.h(x, t0, dom), grp.h(x, s0, dom), dom)
-        if not sp_eq(lhs, grp.h(x, dom.mul(t0, s0), dom), dom):
+        lhs = pg.mul(pg.h(ix, t0), pg.h(ix, s0))
+        if not pg.eq(lhs, pg.h(ix, dom.mul(t0, s0))):
             fails.append(("h_mult", ix))
         if not dom.is_zero(t0):
-            lhs = sp_mul_many([grp.n(x, t0, dom), E_s[ix],
-                               grp.n_inv(x, t0, dom)], dom)
+            lhs = pg.mul(pg.n(ix, t0), pg.E(ix, s0), pg.n_inv(ix, t0))
             arg = dom.mul(dom.power(t0, -2), s0)
-            if not sp_eq(lhs, grp.E(cat.shift(x), arg, dom), dom):
+            if not pg.eq(lhs, pg.E(cat.index(cat.shift(x)), arg)):
                 fails.append(("n_self", ix))
         for iy, y in enumerate(cat.objects):
             if y.pos_root == x.pos_root or (ix, iy) not in const_cache:
                 continue
-            lhs = sp_mul_many([E_t[ix], E_s[iy], E_mt[ix], E_ms[iy]], dom)
-            rhs = None
-            for (i, j), il, c in const_cache[(ix, iy)]:
-                arg = dom.mul(dom.embed(c),
-                              dom.mul(dom.power(t0, i), dom.power(s0, j)))
-                factor = factors.get((il, arg))
-                if factor is None:
-                    factor = factors[il, arg] = grp.E_index(il, arg, dom)
-                rhs = factor if rhs is None else sp_mul(rhs, factor, dom)
-            if rhs is None:
-                rhs = sp_identity(alg.dim, dom)
-            if not sp_eq(lhs, rhs, dom):
+            lhs = pg.mul(pg.E(ix, t0), pg.E(iy, s0),
+                         pg.E(ix, dom.neg(t0)), pg.E(iy, dom.neg(s0)))
+            rhs = [pg.E(il, dom.mul(dom.embed(c),
+                                    dom.mul(dom.power(t0, i), dom.power(s0, j))))
+                   for (i, j), il, c in const_cache[(ix, iy)]]
+            rhs = pg.mul(*rhs) if rhs else pg.identity()
+            if not pg.eq(lhs, rhs):
                 fails.append(("commutator", ix, iy))
     return fails
 
 
 def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
-                     seed=20240818):
+                     seed=20240818, grp=None):
     """Steinberg presentation relations over Q and small prime fields.
 
     A pair whose commutator is not a product of root elements has no
     constants: it is reported in `constant_failures` with the reason, and
     the point checks skip it.
     """
-    grp = ChevalleyGroup(alg)
+    if grp is None:
+        grp = ChevalleyGroup(alg)
     cat = alg.cat
     consts = {}
     constant_failures = []
@@ -348,18 +431,19 @@ def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
         t0 = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
         s0 = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
         points.append((t0, s0))
-        rational_failures += _steinberg_point_check(alg, grp, QQ, t0, s0, consts)
+        rational_failures += _steinberg_point_check(
+            alg, PointGroup(grp), t0, s0, consts)
 
     prime_failures = {}
     for p in primes:
-        dom = PrimeField(p)
-        units = dom.units()
+        pg = PointGroup(grp, p)
+        units = pg.dom.units()
         pairs = list(iproduct(units, units))
         if len(pairs) > 16:
             pairs = [(rng.choice(units), rng.choice(units)) for _ in range(16)]
         fails = []
         for t0, s0 in pairs:
-            fails += _steinberg_point_check(alg, grp, dom, t0, s0, consts)
+            fails += _steinberg_point_check(alg, pg, t0, s0, consts)
         prime_failures[p] = fails
 
     return {

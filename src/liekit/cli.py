@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import click
 
-from .chevgroup import (center_order_bruteforce, center_order_formula,
-                        steinberg_report, verify_conjugation_relations)
+from .chevgroup import (ChevalleyGroup, center_order_bruteforce,
+                        center_order_formula, steinberg_report,
+                        verify_conjugation_relations)
 from .compactform import (CompactForm, closed_form_vs_expm, d_equals_dual_check,
                           exp_alpha_matrix, exp_beta_factorization_check,
                           exp_beta_matrix, exp_xi_matrix,
@@ -167,14 +168,15 @@ def chevgroup_verify(type_name, field, seed):
               "relations": []}
     ok = True
     if field == "rational":
-        conj = verify_conjugation_relations(alg, samples=3, seed=seed)
+        grp = ChevalleyGroup(alg)
+        conj = verify_conjugation_relations(alg, samples=3, seed=seed, grp=grp)
         report["relations"].append({
             "relation": "conjugation_identities",
             "cases": conj["pairs"] * 6,
             "failures": conj["failures"] + conj["sample_failures"],
             "eta_signs_pm1": conj["eta_values_ok"],
         })
-        st = steinberg_report(alg, primes=(), samples=5, seed=seed)
+        st = steinberg_report(alg, primes=(), samples=5, seed=seed, grp=grp)
         report["relations"].append({
             "relation": "steinberg_rational",
             "cases": len(st["rational_points"]),
@@ -426,10 +428,12 @@ def verify(suite, type_name, seed, mutate_gamma):
         record("gamma_pair_products",
                all(v in (-1, -2, -3, -4) for v in alg.gamma_pair_products()))
     if suite in ("all", "group"):
-        conj = verify_conjugation_relations(alg, samples=3, seed=seed)
+        grp = ChevalleyGroup(alg)
+        conj = verify_conjugation_relations(alg, samples=3, seed=seed, grp=grp)
         record("conjugation_identities", conj["ok"],
                conj["failures"] + conj["sample_failures"])
-        st = steinberg_report(alg, primes=(2, 3, 5), samples=4, seed=seed)
+        st = steinberg_report(alg, primes=(2, 3, 5), samples=4, seed=seed,
+                              grp=grp)
         record("steinberg", st["ok"],
                {"constants": st["constant_failures"],
                 "rational": st["rational_failures"],

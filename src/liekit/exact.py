@@ -4,23 +4,26 @@ Everything downstream (structure constants, Chevalley group elements,
 trig-polynomial identities, module actions) runs over a `Domain`: a ring of
 exact scalars whose operations are Python's operators on its elements, with
 `embed` taking an int or Fraction into the ring and `inv` inverting a unit.
-`RationalDomain` (QQ), `GaussianDomain` (QI) and `LaurentDomain` (LAURENT)
-are defined here and `TrigDomain` in `compactform`; `PrimeField` overrides
-the operations with residue arithmetic.  `LaurentPoly` and the trigonometric
-`TrigPoly` share the sparse-dict base `SparsePoly`, which holds everything
-but the product.
+`IntegerDomain` (ZZ), `RationalDomain` (QQ), `GaussianDomain` (QI) and
+`LaurentDomain` (LAURENT) are defined here and `TrigDomain` in `compactform`;
+`PrimeField` overrides the operations with residue arithmetic.
+`LaurentPoly` and the trigonometric `TrigPoly` share the sparse-dict base
+`SparsePoly`, which holds everything but the product.
 
 Matrices are kept as dicts of rows because almost every operator we build
 (exp of a nilpotent ad, torus elements, reflection elements) is sparse.  The
-divided powers M^k/k! and the sums sum_k t^k M^k/k! behind every
+divided powers M^k/k! and the sums sum_k c_k M^k/k! behind every
 one-parameter subgroup, of the group and of the modules alike, are built
-here, and one Gauss-Jordan routine backs the dense inverse, the linear solve
-and the module kernels.  `LDL`, an exact LDL^T grown a row at a time, picks
-the basis of each module weight space and factors its Gram.
+here.  A matrix over Q or F_p can also be held fraction-free, as an
+integer matrix and one denominator (`ff_mul`, `ff_eq`).  One Gauss-Jordan
+routine backs the dense inverse, the linear solve and the module kernels.
+`LDL`, an exact LDL^T grown a row at a time, picks the basis of each module
+weight space and factors its Gram.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from operator import mul
 
@@ -256,6 +259,38 @@ class Domain:
             out = self.mul(out, a)
         return out
 
+    def powers(self, a, n):
+        """[1, a, a^2, ..., a^(n-1)], the coefficients of `sum_powers`."""
+        out = [self.one]
+        for k in range(1, n):
+            out.append(self.mul(out[-1], a) if k > 1 else a)
+        return out
+
+
+class IntegerDomain(Domain):
+    """Plain integers, the numerators of fraction-free matrices (`ff_mul`).
+
+    The sparse product calls `add` and `mul` once per term, so they are the
+    C operators themselves rather than Python methods around them."""
+
+    zero = 0
+    one = 1
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+
+    def embed(self, v):
+        if isinstance(v, int):
+            return v
+        if v.denominator != 1:
+            raise ValueError(f"{v} is not an integer")
+        return v.numerator
+
+    def inv(self, a):
+        if a not in (1, -1):
+            raise ZeroDivisionError(f"{a} is not a unit of Z")
+        return a
+
 
 class RationalDomain(Domain):
     """Exact rationals."""
@@ -350,6 +385,7 @@ class LaurentDomain(Domain):
         return a.inverse()
 
 
+ZZ = IntegerDomain()
 QQ = RationalDomain()
 QI = GaussianDomain()
 LAURENT = LaurentDomain()
@@ -381,6 +417,7 @@ def sp_to_dense(m, n, dom):
 
 def sp_mul(a, b, dom):
     """Matrix product a @ b of sparse row-dict matrices."""
+    mul, add, is_zero = dom.mul, dom.add, dom.is_zero
     out = {}
     for i, arow in a.items():
         acc = {}
@@ -389,12 +426,12 @@ def sp_mul(a, b, dom):
             if not brow:
                 continue
             for j, bv in brow.items():
-                t = dom.mul(av, bv)
+                t = mul(av, bv)
                 if j in acc:
-                    acc[j] = dom.add(acc[j], t)
+                    acc[j] = add(acc[j], t)
                 else:
                     acc[j] = t
-        acc = {j: v for j, v in acc.items() if not dom.is_zero(v)}
+        acc = {j: v for j, v in acc.items() if not is_zero(v)}
         if acc:
             out[i] = acc
     return out
@@ -468,28 +505,65 @@ def divided_powers(mat, dim):
     return out
 
 
-def sum_powers(table, t, dom):
-    """sum_k t^k M_k over `dom` for a table [M_0, M_1, ...] of exact
-    rational matrices, such as one from `divided_powers`."""
+def sum_powers(table, coeffs, dom):
+    """sum_k c_k M_k over `dom` for a table [M_0, M_1, ...] of exact
+    rational matrices, such as one from `divided_powers`, and coefficients
+    [c_0, c_1, ...] in `dom`: `dom.powers(t, len(table))` gives the
+    one-parameter element at t."""
     out = {}
-    tk = dom.one
-    for k, mat in enumerate(table):
-        if k:
-            tk = dom.mul(tk, t) if k > 1 else t
-        terms = {}  # v -> v t^k; a table has few distinct entries
+    for mat, c in zip(table, coeffs):
+        terms = {}  # v -> c v; a table has few distinct entries
         for i, row in mat.items():
             r = out.setdefault(i, {})
             for j, v in row.items():
                 w = terms.get(v)
                 if w is None:
-                    w = dom.embed(v)
-                    w = terms[v] = dom.mul(tk, w) if k else w
+                    w = terms[v] = dom.mul(c, dom.embed(v))
                 r[j] = dom.add(r[j], w) if j in r else w
     for i in list(out):
         out[i] = {j: v for j, v in out[i].items() if not dom.is_zero(v)}
         if not out[i]:
             del out[i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# fraction-free matrices: a matrix over Q as a pair (N, d) of an integer
+# sparse matrix N and an integer d != 0 standing for N / d; over F_p, N and
+# d are integers read mod p.  Products and equality never divide, so no gcd
+# is taken (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).
+
+def ff_reduce(a, p):
+    """A pair with its entries reduced mod p."""
+    n, d = a
+    out = {}
+    for i, row in n.items():
+        r = {j: v % p for j, v in row.items() if v % p}
+        if r:
+            out[i] = r
+    return out, d % p
+
+
+def ff_mul(a, b):
+    """(N1, d1)(N2, d2) = (N1 N2, d1 d2).  Over F_p the product runs on
+    integer representatives and is not reduced: Z -> F_p is a ring map, so
+    `ff_eq` with p compares it correctly."""
+    return sp_mul(a[0], b[0], ZZ), a[1] * b[1]
+
+
+def ff_eq(a, b, p=None):
+    """N1 / d1 == N2 / d2 by N1 d2 == N2 d1, over F_p when p is given; a pair
+    with d = 0 stands for no matrix and equals nothing."""
+    (n1, d1), (n2, d2) = a, b
+    if not (d1 % p and d2 % p if p else d1 and d2):
+        return False
+    for i in n1.keys() | n2.keys():
+        r1, r2 = n1.get(i, {}), n2.get(i, {})
+        for j in r1.keys() | r2.keys():
+            diff = r1.get(j, 0) * d2 - r2.get(j, 0) * d1
+            if diff % p if p else diff:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

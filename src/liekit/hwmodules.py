@@ -485,10 +485,10 @@ class ModuleGenerators:
         self.fx = [divided_powers(mod.F[i], mod.dim) for i in range(mod.m)]
 
     def x(self, i, h, dom=QQ):
-        return sum_powers(self.ex[i], h, dom)
+        return sum_powers(self.ex[i], dom.powers(h, len(self.ex[i])), dom)
 
     def y(self, i, h, dom=QQ):
-        return sum_powers(self.fx[i], h, dom)
+        return sum_powers(self.fx[i], dom.powers(h, len(self.fx[i])), dom)
 
     def s_second(self, i, dom=QQ):
         one = dom.one

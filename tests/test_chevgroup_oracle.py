@@ -1,12 +1,15 @@
 """The relation checks against a reference that rebuilds every generator.
 
 `verify_conjugation_relations` and `steinberg_report` use integer Laurent
-coefficients, a memoised A-pairing, per-point generator tables and memoised
-right-hand sides.  The reference here is the direct algorithm: Laurent
-coefficients are always Fractions, A is recomputed from the Euler form, every
-generator is rebuilt for every pair, torus conjugation is a full product with
-h_X(t^-1), and every commutator product starts from the identity.  Both must
-give equal reports, also on an algebra with a flipped structure constant.
+coefficients, a memoised A-pairing, memoised n_X in the Laurent loop and
+fraction-free sample points on a `PointGroup`.  The reference here is the
+direct algorithm: Laurent coefficients are always Fractions, A is recomputed
+from the Euler form, every generator is rebuilt for every pair over QQ or a
+`PrimeField`, torus conjugation is a full product with h_X(t^-1), and every
+commutator product starts from the identity.  Both must give equal reports,
+also on an algebra with a flipped structure constant, and equal non-empty
+failure lists at points where a changed exponential table or a flipped sign
+must fail.
 """
 
 import random
@@ -15,8 +18,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from liekit.chevgroup import (ChevalleyGroup, steinberg_report,
-                              verify_conjugation_relations)
+from liekit.chevgroup import (ChevalleyGroup, PointGroup,
+                              _conjugation_point_check, _steinberg_point_check,
+                              steinberg_report, verify_conjugation_relations)
 from liekit.exact import (QQ, LaurentDomain, LaurentPoly, PrimeField, sp_eq,
                           sp_identity, sp_mul, sp_mul_many)
 from liekit.liealg import LieAlgebraZ, lie_algebra
@@ -46,9 +50,9 @@ def mono(et, es, c):
 class RefGroup:
     """Generators rebuilt on every call; only the integer exp tables are shared."""
 
-    def __init__(self, alg):
+    def __init__(self, alg, grp=None):
         self.alg, self.cat = alg, alg.cat
-        self.tables = ChevalleyGroup(alg).exp_table
+        self.tables = (grp or ChevalleyGroup(alg)).exp_table
 
     def A(self, x, y):
         val = Fraction(self.cat.euler_form(x, y), self.cat.d(x))
@@ -127,22 +131,29 @@ def ref_conjugation(alg, samples, seed):
     for _ in range(samples):
         t0, s0 = _point(rng)
         points.append((t0, s0))
-        for ix, x in enumerate(objs):
-            for iy, y in enumerate(objs):
-                e = eta.get((ix, iy))
-                if e is None:
-                    continue
-                w, A = cat.omega(x, y), grp.A(x, y)
-                lhs = sp_mul_many([grp.n(x, t0, QQ), grp.E(y, s0, QQ),
-                                   grp.n_inv(x, t0, QQ)], QQ)
-                if not sp_eq(lhs, grp.E(w, e * t0 ** (-A) * s0, QQ), QQ):
-                    sample_failures.append(("n_E_conj", ix, iy, t0, s0))
-                lhs = grp.conj_by_h(x, t0, grp.n(y, s0, QQ), QQ)
-                if not sp_eq(lhs, grp.n(y, t0 ** A * s0, QQ), QQ):
-                    sample_failures.append(("h_n_conj", ix, iy, t0, s0))
+        sample_failures += ref_conjugation_point(alg, grp, QQ, t0, s0, eta)
     return {"ok": not failures and not sample_failures, "eta": eta,
             "failures": failures, "sample_failures": sample_failures,
             "pairs": len(objs) ** 2, "sample_points": points}
+
+
+def ref_conjugation_point(alg, grp, dom, t0, s0, eta):
+    cat, objs, fails = alg.cat, alg.cat.objects, []
+    for ix, x in enumerate(objs):
+        for iy, y in enumerate(objs):
+            e = eta.get((ix, iy))
+            if e is None:
+                continue
+            w, A = cat.omega(x, y), grp.A(x, y)
+            lhs = sp_mul_many([grp.n(x, t0, dom), grp.E(y, s0, dom),
+                               grp.n_inv(x, t0, dom)], dom)
+            arg = dom.mul(dom.embed(e), dom.mul(dom.power(t0, -A), s0))
+            if not sp_eq(lhs, grp.E(w, arg, dom), dom):
+                fails.append(("n_E_conj", ix, iy, t0, s0))
+            lhs = grp.conj_by_h(x, t0, grp.n(y, s0, dom), dom)
+            if not sp_eq(lhs, grp.n(y, dom.mul(dom.power(t0, A), s0), dom), dom):
+                fails.append(("h_n_conj", ix, iy, t0, s0))
+    return fails
 
 
 def ref_constants(alg, grp, x, y):
@@ -271,3 +282,117 @@ def test_steinberg_matches_reference(case):
         assert got[key] == want[key], key
     assert got["ok"] is (case != "B2-flip")
     assert bool(got["constant_failures"]) is (case == "B2-flip")
+
+
+# ---------------------------------------------------------------------------
+# the point kernel alone: faults that only the sample points can see
+
+def _changed_group(alg, ix=0, k=1):
+    """A group whose exp_table(ix)[k] has its first entry raised by one."""
+    grp = ChevalleyGroup(alg)
+    table = [dict((i, dict(row)) for i, row in m.items())
+             for m in grp.exp_table(ix)]
+    i, row = next(iter(table[k].items()))
+    j = next(iter(row))
+    row[j] += 1
+    grp._exp_tables[ix] = table
+    return grp
+
+
+POINTS = [(Fraction(3, 2), Fraction(-3, 2)),   # t0 + s0 = 0
+          (Fraction(-7, 3), Fraction(5, 4)),
+          (Fraction(2, 9), Fraction(-1, 6))]
+
+
+def _field_points(p):
+    units = PrimeField(p).units()
+    return list(iproduct(units, units))
+
+
+@pytest.fixture(scope="module")
+def b2():
+    alg = lie_algebra("B", 2)
+    rep = steinberg_report(alg, primes=(), samples=0)
+    eta = verify_conjugation_relations(alg, samples=0)["eta"]
+    return alg, rep["constants"], eta
+
+
+@pytest.mark.parametrize("p", [None, 3, 5])
+def test_changed_table_fails_alike(b2, p):
+    alg, consts, eta = b2
+    bad = _changed_group(alg)
+    ref, dom = RefGroup(alg, bad), QQ if p is None else PrimeField(p)
+    pg = PointGroup(bad, p)
+    points = POINTS if p is None else _field_points(p)
+    got_st, want_st, got_cj, want_cj = [], [], [], []
+    for t0, s0 in points:
+        if p is None:
+            pg = PointGroup(bad)
+        got_st += _steinberg_point_check(alg, pg, t0, s0, consts)
+        want_st += ref_point_check(alg, ref, dom, t0, s0, consts)
+        got_cj += _conjugation_point_check(alg, pg, t0, s0, eta)
+        want_cj += ref_conjugation_point(alg, ref, dom, t0, s0, eta)
+    assert got_st and got_st == want_st
+    assert got_cj and got_cj == want_cj
+
+
+def test_flipped_eta_fails_alike(b2):
+    alg, _, eta = b2
+    key = next(iter(eta))
+    flipped = dict(eta)
+    flipped[key] = -flipped[key]
+    grp = ChevalleyGroup(alg)
+    ref = RefGroup(alg)
+    for t0, s0 in POINTS:
+        got = _conjugation_point_check(alg, PointGroup(grp), t0, s0, flipped)
+        want = ref_conjugation_point(alg, ref, QQ, t0, s0, flipped)
+        assert got and got == want
+        assert {f[1:3] for f in got} == {key}
+
+
+@pytest.mark.parametrize("case", ["B2", "G2"])
+def test_points_pass_alike(case):
+    """Healthy groups pass at t0 + s0 = 0 and at negative t0, on both."""
+    alg = lie_algebra(case[0], int(case[1]))
+    consts = steinberg_report(alg, primes=(), samples=0)["constants"]
+    eta = verify_conjugation_relations(alg, samples=0)["eta"]
+    grp, ref = ChevalleyGroup(alg), RefGroup(alg)
+    for t0, s0 in POINTS[:2]:
+        pg = PointGroup(grp)
+        assert _steinberg_point_check(alg, pg, t0, s0, consts) == []
+        assert ref_point_check(alg, ref, QQ, t0, s0, consts) == []
+        assert _conjugation_point_check(alg, pg, t0, s0, eta) == []
+
+
+def _as_fractions(pair):
+    n, d = pair
+    return {i: {j: Fraction(v, d) for j, v in row.items()} for i, row in n.items()}
+
+
+@pytest.mark.parametrize("t0", [Fraction(-7, 3), Fraction(-1), Fraction(5, 2)])
+def test_point_generators_match_library(t0):
+    """E, h (negative exponents included), n, n^-1 and h-conjugation of a
+    PointGroup equal the library generators over QQ, at negative t0 too."""
+    alg = lie_algebra("G", 2)
+    grp = ChevalleyGroup(alg)
+    pg = PointGroup(grp)
+    for ix, x in enumerate(alg.cat.objects):
+        assert min(grp.h_exponents(x)) < 0
+        for got, want in ((pg.E(ix, t0), grp.E(x, t0, QQ)),
+                          (pg.h(ix, t0), grp.h(x, t0, QQ)),
+                          (pg.n(ix, t0), grp.n(x, t0, QQ)),
+                          (pg.n_inv(ix, t0), grp.n_inv(x, t0, QQ)),
+                          (pg.conj_by_h(ix, t0, pg.n(0, t0)),
+                           grp.conj_by_h(x, t0, grp.n(alg.cat.objects[0], t0, QQ),
+                                         QQ))):
+            assert sp_eq(_as_fractions(got), want, QQ)
+
+
+@pytest.mark.parametrize("p", [None, 5])
+def test_point_generators_at_zero(p):
+    pg = PointGroup(ChevalleyGroup(lie_algebra("B", 2)), p)
+    zero = Fraction(0) if p is None else p
+    for gen in (pg.h, pg.n, pg.n_inv):
+        with pytest.raises(ZeroDivisionError):
+            gen(0, zero)
+    assert pg.eq(pg.E(0, zero), pg.identity())

@@ -8,9 +8,10 @@ import pytest
 
 from liekit.compactform import TRIG_QI, TrigPoly
 from liekit.exact import (GaussianRational, LAURENT, LDL, LaurentPoly,
-                          PrimeField, QI, QQ, dense_inverse, dense_matmul, dense_det,
-                          leading_principal_minors, solve_linear, sp_eq,
-                          sp_from_dense, sp_identity, sp_mul, sp_to_dense)
+                          PrimeField, QI, QQ, ZZ, dense_inverse, dense_matmul, dense_det,
+                          ff_eq, ff_mul, ff_reduce, leading_principal_minors,
+                          solve_linear, sp_eq, sp_from_dense, sp_identity,
+                          sp_mul, sp_to_dense)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
 gauss = st.builds(GaussianRational, fracs, fracs)
@@ -158,6 +159,7 @@ def test_laurent_int_and_fraction_coefficients_agree():
 F7 = PrimeField(7)
 # (domain, a unit, a non-unit or None) for every domain kind
 POWER_CASES = [
+    (ZZ, -1, 2),
     (QQ, Fraction(-3, 2), Fraction(0)),
     (QI, GaussianRational(Fraction(1, 2), -2), GaussianRational(0)),
     (F7, 3, 0),
@@ -169,12 +171,75 @@ POWER_CASES = [
 
 
 @pytest.mark.parametrize("dom,unit,other", POWER_CASES,
-                         ids=["QQ", "QI", "F7", "LAURENT", "TRIG_QI"])
+                         ids=["ZZ", "QQ", "QI", "F7", "LAURENT", "TRIG_QI"])
 def test_power_is_repeated_product(dom, unit, other):
     for a in (unit, other):
         prod = dom.one
-        for n in range(6):
+        for n, an in enumerate(dom.powers(a, 6)):
             assert dom.eq(dom.power(a, n), prod)
+            assert dom.eq(an, prod)
             prod = dom.mul(prod, a)
     for n in range(6):
         assert dom.eq(dom.mul(dom.power(unit, -n), dom.power(unit, n)), dom.one)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free pairs (N, d) against the same matrices with Fraction entries
+
+sparse_int = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.integers(-30, 30).filter(bool), max_size=9)
+denominators = st.integers(-12, 12).filter(bool)
+
+
+def _rows(entries, scale=1):
+    out = {}
+    for (i, j), v in entries.items():
+        out.setdefault(i, {})[j] = v * scale
+    return out
+
+
+def _over(dom, n, d):
+    """N / d as a sparse matrix over QQ or a PrimeField."""
+    dinv = dom.inv(dom.embed(d))
+    out = {}
+    for i, row in n.items():
+        r = {j: dom.mul(dom.embed(v), dinv) for j, v in row.items()}
+        r = {j: v for j, v in r.items() if not dom.is_zero(v)}
+        if r:
+            out[i] = r
+    return out
+
+
+@given(sparse_int, denominators, sparse_int, denominators)
+def test_fraction_free_pairs_match_fractions(a, da, b, db):
+    na, nb = _rows(a), _rows(b)
+    fa, fb = _over(QQ, na, da), _over(QQ, nb, db)
+    assert sp_eq(_over(QQ, *ff_mul((na, da), (nb, db))), sp_mul(fa, fb, QQ), QQ)
+    assert ff_eq((na, da), (nb, db)) is sp_eq(fa, fb, QQ)
+    # the same matrix over another denominator, and one entry off
+    assert ff_eq((na, da), (_rows(a, db), da * db))
+    if a:
+        (i, j), v = next(iter(a.items()))
+        assert not ff_eq((na, da), (_rows({**a, (i, j): v + 1}), da))
+
+
+@given(sparse_int, denominators, sparse_int, denominators,
+       st.sampled_from([2, 3, 5, 7]))
+def test_fraction_free_pairs_match_prime_field(a, da, b, db, p):
+    if not (da % p and db % p):
+        return
+    f = PrimeField(p)
+    na, nb = _rows(a), _rows(b)
+    fa, fb = _over(f, na, da), _over(f, nb, db)
+    prod = ff_mul((na, da), (nb, db))
+    assert ff_eq(prod, (sp_mul(fa, fb, f), 1), p)
+    assert ff_eq(ff_reduce(prod, p), prod, p)
+    assert ff_eq((na, da), (nb, db), p) is sp_eq(fa, fb, f)
+
+
+def test_zero_denominator_equals_nothing():
+    n = {0: {0: 1}}
+    assert not ff_eq((n, 0), (n, 0))
+    assert not ff_eq((n, 1), (n, 0))
+    assert not ff_eq((n, 5), (n, 5), 5)
+    assert ff_eq((n, 6), (n, 6), 5)
