@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from .exact import (LAURENT, QQ, ZZ, LaurentPoly, PrimeField, divided_powers,
                     ff_eq, ff_mul, ff_reduce, sp_eq, sp_identity, sp_map,
                     sp_mul, sp_mul_many, sum_powers)
-from .liealg import LieAlgebraZ, bracket_over
+from .liealg import LieAlgebraZ, first_bracket_failure
 from .rootdata import invariant_factors
 
 
@@ -491,25 +491,7 @@ def center_order_bruteforce(alg, p):
 
 def preserves_bracket(alg, mat, dom):
     """Does the matrix act as a Lie algebra automorphism?"""
-    n = alg.dim
-    cols = [{} for _ in range(n)]
-    for i, row in mat.items():
-        for j, v in row.items():
-            cols[j][i] = v
-    for i in range(n):
-        for j in range(i + 1, n):
-            img = {}
-            for k, v in alg._brackets[i][j].items():
-                for r, w in cols[k].items():
-                    z = dom.mul(dom.embed(v), w)
-                    img[r] = dom.add(img[r], z) if r in img else z
-            img = {r: v for r, v in img.items() if not dom.is_zero(v)}
-            got = bracket_over(alg._brackets, cols[i], cols[j], dom)
-            if img != got and any(
-                    not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
-                    for k in set(img) | set(got)):
-                return False
-    return True
+    return first_bracket_failure(alg._brackets, alg._brackets, mat, dom) is None
 
 
 def random_group_element(grp, dom, rng, length, scalars):

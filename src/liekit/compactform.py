@@ -16,9 +16,9 @@ from fractions import Fraction
 
 from .chevgroup import ChevalleyGroup
 from .exact import (QI, Domain, GaussianRational, SparsePoly,
-                    leading_principal_minors, sp_apply, sp_eq, sp_map,
-                    sp_mul_many)
-from .liealg import LieAlgebraZ, bracket_over, jacobi_sweep, table_bracket
+                    leading_principal_minors, sp_eq, sp_map, sp_mul_many)
+from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
+                     table_bracket)
 from .rootcat import RootCatObject
 
 
@@ -382,20 +382,9 @@ class CompactForm:
 
     def phi_homomorphism_check(self):
         """phi([a,b]) == [phi a, phi b] on all basis pairs, over Q(i)."""
-        phi = self.phi_matrix()
-        cols = [sp_apply(phi, {i: QI.one}, QI) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                lhs = {}
-                for k, v in self._brackets[i][j].items():
-                    for r, w in cols[k].items():
-                        z = w * v
-                        lhs[r] = lhs.get(r, QI.zero) + z
-                lhs = {r: v for r, v in lhs.items() if v}
-                rhs = bracket_over(self.alg._brackets, cols[i], cols[j], QI)
-                if lhs != rhs:
-                    return False, (i, j)
-        return True, None
+        bad = first_bracket_failure(self._brackets, self.alg._brackets,
+                                    self.phi_matrix(), QI)
+        return bad is None, bad
 
     # -- the invariant form ---------------------------------------------------
 
@@ -623,7 +612,7 @@ def ad_matrix_numeric(cf, vec):
     return out
 
 
-def closed_form_vs_expm(cf, ts=(0.3, 0.7, 1.9), tol=1e-10):
+def closed_form_vs_expm(cf, ts=(0.3, 0.7, 1.9)):
     """Compare every closed-form exponential with scipy's expm at sample
     angles; returns max absolute deviation."""
     import numpy as np

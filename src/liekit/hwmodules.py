@@ -27,11 +27,6 @@ from .rootdata import root_system
 # ---------------------------------------------------------------------------
 # weight bookkeeping (fundamental-weight coordinates throughout)
 
-def simple_root_fund(cartan, i):
-    """alpha_i in fundamental coordinates: j-th entry <alpha_j^vee, alpha_i>."""
-    return tuple(cartan.a[j][i] for j in range(len(cartan.a)))
-
-
 def root_fund(cartan, r):
     """A root given in simple-root coordinates, as a weight."""
     m = len(cartan.a)

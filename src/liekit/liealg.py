@@ -9,9 +9,10 @@ system.  Antisymmetry and class grading hold by construction;
 law and aborts on a violation.  Jacobi is not re-run at construction: it is
 checked by `LieAlgebraZ.jacobi_check` (`liekit verify liealg`).
 
-The bracket, the bracket over a scalar domain and the Jacobi sweep work on
-any basis bracket table, table[i][j] = {k: coefficient of e_k in [e_i, e_j]};
-the integer form here and the compact form (`compactform`) share them.
+The bracket, the bracket over a scalar domain, the bracket-preservation
+sweep and the Jacobi sweep work on any basis bracket table,
+table[i][j] = {k: coefficient of e_k in [e_i, e_j]}; the integer form here
+and the compact form (`compactform`) share them.
 """
 
 from __future__ import annotations
@@ -51,6 +52,33 @@ def bracket_over(table, a, b, dom):
                 w = dom.mul(dom.mul(ca, cb), dom.embed(v))
                 out[k] = dom.add(out[k], w) if k in out else w
     return {k: v for k, v in out.items() if not dom.is_zero(v)}
+
+
+def first_bracket_failure(src, dst, mat, dom):
+    """First basis pair i < j with M[e_i, e_j] != [M e_i, M e_j], where the
+    sparse matrix M over `dom` maps the basis of table `src` into that of
+    table `dst` and each bracket is taken in its own table; None if M
+    preserves the bracket."""
+    cols = [{} for _ in src]
+    for r, row in mat.items():
+        for c, v in row.items():
+            cols[c][r] = v
+    n = len(src)
+    for i in range(n):
+        for j in range(i + 1, n):
+            img = {}
+            for k, v in src[i][j].items():
+                v = dom.embed(v)
+                for r, w in cols[k].items():
+                    z = dom.mul(v, w)
+                    img[r] = dom.add(img[r], z) if r in img else z
+            img = {r: z for r, z in img.items() if not dom.is_zero(z)}
+            got = bracket_over(dst, cols[i], cols[j], dom)
+            if img != got and any(
+                    not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
+                    for k in set(img) | set(got)):
+                return i, j
+    return None
 
 
 def jacobi_sweep(table):

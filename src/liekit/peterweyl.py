@@ -12,13 +12,15 @@ independent numeric oracle at rank <= 2.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import product as iproduct
 
 from .exact import QI, GaussianRational, dense_inverse, sp_apply, sp_mul
 from .hwmodules import (FreudenthalTable, WeightModule, build_irrep, dagger,
                         root_fund)
-from .rootdata import build_cartan, lattice_index, root_system
+from .rootdata import (build_cartan, invariant_factors, lattice_index,
+                       root_system)
 
 
 # ---------------------------------------------------------------------------
@@ -353,52 +355,37 @@ def char_orthonormality(series, rank, lam, mu, grid=24):
 # ---------------------------------------------------------------------------
 # integral forms for K
 
-def integral_lattice_report(series, rank, box=3):
-    """The analytically integral forms are exactly the root lattice Q.
+def integral_lattice_report(series, rank):
+    """The analytically integral forms of the adjoint compact form are
+    exactly the root lattice Q.
 
-    The kernel of exp on the compact torus is spanned by b_k with
-    b_k/2pi = (a^T)^{-1} e_k; a weight is analytically integral iff it pairs
-    integrally with every b_k, and that condition is checked against
-    root-lattice membership over an exhaustive coordinate box.
+    The torus acts on u_Y through the weight M[:, Y], M[j][Y] = A(S_j, Y) in
+    fundamental coordinates.  The kernel of exp on the torus is the dual of
+    the span of these weights, so the analytically integral lattice (the dual
+    of that kernel) is the column span of M; Q is the column span of the
+    Cartan matrix a.  They are equal iff a^{-1} M is integral and M has full
+    rank with the Smith index of a.  `mismatches` lists the classes of the
+    objects Y whose column a^{-1} M[:, Y] is not integral; with none, the
+    kernel generators (a^T)^{-1} e_k act trivially on every u_Y.
     """
     from .rootcat import root_category
-    cartan = build_cartan(series, rank)
-    m = rank
-    amat = [[Fraction(v) for v in row] for row in cartan.a]
-    ainv = dense_inverse(amat)
-    at_inv = [[ainv[j][i] for j in range(m)] for i in range(m)]  # (a^T)^{-1}
-
-    # verify the kernel generators act trivially on every root operator:
-    # the exponent of exp(ad b_k) on u_Y is -2*pi*i * sum_j (b_k)_j A_{S_j Y}
     cat = root_category(series, rank)
-    kernel_ok = True
-    for k in range(m):
-        bk = [at_inv[j][k] for j in range(m)]
-        for y in cat.objects:
-            tot = sum(bk[j] * cat.A(cat.simples[j], y) for j in range(m))
-            if Fraction(tot).denominator != 1:
-                kernel_ok = False
-
-    def analytically_integral(lamv):
-        return all(
-            Fraction(sum(lamv[j] * at_inv[j][k] for j in range(m))).denominator == 1
-            for k in range(m))
-
-    def in_root_lattice(lamv):
-        x = [sum(ainv[i][j] * lamv[j] for j in range(m)) for i in range(m)]
-        return all(v.denominator == 1 for v in x)
-
-    mismatches = []
-    for lamv in iproduct(range(-box, box + 1), repeat=m):
-        if analytically_integral(lamv) != in_root_lattice(lamv):
-            mismatches.append(lamv)
-
+    cartan = cat.cartan
+    m = rank
+    ainv = dense_inverse([[Fraction(v) for v in row] for row in cartan.a])
+    cols = [[cat.A(s, y) for s in cat.simples] for y in cat.objects]
+    mismatches = [y.cls for y, col in zip(cat.objects, cols)
+                  if any(sum(ainv[k][j] * col[j] for j in range(m)).denominator != 1
+                         for k in range(m))]
+    index = lattice_index(cartan)
     report = {
         "type": f"{series}{rank}",
-        "kernel_generators_trivial": kernel_ok,
-        "equals_root_lattice": not mismatches,
+        "kernel_generators_trivial": not mismatches,
+        # a zero invariant factor (M of lower rank) makes the product 0
+        "equals_root_lattice": (not mismatches
+                                and math.prod(invariant_factors(cols)) == index),
         "mismatches": mismatches,
-        "fundamental_group_order": lattice_index(cartan),
+        "fundamental_group_order": index,
     }
     if (series, rank) == ("A", 3):
         # the half-lattice kernel element i*pi*(H'_1 + H'_3): trivial under

@@ -301,5 +301,6 @@ def test_criterion_14_integral_forms():
         assert integral_lattice_report(series, rank)[
             "fundamental_group_order"] == order, (series, rank)
     report(14, True,
-           "analytically integral lattice = Q (A1-A3, B2, both inclusions), "
+           "analytically integral lattice = Q (A1-A3, B2: span of "
+           "[A(S_j, Y)] inside Q with the Smith index of Q), "
            "A3 counterexample, |pi_1(K)| = invariant-factor product")

@@ -164,6 +164,16 @@ def test_over_cap_module_is_usage_error():
     assert "100,0" in res.output and "5151" in res.output
 
 
+@pytest.mark.parametrize("type_name", ["B4", "C4", "D5", "F4", "E6", "E7", "E8"])
+def test_verify_peterweyl_type_matrix(type_name):
+    """The integral-lattice check passes past rank 4, E7 and E8 included."""
+    res = run("verify", "peterweyl", "--type", type_name)
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["ok"] is True
+    assert [c["check"] for c in data["checks"]] == ["integral_lattice_is_root_lattice"]
+
+
 @pytest.mark.slow
 def test_verify_modules_f4():
     """Every module check passes on F4, unitarity of the 1274-dimensional

@@ -179,7 +179,9 @@ def test_character_orthonormality(series, rank, lam, mu, want):
 
 
 @pytest.mark.parametrize("series,rank,order", [
-    ("A", 1, 2), ("A", 2, 3), ("A", 3, 4), ("B", 2, 2), ("G", 2, 1)])
+    ("A", 1, 2), ("A", 2, 3), ("A", 3, 4), ("B", 2, 2), ("G", 2, 1),
+    ("B", 4, 2), ("C", 4, 2), ("D", 5, 4), ("F", 4, 1), ("E", 6, 3),
+    ("E", 7, 2), ("E", 8, 1)])
 def test_integral_lattice(series, rank, order):
     rep = integral_lattice_report(series, rank)
     assert rep["equals_root_lattice"]
