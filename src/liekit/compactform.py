@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .chevgroup import ChevalleyGroup
 from .exact import (QI, Domain, GaussianRational, SparsePoly,
-                    leading_principal_minors, sp_eq, sp_map, sp_mul_many)
+                    leading_principal_minors, sp_eq, sp_map, sp_mul_many,
+                    sp_transpose)
 from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
                      table_bracket)
 from .rootcat import RootCatObject
@@ -135,50 +136,56 @@ TRIG_QI = TrigDomain(GaussianRational(1))
 # ---------------------------------------------------------------------------
 # gamma-product coefficients of the closed-form exponentials
 
-def chain_coefficient(alg, x, y, j):
-    """C_{X,Y,j,1} = (1/j!) * prod_{l<j} gamma_{X, L_{l,1}}^{L_{l+1,1}}."""
+def _chain(alg, x, y, n):
+    """The n steps gamma_{X, L_l}^{L_{l+1}} of the X-chain from L_0 = Y."""
     cat = alg.cat
-    prod = 1
-    cur = y
-    for _ in range(j):
-        nxt = cat.object_of_class(tuple(a + b for a, b in zip(x.cls, cur.cls)))
-        if nxt is None:
-            return Fraction(0)
-        prod *= alg.gamma_of(x, cur, nxt)
-        cur = nxt
-    return Fraction(prod, math.factorial(j))
-
-
-def d_coefficient(alg, x, y, k):
-    """D_{X,Y,k} as a TrigPoly in t."""
-    cat = alg.cat
-    p, q = cat.pq(x, y)
-    tx = cat.shift(x)
-    out = TrigPoly()
-    for j in range(max(0, -k), p + 1):
-        lmj = cat.chain_object(tx, y, j, 1) if j else y
-        if lmj is None:
-            continue
-        coeff = chain_coefficient(alg, tx, y, j) * chain_coefficient(alg, x, lmj, j + k)
-        if coeff:
-            # sin^{2j} tan^k cos^{q-p} = s^{2j+k} c^{-k+q-p}
-            out = out + TrigPoly.monomial(coeff, 2 * j + k, -k + q - p)
+    out = []
+    for _ in range(n):
+        nxt = cat.object_of_class(tuple(a + b for a, b in zip(x.cls, y.cls)))
+        out.append(alg.gamma_of(x, y, nxt))
+        y = nxt
     return out
 
 
-def d_coefficient_dual(alg, x, y, k):
-    """D'_{X,Y,k}; equal to D_{X,Y,k} by a trigonometric identity."""
+def _chain_coeff(steps):
+    """C_{X,Y,j,1} = (1/j!) prod_{l<j} gamma_{X, L_l}^{L_{l+1}} from the j
+    steps of the X-chain from Y."""
+    return Fraction(math.prod(steps), math.factorial(len(steps)))
+
+
+def d_coefficients(alg, x, y):
+    """{k: D_{X,Y,k}} as TrigPolys in t for k in [-p_XY, q_XY], from one walk
+    down the TX-chain from Y to L_{-p} and one up the X-chain from there to
+    L_q, L_s being the object of class zeta_Y + s zeta_X."""
+    p, q = alg.cat.pq(x, y)
+    tx = alg.cat.shift(x)
+    down = _chain(alg, tx, y, p)
+    up = _chain(alg, x, alg.cat.chain_object(tx, y, p, 1), p + q)
+    out = {}
+    for k in range(-p, q + 1):
+        out[k] = TrigPoly()
+        for j in range(max(0, -k), p + 1):
+            # C_{TX,Y,j,1} C_{X,L_{-j},j+k,1} sin^{2j} tan^k cos^{q-p}
+            coeff = _chain_coeff(down[:j]) * _chain_coeff(up[p - j:p + k])
+            out[k] = out[k] + TrigPoly.monomial(coeff, 2 * j + k, -k + q - p)
+    return out
+
+
+def d_coefficients_dual(alg, x, y):
+    """{k: D'_{X,Y,k}}, equal to `d_coefficients` by a trigonometric
+    identity, from one walk up the X-chain from Y to L_q and one up the
+    X-chain from TL_q to TL_{-p}."""
     cat = alg.cat
     p, q = cat.pq(x, y)
-    tx, ty = cat.shift(x), cat.shift(y)
-    out = TrigPoly()
-    for j in range(max(0, k), q + 1):
-        lmjm = cat.chain_object(tx, ty, j, 1) if j else ty
-        if lmjm is None:
-            continue
-        coeff = chain_coefficient(alg, x, y, j) * chain_coefficient(alg, x, lmjm, j - k)
-        if coeff:
-            out = out + TrigPoly.monomial(coeff, 2 * j - k, k + p - q)
+    up = _chain(alg, x, y, q)
+    tup = _chain(alg, x, cat.chain_object(cat.shift(x), cat.shift(y), q, 1), p + q)
+    out = {}
+    for k in range(-p, q + 1):
+        out[k] = TrigPoly()
+        for j in range(max(0, k), q + 1):
+            # C_{X,Y,j,1} C_{X,TL_j,j-k,1} sin^{2j-k} cos^{k+p-q}
+            coeff = _chain_coeff(up[:j]) * _chain_coeff(tup[q - j:q - k])
+            out[k] = out[k] + TrigPoly.monomial(coeff, 2 * j - k, k + p - q)
     return out
 
 
@@ -220,9 +227,9 @@ def d_equals_dual_check(alg):
         for y in cat.objects:
             if x.pos_root == y.pos_root:
                 continue
-            p, q = cat.pq(x, y)
-            for k in range(-p, q + 1):
-                if d_coefficient(alg, x, y, k) != d_coefficient_dual(alg, x, y, k):
+            dual = d_coefficients_dual(alg, x, y)
+            for k, d in d_coefficients(alg, x, y).items():
+                if d != dual[k]:
                     return False, (x, y, k)
     return True, None
 
@@ -392,21 +399,14 @@ class CompactForm:
         """Pullback of the trace form through phi; real, symmetric, and
         negative definite."""
         gram_g = self.alg.killing_gram()
-        phi = self.phi_matrix()
+        cols = sp_transpose(self.phi_matrix())
         n = self.dim
-        cols = []
-        for c in range(n):
-            col = {}
-            for r, row in phi.items():
-                if c in row:
-                    col[r] = row[c]
-            cols.append(col)
         out = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 tot = GaussianRational(0)
-                for r, vr in cols[i].items():
-                    for s_, vs in cols[j].items():
+                for r, vr in cols.get(i, {}).items():
+                    for s_, vs in cols.get(j, {}).items():
                         g = gram_g[r][s_]
                         if g:
                             tot = tot + vr * vs * g
@@ -525,7 +525,9 @@ def exp_beta_matrix(cf: CompactForm, x):
         bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
         bcol[bi] = bcol.get(bi, TrigPoly()) + dk
         xcol[xi_] = xcol.get(xi_, TrigPoly()) + (-dk if lk.parity else dk)
-    return _cols_to_matrix(cols)
+    # chain terms may cancel; the matrix keeps no zero entries
+    return sp_transpose({c: {r: v for r, v in col.items() if v}
+                         for c, col in cols.items()})
 
 
 def exp_xi_matrix(cf: CompactForm, x):
@@ -554,7 +556,8 @@ def exp_xi_matrix(cf: CompactForm, x):
             sx = Fraction(1 if ((k + 1) // 2) % 2 == 0 else -1)
             bcol[xi_] = bcol.get(xi_, TrigPoly()) + dk.scale(sb * xsign)
             xcol[bi] = xcol.get(bi, TrigPoly()) + dk.scale(sx)
-    mat = _cols_to_matrix(cols)
+    mat = sp_transpose({c: {r: v for r, v in col.items() if v}
+                        for c, col in cols.items()})
     if flip:
         mat = {i: {j: _flip_sin(v) for j, v in row.items()}
                for i, row in mat.items()}
@@ -570,9 +573,7 @@ def _chain_terms(cf, x):
         if r == x.pos_root:
             continue
         y = RootCatObject(r, 0)
-        p, q = cat.pq(x, y)
-        for k in range(-p, q + 1):
-            dk = d_coefficient(cf.alg, x, y, k)
+        for k, dk in d_coefficients(cf.alg, x, y).items():
             if dk:
                 yield r, k, cat.chain_object(x, y, k, 1), dk
 
@@ -580,15 +581,6 @@ def _chain_terms(cf, x):
 def _flip_sin(tp):
     """Substitute t -> -t: negate odd sin-degree terms."""
     return TrigPoly({k: (-v if k[0] else v) for k, v in tp.c.items()})
-
-
-def _cols_to_matrix(cols):
-    mat = {}
-    for c, col in cols.items():
-        for r, v in col.items():
-            if v:
-                mat.setdefault(r, {})[c] = v
-    return mat
 
 
 def trig_matrix_numeric(mat, dim, t):

@@ -11,7 +11,9 @@ exact scalars whose operations are Python's operators on its elements, with
 `SparsePoly`, which holds everything but the product.
 
 Matrices are kept as dicts of rows because almost every operator we build
-(exp of a nilpotent ad, torus elements, reflection elements) is sparse.  The
+(exp of a nilpotent ad, torus elements, reflection elements) is sparse.
+`sp_mul` is the one product, of matrices and of a matrix and a vector, and
+`sp_transpose` the one way to read a matrix by columns.  The
 divided powers M^k/k! and the sums sum_k c_k M^k/k! behind every
 one-parameter subgroup, of the group and of the modules alike, are built
 here.  A matrix over Q or F_p can also be held fraction-free, as an
@@ -444,12 +446,11 @@ def sp_mul_many(mats, dom):
     return out
 
 
-def sp_add(a, b, dom, asign=1, bsign=1):
+def sp_add(a, b, dom, bsign=1):
+    """a + b, or a - b for bsign = -1."""
     out = {}
     for i in set(a) | set(b):
-        acc = {}
-        for j, v in a.get(i, {}).items():
-            acc[j] = v if asign == 1 else dom.neg(v)
+        acc = dict(a.get(i, {}))
         for j, v in b.get(i, {}).items():
             w = v if bsign == 1 else dom.neg(v)
             acc[j] = dom.add(acc[j], w) if j in acc else w
@@ -468,18 +469,13 @@ def sp_eq(a, b, dom):
     return True
 
 
-def sp_apply(m, vec, dom):
-    """Apply sparse matrix to a dict vector {index: value}."""
+def sp_transpose(m):
+    """The transpose: row c of the result is column c of m.  A dict vector v
+    is a one-row matrix {0: v}, so M v is `sp_mul({0: v}, sp_transpose(M))`."""
     out = {}
     for i, row in m.items():
-        acc = dom.zero
-        hit = False
         for j, v in row.items():
-            if j in vec:
-                acc = dom.add(acc, dom.mul(v, vec[j]))
-                hit = True
-        if hit and not dom.is_zero(acc):
-            out[i] = acc
+            out.setdefault(j, {})[i] = v
     return out
 
 

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .exact import (LDL, QQ, QI, GaussianRational, dense_inverse,
-                    divided_powers, gauss_jordan, solve_linear, sp_add,
-                    sp_apply, sp_eq, sp_map, sp_mul, sp_mul_many, sum_powers)
+                    divided_powers, gauss_jordan, solve_linear, sp_add, sp_eq,
+                    sp_map, sp_mul, sp_mul_many, sp_transpose, sum_powers)
 from .rootdata import root_system
 
 
@@ -187,16 +187,14 @@ class WeightModule:
         return self._gram_inverse
 
     def inner(self, x, y):
-        """Hermitian inner product of coordinate dicts (conjugate-linear in y)."""
+        """Hermitian inner product of coordinate dicts (conjugate-linear in y),
+        read from the Gram rows of x's support."""
+        gram = self.gram_sparse()
         tot = 0
-        for data in self.weights.values():
-            basis, gram = data["basis"], data["gram"]
-            for a, ga in enumerate(basis):
-                if ga not in x:
-                    continue
-                for b, gb in enumerate(basis):
-                    if gb in y:
-                        tot = x[ga] * y[gb].conjugate() * gram[a][b] + tot
+        for a, xa in x.items():
+            for b, g in gram.get(a, {}).items():
+                if b in y:
+                    tot = xa * y[b].conjugate() * g + tot
         return tot
 
     def commutation_check(self):
@@ -422,15 +420,15 @@ def direct_sum(mods):
 def shapovalov_binomial_check(mod):
     """For each weight and each j: every y with E_j y = 0 satisfies
     (F_j^(s) y, F_j^(s) y) = binom(<j, wt y>, s) (y, y) exactly."""
-    m = mod.m
+    ecols = [sp_transpose(e) for e in mod.E]
+    fcols = [sp_transpose(f) for f in mod.F]
     for depth, data in mod.weights.items():
         basis = data["basis"]
-        for j in range(m):
+        for j in range(mod.m):
             # exact kernel of E_j on this weight space
             rows = {}
             for g in basis:
-                col = {r: row[g] for r, row in mod.E[j].items() if g in row}
-                for r, v in col.items():
+                for r, v in ecols[j].get(g, {}).items():
                     rows.setdefault(r, {})[g] = v
             kernel = _nullspace(rows, basis)
             n = data["fund"][j]
@@ -440,7 +438,7 @@ def shapovalov_binomial_check(mod):
                 norm_y = mod.inner(y, y)
                 z = dict(y)
                 for s in range(1, n + 2):
-                    z = sp_apply(mod.F[j], z, QQ)
+                    z = sp_mul({0: z}, fcols[j], QQ).get(0, {})
                     z = {k: v / s for k, v in z.items()}
                     want = math.comb(n, s) * norm_y if s <= n else 0
                     if mod.inner(z, z) != want:
@@ -491,30 +489,24 @@ class ModuleGenerators:
                             self.y(i, dom.neg(one), dom),
                             self.x(i, one, dom)], dom)
 
-    def s_second_sum(self, i, dom=QQ):
+    def s_second_sum(self, i):
         """The double-sum form: sum over l+m = <i, mu> of
-        (-1)^l F_i^(l) 1_mu E_i^(m)."""
-        mod = self.mod
+        (-1)^l F_i^(l) 1_mu E_i^(m).  E_i^(m) takes a vector of weight nu to
+        weight nu + m alpha_i, so 1_mu E_i^(m) keeps the columns g of E_i^(m)
+        with <i, wt g> = l - m."""
+        wt = [w[i] for w in self.mod.weight_of]
         out = {}
         for mi, emat in enumerate(self.ex[i]):
-            # project E_i^(m) image onto its weight, then apply F^(l)
+            # E_i^(m) split by the <i, wt g> of its columns g
+            parts = {}
+            for r, row in emat.items():
+                for g, v in row.items():
+                    parts.setdefault(wt[g] + mi, {}).setdefault(r, {})[g] = v
             for lpow, fmat in enumerate(self.fx[i]):
-                sign = -1 if lpow % 2 else 1
-                for g in range(mod.dim):
-                    if mod.weight_of[g][i] + 2 * mi != lpow + mi:
-                        continue
-                    # middle weight mu has <i,mu> = l + m
-                    col = {r: row[g] for r, row in emat.items() if g in row}
-                    col = {r: v for r, v in col.items()
-                           if mod.weight_of[r][i] == lpow + mi}
-                    img = sp_apply(fmat, col, QQ)
-                    for r, v in img.items():
-                        w = out.get(r, {}).get(g, Fraction(0)) + sign * v
-                        if w:
-                            out.setdefault(r, {})[g] = w
-                        elif g in out.get(r, {}):
-                            del out[r][g]
-        return {r: row for r, row in out.items() if row}
+                if lpow in parts:
+                    out = sp_add(out, sp_mul(fmat, parts[lpow], QQ), QQ,
+                                 bsign=-1 if lpow % 2 else 1)
+        return out
 
     def t_torus(self, i, u, dom=QQ):
         if dom.is_zero(u):
@@ -538,25 +530,17 @@ class ModuleGenerators:
 # ---------------------------------------------------------------------------
 # adjoints and unitarity
 
-def _conj_transpose(mat, dom):
-    out = {}
-    for r, row in mat.items():
-        for c, v in row.items():
-            out.setdefault(c, {})[r] = dom.conj(v)
-    return out
-
-
 def dagger(mod, mat, dom=QI):
     """Adjoint with respect to the hermitian Gram: G^{-1} M^H G."""
     return sp_mul_many([sp_map(mod.gram_inverse_sparse(), dom.embed),
-                        _conj_transpose(mat, dom),
+                        sp_map(sp_transpose(mat), dom.conj),
                         sp_map(mod.gram_sparse(), dom.embed)], dom)
 
 
 def _is_adjoint(mat, other, gram, dom):
     """M^H G == G N: (M x, y) = (x, N y) for all x, y, which for the
     nondegenerate Gram of a module is M^dagger = N with no inverse formed."""
-    return sp_eq(sp_mul(_conj_transpose(mat, dom), gram, dom),
+    return sp_eq(sp_mul(sp_map(sp_transpose(mat), dom.conj), gram, dom),
                  sp_mul(gram, other, dom), dom)
 
 
@@ -595,7 +579,13 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
     u = D^{1/2} L^T x are orthonormal coordinates and an operator M becomes
     D^{1/2} (L^T M L^{-T}) D^{-1/2}.  The middle factor is exact; only the
     scale sqrt(d_i / d_j) is taken in float, so the error does not grow
-    with the condition of the Gram."""
+    with the condition of the Gram.
+
+    E_i and F_i move a weight only along its alpha_i-string, so E_i +- F_i
+    is block diagonal, each block inside one string, and so is its
+    exponential.  The blocks are the components of the graph that the
+    entries of E_i and F_i draw on the basis; the exponentials are taken
+    block by block, all blocks of one size in one stacked `expm`."""
     import numpy as np
     from scipy.linalg import expm
     n = mod.dim
@@ -616,21 +606,52 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
             lt_inv[g] = {basis[l]: v for l, v in enumerate(
                 fac.forward([Fraction(int(l == k)) for l in range(nb)])) if v}
 
-    def orthonormal(mat):
-        out = np.zeros((n, n))
-        for r, row in sp_mul_many([lt, mat, lt_inv], QQ).items():
-            for c, v in row.items():
-                out[r, c] = float(v)
-        return out * sqrt_d[:, None] / sqrt_d[None, :]
+    def blocks(mats):
+        """The index lists of the components of the graph on the basis whose
+        edges are the entries of `mats`, grouped by their size."""
+        root = list(range(n))
+
+        def find(g):
+            while root[g] != g:
+                root[g] = root[root[g]]
+                g = root[g]
+            return g
+
+        for mat in mats:
+            for r, row in mat.items():
+                for c in row:
+                    root[find(r)] = find(c)
+        comps = {}
+        for g in range(n):
+            comps.setdefault(find(g), []).append(g)
+        out = {}
+        for idx in comps.values():
+            out.setdefault(len(idx), []).append(idx)
+        return out.values()
+
+    def dense(mat, idxs):
+        """The blocks of mat on the index lists idxs, stacked, as floats in
+        the orthonormal coordinates."""
+        out = np.zeros((len(idxs), len(idxs[0]), len(idxs[0])))
+        for b, idx in enumerate(idxs):
+            pos = {g: k for k, g in enumerate(idx)}
+            for r in idx:
+                for c, v in mat.get(r, {}).items():
+                    out[b, pos[r], pos[c]] = float(v)
+        scale = sqrt_d[idxs]
+        return out * scale[:, :, None] / scale[:, None, :]
 
     worst = 0.0
     for i in range(mod.m):
-        e, f = orthonormal(mod.E[i]), orthonormal(mod.F[i])
-        for base in (e - f, 1j * (e + f)):
-            for t in ts:
-                u = expm(t * base)
-                worst = max(worst, float(
-                    np.abs(u @ u.conj().T - np.eye(n)).max()))
+        e = sp_mul_many([lt, mod.E[i], lt_inv], QQ)
+        f = sp_mul_many([lt, mod.F[i], lt_inv], QQ)
+        for idxs in blocks((e, f)):
+            eb, fb = dense(e, idxs), dense(f, idxs)
+            for base in (eb - fb, 1j * (eb + fb)):
+                for t in ts:
+                    u = expm(t * base)
+                    worst = max(worst, float(np.abs(
+                        u @ u.conj().swapaxes(1, 2) - np.eye(len(idxs[0]))).max()))
     return worst
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact import sp_transpose
 from .rootcat import RootCategory, root_category
 from .rootdata import root_string
 
@@ -59,21 +60,18 @@ def first_bracket_failure(src, dst, mat, dom):
     sparse matrix M over `dom` maps the basis of table `src` into that of
     table `dst` and each bracket is taken in its own table; None if M
     preserves the bracket."""
-    cols = [{} for _ in src]
-    for r, row in mat.items():
-        for c, v in row.items():
-            cols[c][r] = v
+    cols = sp_transpose(mat)
     n = len(src)
     for i in range(n):
         for j in range(i + 1, n):
             img = {}
             for k, v in src[i][j].items():
                 v = dom.embed(v)
-                for r, w in cols[k].items():
+                for r, w in cols.get(k, {}).items():
                     z = dom.mul(v, w)
                     img[r] = dom.add(img[r], z) if r in img else z
             img = {r: z for r, z in img.items() if not dom.is_zero(z)}
-            got = bracket_over(dst, cols[i], cols[j], dom)
+            got = bracket_over(dst, cols.get(i, {}), cols.get(j, {}), dom)
             if img != got and any(
                     not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
                     for k in set(img) | set(got)):
@@ -297,10 +295,7 @@ class LieAlgebraZ:
         """Sparse column-action matrix of ad(e_i): ad[k][j] = coeff of e_k in [e_i, e_j]."""
         if i in self._ad_cache:
             return self._ad_cache[i]
-        mat = {}
-        for j in range(self.dim):
-            for k, v in self._brackets[i][j].items():
-                mat.setdefault(k, {})[j] = v
+        mat = sp_transpose(dict(enumerate(self._brackets[i])))
         self._ad_cache[i] = mat
         return mat
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import QI, GaussianRational, dense_inverse, sp_apply, sp_mul
+from .exact import QI, GaussianRational, dense_inverse, sp_mul
 from .hwmodules import (FreudenthalTable, WeightModule, build_irrep, dagger,
                         root_fund)
 from .rootdata import (build_cartan, invariant_factors, lattice_index,
@@ -46,19 +46,11 @@ def inner_product(f: MatrixCoefficient, g: MatrixCoefficient):
 
 
 def fourier_coeff(f: MatrixCoefficient):
-    """The block T_{z,z'} = z (G conj(z'))^T; satisfies tr(pi(x) T) = f(x)."""
-    gz = sp_apply(f.mod.gram_sparse(),
-                  {c: v.conjugate() for c, v in f.zp.items()}, QI)
-    out = {}
-    for a, za in f.z.items():
-        row = {}
-        for r, w in gz.items():
-            val = za * w
-            if val:
-                row[r] = val
-        if row:
-            out[a] = row
-    return out
+    """The block T_{z,z'} = z (G conj(z'))^T; satisfies tr(pi(x) T) = f(x).
+    G is symmetric, so (G conj(z'))^T is the row conj(z')^T G."""
+    gz = sp_mul({0: {c: v.conjugate() for c, v in f.zp.items()}},
+                f.mod.gram_sparse(), QI)
+    return sp_mul({a: {0: za} for a, za in f.z.items()}, gz, QI)
 
 
 def end_inner(mod, a, b):

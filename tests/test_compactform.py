@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liekit.compactform import (CompactForm, TrigPoly, closed_form_vs_expm,
+                                d_coefficients, d_coefficients_dual,
                                 d_equals_dual_check,
                                 exp_beta_factorization_check,
                                 gamma_string_product_check,
@@ -87,6 +88,55 @@ def test_root_string_coefficient_identities(series, rank):
     assert ok, witness
     ok, witness = d_equals_dual_check(alg)
     assert ok, witness
+
+
+def _reference_chain_coefficient(alg, x, y, j):
+    """C_{X,Y,j,1}, walking the X-chain from Y afresh."""
+    cat = alg.cat
+    prod, cur = 1, y
+    for _ in range(j):
+        nxt = cat.object_of_class(tuple(a + b for a, b in zip(x.cls, cur.cls)))
+        if nxt is None:
+            return Fraction(0)
+        prod *= alg.gamma_of(x, cur, nxt)
+        cur = nxt
+    return Fraction(prod, math.factorial(j))
+
+
+def _reference_d(alg, x, y, k, dual):
+    """D_{X,Y,k} (or D'), one k at a time, with fresh chain walks for every
+    term."""
+    cat, c = alg.cat, _reference_chain_coefficient
+    p, q = cat.pq(x, y)
+    tx, ty = cat.shift(x), cat.shift(y)
+    out = TrigPoly()
+    if dual:
+        for j in range(max(0, k), q + 1):
+            lj = cat.chain_object(tx, ty, j, 1) if j else ty
+            coeff = c(alg, x, y, j) * c(alg, x, lj, j - k)
+            out = out + TrigPoly.monomial(coeff, 2 * j - k, k + p - q)
+    else:
+        for j in range(max(0, -k), p + 1):
+            lj = cat.chain_object(tx, y, j, 1) if j else y
+            coeff = c(alg, tx, y, j) * c(alg, x, lj, j + k)
+            out = out + TrigPoly.monomial(coeff, 2 * j + k, -k + q - p)
+    return out
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2), ("C", 3)])
+def test_d_coefficients_match_per_k_walks(series, rank):
+    alg = lie_algebra(series, rank)
+    for x in alg.cat.objects:
+        for y in alg.cat.objects:
+            if x.pos_root == y.pos_root:
+                continue
+            p, q = alg.cat.pq(x, y)
+            for fn, dual in ((d_coefficients, False),
+                             (d_coefficients_dual, True)):
+                got = fn(alg, x, y)
+                assert list(got) == list(range(-p, q + 1))
+                assert got == {k: _reference_d(alg, x, y, k, dual)
+                               for k in got}
 
 
 @pytest.mark.parametrize("series,rank", TYPES)

@@ -11,7 +11,7 @@ from liekit.exact import (GaussianRational, LAURENT, LDL, LaurentPoly,
                           PrimeField, QI, QQ, ZZ, dense_inverse, dense_matmul, dense_det,
                           ff_eq, ff_mul, ff_reduce, leading_principal_minors,
                           solve_linear, sp_eq, sp_from_dense, sp_identity,
-                          sp_mul, sp_to_dense)
+                          sp_mul, sp_to_dense, sp_transpose)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
 gauss = st.builds(GaussianRational, fracs, fracs)
@@ -57,6 +57,19 @@ def test_sparse_matches_dense(a, b):
     sa, sb = sp_from_dense(a, QQ), sp_from_dense(b, QQ)
     got = sp_to_dense(sp_mul(sa, sb, QQ), 3, QQ)
     assert got == dense_matmul(a, b)
+
+
+@given(sq3, st.lists(fracs, min_size=3, max_size=3))
+def test_transpose_roundtrip_and_row_product(a, v):
+    sa = sp_from_dense(a, QQ)
+    at = sp_transpose(sa)
+    assert sp_transpose(at) == sa
+    assert sp_to_dense(at, 3, QQ) == [list(col) for col in zip(*a)]
+    # M v as the row product v^T M^T, zero entries absent
+    vec = {j: x for j, x in enumerate(v) if x}
+    want = {i: x for i, row in enumerate(a)
+            if (x := sum(row[j] * v[j] for j in range(3)))}
+    assert sp_mul({0: vec}, at, QQ).get(0, {}) == want
 
 
 @given(sq3)

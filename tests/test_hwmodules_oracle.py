@@ -2,28 +2,112 @@
 
 `build_irrep` selects pivots by an incremental LDL^T and reads E and F by
 column; `adjoint_check` tests M^H G == G N with no inverse; `end_inner` sums
-only the trace of B* A; `gram_positive_definite` reads the LDL^T pivots.  The
-references below are the direct algorithms they replace: a fresh
-`solve_linear` of the pivot Gram for every candidate, row scans of E and F,
-the adjoint G^{-1} M^H G over Q(i), the full product B* A and every leading
-principal minor.  Each fast path must agree with its reference exactly.
+only the trace of B* A; `gram_positive_definite` reads the LDL^T pivots;
+`shapovalov_binomial_check` and `s_second_sum` read columns through one
+transpose and apply matrices by `sp_mul`.  The references below are the
+direct algorithms they replace: a fresh `solve_linear` of the pivot Gram for
+every candidate, row scans of E and F, the adjoint G^{-1} M^H G over Q(i),
+the full product B* A, every leading principal minor, and a per-vector scan
+of every row.  Each fast path must agree with its reference exactly.
 """
+
+import math
 
 from fractions import Fraction
 
 import pytest
 
 from liekit.exact import (QI, QQ, GaussianRational, dense_inverse,
-                          leading_principal_minors, solve_linear, sp_apply,
-                          sp_eq, sp_map, sp_mul, sp_mul_many)
-from liekit.hwmodules import (ModuleGenerators, WeightModule, adjoint_check,
-                              build_irrep, unitarity_deviation, weyl_dim)
+                          leading_principal_minors, solve_linear, sp_eq,
+                          sp_map, sp_mul, sp_mul_many)
+from liekit.hwmodules import (ModuleGenerators, WeightModule, _nullspace,
+                              adjoint_check, build_irrep,
+                              shapovalov_binomial_check, unitarity_deviation,
+                              weyl_dim)
 from liekit.peterweyl import MatrixCoefficient, OElement, end_inner
 from liekit.rootdata import build_cartan
 
 
 # ---------------------------------------------------------------------------
 # references
+
+def sp_apply(m, vec, dom):
+    """M v by walking every row of M."""
+    out = {}
+    for i, row in m.items():
+        acc = dom.zero
+        hit = False
+        for j, v in row.items():
+            if j in vec:
+                acc = dom.add(acc, dom.mul(v, vec[j]))
+                hit = True
+        if hit and not dom.is_zero(acc):
+            out[i] = acc
+    return out
+
+
+def reference_inner(mod, x, y):
+    """The Hermitian form, walking every weight block."""
+    tot = 0
+    for data in mod.weights.values():
+        basis, gram = data["basis"], data["gram"]
+        for a, ga in enumerate(basis):
+            if ga not in x:
+                continue
+            for b, gb in enumerate(basis):
+                if gb in y:
+                    tot = x[ga] * y[gb].conjugate() * gram[a][b] + tot
+    return tot
+
+
+def reference_shapovalov_binomial_check(mod):
+    """Columns of E_j by a scan of every row for each basis vector, and F_j
+    applied by `sp_apply`."""
+    for depth, data in mod.weights.items():
+        basis = data["basis"]
+        for j in range(mod.m):
+            rows = {}
+            for g in basis:
+                col = {r: row[g] for r, row in mod.E[j].items() if g in row}
+                for r, v in col.items():
+                    rows.setdefault(r, {})[g] = v
+            n = data["fund"][j]
+            for y in _nullspace(rows, basis):
+                if n < 0:
+                    return False, (depth, j, "negative weight primitive")
+                norm_y = reference_inner(mod, y, y)
+                z = dict(y)
+                for s in range(1, n + 2):
+                    z = sp_apply(mod.F[j], z, QQ)
+                    z = {k: v / s for k, v in z.items()}
+                    want = math.comb(n, s) * norm_y if s <= n else 0
+                    if reference_inner(mod, z, z) != want:
+                        return False, (depth, j, s)
+    return True, None
+
+
+def reference_s_second_sum(gens, i):
+    """sum over l+m = <i, mu> of (-1)^l F_i^(l) 1_mu E_i^(m), one column of
+    E_i^(m) at a time, each read by a scan of every row."""
+    mod = gens.mod
+    out = {}
+    for mi, emat in enumerate(gens.ex[i]):
+        for lpow, fmat in enumerate(gens.fx[i]):
+            sign = -1 if lpow % 2 else 1
+            for g in range(mod.dim):
+                if mod.weight_of[g][i] + 2 * mi != lpow + mi:
+                    continue
+                col = {r: row[g] for r, row in emat.items() if g in row}
+                col = {r: v for r, v in col.items()
+                       if mod.weight_of[r][i] == lpow + mi}
+                for r, v in sp_apply(fmat, col, QQ).items():
+                    w = out.get(r, {}).get(g, Fraction(0)) + sign * v
+                    if w:
+                        out.setdefault(r, {})[g] = w
+                    elif g in out.get(r, {}):
+                        del out[r][g]
+    return {r: row for r, row in out.items() if row}
+
 
 def reference_build_irrep(cartan, lam):
     """(E, F, weights, weight_of) by the direct construction: every candidate
@@ -352,3 +436,53 @@ def test_gram_positive_definite_matches_minors():
     singular = _with_block(mod, depth, [[a, b], [c, b * c / a]])
     assert singular.gram_positive_definite() \
         == reference_gram_positive_definite(singular) == (False, (depth, 1))
+
+
+# ---------------------------------------------------------------------------
+# shapovalov_binomial_check, s_second_sum and inner
+
+# each has a weight space of multiplicity 2 or more
+MULTI = [("A", 2, (1, 1)), ("B", 2, (1, 1)), ("G", 2, (0, 1)),
+         ("A", 3, (1, 0, 1)), ("B", 3, (0, 1, 0)), ("C", 3, (0, 1, 0))]
+
+
+def _doubled_f_entry(mod, i):
+    """The module with one entry of F_i doubled."""
+    fs = list(mod.F)
+    r = next(iter(fs[i]))
+    c = next(iter(fs[i][r]))
+    fs[i] = {**fs[i], r: {**fs[i][r], c: 2 * fs[i][r][c]}}
+    return WeightModule(mod.cartan, mod.lam, mod.dim, mod.E, fs,
+                        mod.weights, mod.weight_of)
+
+
+@pytest.mark.parametrize("series,rank,lam", MULTI)
+def test_module_checks_match_row_scans(series, rank, lam):
+    mod = build_irrep(build_cartan(series, rank), lam)
+    assert any(len(data["basis"]) > 1 for data in mod.weights.values())
+    assert shapovalov_binomial_check(mod) \
+        == reference_shapovalov_binomial_check(mod) == (True, None)
+    gens = ModuleGenerators(mod)
+    for i in range(rank):
+        assert gens.s_second_sum(i) == reference_s_second_sum(gens, i)
+        assert sp_eq(gens.s_second_sum(i), gens.s_second(i), QQ)
+    vecs = [{g: Fraction(g % 5 - 2, g % 3 + 1) for g in range(0, mod.dim, k)}
+            for k in (1, 2, 3)]
+    for x in vecs:
+        for y in vecs:
+            assert mod.inner(x, y) == reference_inner(mod, x, y)
+
+
+@pytest.mark.parametrize("series,rank,lam,i", [("A", 2, (1, 1), 0),
+                                               ("A", 3, (1, 0, 0), 2),
+                                               ("G", 2, (0, 1), 1),
+                                               ("B", 3, (0, 1, 0), 1)])
+def test_module_checks_witness_on_doubled_f_entry(series, rank, lam, i):
+    mod = _doubled_f_entry(build_irrep(build_cartan(series, rank), lam), i)
+    got = shapovalov_binomial_check(mod)
+    assert got == reference_shapovalov_binomial_check(mod)
+    assert got[0] is False
+    gens = ModuleGenerators(mod)
+    for j in range(rank):
+        assert gens.s_second_sum(j) == reference_s_second_sum(gens, j)
+    assert unitarity_deviation(mod) > 1e-6
