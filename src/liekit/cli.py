@@ -9,6 +9,7 @@ JSON keys are sorted and no timestamps are emitted.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .compactform import (CompactForm, closed_form_vs_expm, d_equals_dual_check,
                           gamma_string_product_check,
                           gram_preservation_deviation, trig_matrix_numeric)
 from .exact import GaussianRational
-from .hwmodules import (DIM_CAP, ModuleGenerators, adjoint_check, build_irrep,
+from .hwmodules import (DIM_CAP, adjoint_check, build_irrep,
                         shapovalov_binomial_check, unitarity_deviation,
                         weyl_dim)
 from .liealg import LieAlgebraZ, lie_algebra
@@ -32,6 +33,11 @@ from .peterweyl import (MatrixCoefficient, OElement, SU2Quadrature, SU2Rep,
                         integral_lattice_report)
 from .rootcat import root_category
 from .rootdata import build_cartan, parse_type, root_system
+
+# `peterweyl schur` builds a d1^2 x d2^2 quadrature tensor and a grid x d^2
+# stack of rotations per spin: each stays under 1024^2 entries
+SCHUR_DIM_CAP = 32
+SCHUR_GRID_CAP = 1024
 
 
 def _type(name):
@@ -250,6 +256,8 @@ def compact_verify(type_name):
 def compact_exp(type_name, gen, obj, tval):
     """Numeric matrix of exp(t * generator) in the compact-form basis."""
     series, rank = _type(type_name)
+    if not math.isfinite(tval):
+        raise click.UsageError(f"--t must be finite, not {tval}")
     alg = lie_algebra(series, rank)
     cf = CompactForm(alg)
     if not 0 <= obj < len(alg.objects):
@@ -315,27 +323,17 @@ def schur(j1, j2, grid):
         raise click.UsageError("spins must be half-integers, e.g. 1/2")
     if tj1 < 0 or tj2 < 0:
         raise click.UsageError("spins must be nonnegative")
-    tj1, tj2 = int(tj1), int(tj2)
-    for tj in (tj1, tj2):
-        _check_cap(build_cartan("A", 1), (tj,))
+    d1, d2 = int(tj1) + 1, int(tj2) + 1
+    if max(d1, d2) > SCHUR_DIM_CAP:
+        raise click.UsageError(
+            f"spin dimensions {d1} and {d2}: each must be at most {SCHUR_DIM_CAP}")
+    if grid > SCHUR_GRID_CAP:
+        raise click.UsageError(f"grid {grid} is above the cap of {SCHUR_GRID_CAP}")
     q = SU2Quadrature(grid)
-    r1, r2 = SU2Rep(tj1), SU2Rep(tj2)
-
-    def basis(n, k):
-        v = np.zeros(n, complex)
-        v[k] = 1.0
-        return v
-
-    worst = 0.0
-    for a in range(r1.dim):
-        for b in range(r1.dim):
-            for c in range(r2.dim):
-                for d in range(r2.dim):
-                    val = q.schur_integral(r1, r2, basis(r1.dim, b),
-                                           basis(r1.dim, a),
-                                           basis(r2.dim, d), basis(r2.dim, c))
-                    want = 1.0 / r1.dim if (tj1 == tj2 and a == c and b == d) else 0.0
-                    worst = max(worst, abs(val - want))
+    dev = q.coefficient_tensor(SU2Rep(d1 - 1), SU2Rep(d2 - 1))
+    if d1 == d2:
+        dev = dev - np.einsum("ac,bd->abcd", np.eye(d1), np.eye(d1)) / d1
+    worst = float(np.abs(dev).max())
     vol_dev = abs(q.volume() - 1.0)
     ok = worst < 1e-6 and vol_dev < 1e-8
     _emit({"j1": j1, "j2": j2, "grid": grid, "haar_volume_deviation": vol_dev,
@@ -454,7 +452,7 @@ def verify(suite, type_name, seed, mutate_gamma):
             record(f"irrep_adjoint_{_key(lam)}", adjoint_check(mod)[0])
             record(f"irrep_shapovalov_{_key(lam)}",
                    shapovalov_binomial_check(mod)[0])
-            gens = ModuleGenerators(mod)
+            gens = mod.generators()
             record(f"irrep_braid_torus_{_key(lam)}",
                    all(gens.s_second(j) == gens.s_second_sum(j)
                        for j in range(rank)))

@@ -155,7 +155,7 @@ class WeightModule:
         self.F = F
         self.weights = weights  # {depth: {"fund","basis","gram","raw_gram","raw_labels"}}
         self.weight_of = weight_of  # global index -> fundamental coords
-        self._gram = self._gram_inverse = None
+        self._gram = self._gram_inverse = self._generators = None
 
     def h_value(self, i, g):
         return self.weight_of[g][i]
@@ -185,6 +185,13 @@ class WeightModule:
             self._gram_inverse = self._block_sparse(
                 lambda data: dense_inverse(data["gram"]))
         return self._gram_inverse
+
+    def generators(self):
+        """The module's `ModuleGenerators`, built once per module like
+        `gram_sparse`."""
+        if self._generators is None:
+            self._generators = ModuleGenerators(self)
+        return self._generators
 
     def inner(self, x, y):
         """Hermitian inner product of coordinate dicts (conjugate-linear in y),
@@ -547,7 +554,7 @@ def _is_adjoint(mat, other, gram, dom):
 def adjoint_check(mod, hs=None):
     """x_i(h)^dagger = y_i(conj h) and E^dagger = F, exact; over Q for E and
     for real h, over Q(i) otherwise."""
-    gens = ModuleGenerators(mod)
+    gens = mod.generators()
     if hs is None:
         hs = [GaussianRational(2), GaussianRational(-1),
               GaussianRational(Fraction(3, 5)),
@@ -666,8 +673,7 @@ def xh_injectivity_probe(cartan, samples=100, seed=20240820):
     m = len(cartan.a)
     mods = [build_irrep(cartan, tuple(1 if k == i else 0 for k in range(m)))
             for i in range(m)]
-    mod = direct_sum(mods)
-    gens = ModuleGenerators(mod)
+    gens = direct_sum(mods).generators()
     word = longest_word(cartan)
     rng = random.Random(seed)
     seen = {}

@@ -11,7 +11,6 @@ independent numeric oracle at rank <= 2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from itertools import product as iproduct
@@ -168,33 +167,29 @@ class SU2Rep:
 
     def __init__(self, two_j):
         import numpy as np
-        from scipy.linalg import expm
         self.two_j = two_j
-        cartan = build_cartan("A", 1)
-        self.mod = build_irrep(cartan, (two_j,))
+        self.mod = build_irrep(build_cartan("A", 1), (two_j,))
         self.dim = self.mod.dim
         # Gram is diagonal (one basis vector per weight); orthonormalize
         g = np.zeros(self.dim)
         for data in self.mod.weights.values():
-            gidx = data["basis"][0]
-            g[gidx] = float(data["gram"][0][0])
+            g[data["basis"][0]] = float(data["gram"][0][0])
         self.scale = np.sqrt(g)
         self.mvals = np.array([w[0] for w in self.mod.weight_of])
-        e = np.zeros((self.dim, self.dim))
-        f = np.zeros((self.dim, self.dim))
-        for r, row in self.mod.E[0].items():
-            for c, v in row.items():
-                e[r, c] = float(v)
-        for r, row in self.mod.F[0].items():
-            for c, v in row.items():
-                f[r, c] = float(v)
-        s = np.diag(self.scale)
-        sinv = np.diag(1.0 / self.scale)
-        self._k = s @ (e - f) @ sinv
-        self._expm = expm
+        k = np.zeros((self.dim, self.dim))
+        for sign, mat in ((1.0, self.mod.E[0]), (-1.0, self.mod.F[0])):
+            for r, row in mat.items():
+                for c, v in row.items():
+                    k[r, c] = sign * float(v)
+        # E - F in the orthonormal coordinates
+        self._k = k * self.scale[:, None] * (1.0 / self.scale)[None, :]
 
     def rotation(self, theta):
-        return self._expm(-theta / 2.0 * self._k)
+        """exp(-theta K / 2), real; an array of angles gives the stack of
+        rotations from one `expm`."""
+        import numpy as np
+        from scipy.linalg import expm
+        return expm(np.multiply.outer(-0.5 * np.asarray(theta), self._k))
 
     def matrix(self, phi, theta, psi):
         import numpy as np
@@ -228,33 +223,46 @@ class SU2Quadrature:
         """Total Haar mass: must be 1."""
         return float(self.ws.sum() / 2.0)
 
-    def _coeff_grid(self, rep, w, v, rot):
-        """(pi(phi,theta,psi) w, v) over the (phi, psi) grid at one theta."""
+    def coefficient_tensor(self, rep1, rep2):
+        """Q[a,b,c,d] = sum over the nodes y of w * pi1(y)_ab conj(pi2(y)_cd) in
+        orthonormal coordinates, the quadrature of every product of a matrix
+        coefficient of rep1 with a conjugated one of rep2.  As
+        pi(phi, theta, psi)_ab = e^{-i phi m_a/2} R(theta)_ab e^{-i psi m_b/2}
+        with R real, the theta nodes give the weighted sum of R1_ab R2_cd and
+        the phi and psi nodes the phase sums P[a,c] and S[b,d]."""
         import numpy as np
-        c = np.conj(v)[:, None] * rot * w[None, :]
-        phase_l = np.exp(-1j * np.outer(self.phis, rep.mvals) / 2.0)
-        phase_r = np.exp(-1j * np.outer(rep.mvals, self.psis) / 2.0)
-        return phase_l @ c @ phase_r
+        weighted = rep1.rotation(self.thetas) * (self.ws / 2.0)[:, None, None]
+        rot = np.tensordot(weighted, rep2.rotation(self.thetas), axes=(0, 0))
+
+        def phase_sum(nodes):
+            left = np.exp(-0.5j * np.outer(nodes, rep1.mvals))
+            right = np.exp(-0.5j * np.outer(nodes, rep2.mvals))
+            return left.T @ right.conj() / len(nodes)
+
+        p, s = phase_sum(self.phis), phase_sum(self.psis)
+        return rot * p[:, None, :, None] * s[None, :, None, :]
 
     def schur_integral(self, rep1, rep2, w1, v1, w2, v2):
         """Quadrature of (pi1 w1, v1) * conj((pi2 w2, v2))."""
         import numpy as np
-        w1 = rep1.to_orthonormal(w1) if isinstance(w1, dict) else np.asarray(w1, complex)
-        v1 = rep1.to_orthonormal(v1) if isinstance(v1, dict) else np.asarray(v1, complex)
-        w2 = rep2.to_orthonormal(w2) if isinstance(w2, dict) else np.asarray(w2, complex)
-        v2 = rep2.to_orthonormal(v2) if isinstance(v2, dict) else np.asarray(v2, complex)
-        total = 0j
-        n2 = self.grid * self.grid
-        for u_w, theta in zip(self.ws, self.thetas):
-            f1 = self._coeff_grid(rep1, w1, v1, rep1.rotation(theta))
-            f2 = self._coeff_grid(rep2, w2, v2, rep2.rotation(theta))
-            total += (u_w / 2.0) * np.sum(f1 * np.conj(f2)) / n2
-        return complex(total)
+
+        def coords(rep, vec):
+            return (rep.to_orthonormal(vec) if isinstance(vec, dict)
+                    else np.asarray(vec, complex))
+
+        return complex(np.einsum(
+            "abcd,a,b,c,d->", self.coefficient_tensor(rep1, rep2),
+            coords(rep1, v1).conj(), coords(rep1, w1), coords(rep2, v2),
+            coords(rep2, w2).conj(), optimize=True))
 
     def convolution_check(self, f: MatrixCoefficient, g: MatrixCoefficient,
                           xs=((0.4, 1.1, 2.3), (2.9, 0.6, 5.0))):
         """(f*g)(x) by direct Haar quadrature of int f(y^-1 x) g(y) dy,
-        against the Fourier-side value; returns the worst deviation."""
+        against the Fourier-side value; returns the worst deviation.
+
+        f(y^-1 x) g(y) = sum conj(pi(y)_ba) pi(y)_cd (pi(x) z1)_b conj(z1'_a)
+        conj(z2'_c) z2_d, so the integral contracts conj(Q) of the
+        representation with itself."""
         import numpy as np
         rep = SU2Rep(f.lam[0])
         z1, z1p = rep.to_orthonormal(f.z), rep.to_orthonormal(f.zp)
@@ -262,26 +270,16 @@ class SU2Quadrature:
         modules = {f.lam: f.mod}
         conv = OElement.from_coefficients(modules, [f]).convolve(
             OElement.from_coefficients(modules, [g]))
+        row = np.einsum("bacd,a,c,d->b",
+                        self.coefficient_tensor(rep, rep).conj(), z1p.conj(),
+                        z2p.conj(), z2, optimize=True)
         worst = 0.0
         for x in xs:
             pix = rep.matrix(*x)
             # the Fourier blocks live in module coordinates; move pi there
             pix_mod = (pix / rep.scale[:, None]) * rep.scale[None, :]
             exact_val = conv.evaluate({f.lam: pix_mod})
-            total = 0j
-            n2 = self.grid * self.grid
-            for u_w, theta in zip(self.ws, self.thetas):
-                rot = rep.rotation(theta)
-                for phi in self.phis:
-                    left = np.exp(-1j * phi * rep.mvals / 2.0)
-                    for psi in self.psis:
-                        right = np.exp(-1j * psi * rep.mvals / 2.0)
-                        piy = (left[:, None] * rot) * right[None, :]
-                        arg = np.conj(piy).T @ pix
-                        fv = np.dot(np.conj(z1p), arg @ z1)
-                        gv = np.dot(np.conj(z2p), piy @ z2)
-                        total += (u_w / 2.0) * fv * gv / n2
-            worst = max(worst, abs(total - exact_val))
+            worst = max(worst, abs(row @ (pix @ z1) - exact_val))
         return worst
 
 
@@ -319,29 +317,26 @@ def character_weights(cartan, lam):
 
 def char_orthonormality(series, rank, lam, mu, grid=24):
     """Torus quadrature of chi_lam conj(chi_mu) |Delta|^2 / |W|; close to
-    the Kronecker delta for dominant weights."""
+    the Kronecker delta for dominant weights.  The grid^rank midpoint nodes
+    t are the rows of one array; a character is exp(2 pi i t.w) summed over
+    its weights w with their multiplicities, and |Delta|^2 the product of
+    |exp(2 pi i t.alpha) - 1|^2 over the positive roots."""
     import numpy as np
     cartan = build_cartan(series, rank)
     rs = root_system(series, rank)
-    m = rank
-    wl = character_weights(cartan, lam)
-    wm = character_weights(cartan, mu)
-    pos = [root_fund(cartan, r) for r in rs.positive]
-    worder = rs.weyl_order()
-    ts = [tuple((k + 0.5) / grid for k in idx)
-          for idx in iproduct(range(grid), repeat=m)]
-    total = 0j
-    for t in ts:
-        chi1 = sum(mult * cmath.exp(2j * cmath.pi * sum(tj * wj for tj, wj in zip(t, w)))
-                   for w, mult in wl.items())
-        chi2 = sum(mult * cmath.exp(2j * cmath.pi * sum(tj * wj for tj, wj in zip(t, w)))
-                   for w, mult in wm.items())
-        delta = 1.0
-        for afund in pos:
-            delta *= abs(cmath.exp(2j * cmath.pi * sum(
-                tj * aj for tj, aj in zip(t, afund))) - 1.0) ** 2
-        total += chi1 * chi2.conjugate() * delta
-    return complex(total / (len(ts) * worder))
+    ts = (np.indices((grid,) * rank).reshape(rank, -1).T + 0.5) / grid
+
+    def torus(weights):
+        return np.exp(2j * np.pi * ts @ np.array(weights, dtype=float).T)
+
+    def character(weight):
+        table = character_weights(cartan, weight)
+        return torus(list(table)) @ np.array(list(table.values()), dtype=float)
+
+    delta = np.prod(np.abs(torus([root_fund(cartan, r) for r in rs.positive])
+                           - 1.0) ** 2, axis=1)
+    total = np.sum(character(lam) * character(mu).conj() * delta)
+    return complex(total / (len(ts) * rs.weyl_order()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from liekit.cli import main
+from liekit.hwmodules import ModuleGenerators
 
 
 def run(*args):
@@ -101,6 +102,31 @@ def test_peterweyl_schur_cli():
     assert res.exit_code == 2
 
 
+def test_peterweyl_schur_refuses_over_the_caps(monkeypatch):
+    """Exit 2 just over each cap, before any module or quadrature is built;
+    at the caps the run goes ahead."""
+    import liekit.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("built before the cap check")
+
+    over_spin = f"{cli.SCHUR_DIM_CAP}/2"  # dimension SCHUR_DIM_CAP + 1
+    with monkeypatch.context() as m:
+        m.setattr(cli, "SU2Rep", refuse)
+        m.setattr(cli, "SU2Quadrature", refuse)
+        for args in (("--j1", over_spin, "--j2", "0"),
+                     ("--j1", "0", "--j2", over_spin),
+                     ("--j1", "0", "--j2", "0",
+                      "--grid", str(cli.SCHUR_GRID_CAP + 1))):
+            res = run("peterweyl", "schur", *args)
+            assert res.exit_code == 2, args
+            assert "cap" in res.output or "at most" in res.output
+    res = run("peterweyl", "schur", "--j1", f"{cli.SCHUR_DIM_CAP - 1}/2",
+              "--j2", "0", "--grid", "4")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["ok"] is True
+
+
 def test_peterweyl_plancherel_cli():
     res = run("peterweyl", "plancherel", "--type", "A1", "--trunc", "1;2;3")
     assert res.exit_code == 0
@@ -119,6 +145,14 @@ def test_compact_exp_cli():
     n = len(data["matrix"])
     assert data["matrix"] == [[float(i == j) for j in range(n)]
                               for i in range(n)]
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_compact_exp_refuses_non_finite_t(t):
+    res = run("compact", "exp", "--type", "A1", "--gen", "alpha",
+              "--obj", "0", "--t", t)
+    assert res.exit_code == 2
+    assert "finite" in res.output
 
 
 def test_verify_group_mutated_reports_steinberg_failure():
@@ -190,3 +224,17 @@ def test_verify_group_rank_3_and_4(type_name):
     res = run("verify", "group", "--type", type_name)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["ok"] is True
+
+
+def test_verify_modules_builds_generators_once_per_module(monkeypatch):
+    calls = []
+    init = ModuleGenerators.__init__
+
+    def counted(self, mod):
+        calls.append(mod.lam)
+        init(self, mod)
+
+    monkeypatch.setattr(ModuleGenerators, "__init__", counted)
+    res = run("verify", "modules", "--type", "A2")
+    assert res.exit_code == 0, res.output
+    assert sorted(calls) == [(0, 1), (1, 0)]
