@@ -329,6 +329,8 @@ def schur(j1, j2, grid):
             f"spin dimensions {d1} and {d2}: each must be at most {SCHUR_DIM_CAP}")
     if grid > SCHUR_GRID_CAP:
         raise click.UsageError(f"grid {grid} is above the cap of {SCHUR_GRID_CAP}")
+    if tj1 + tj2 >= 2 * grid:
+        raise click.UsageError(f"the grid-{grid} rule needs j1 + j2 < {grid}")
     q = SU2Quadrature(grid)
     dev = q.coefficient_tensor(SU2Rep(d1 - 1), SU2Rep(d2 - 1))
     if d1 == d2:

@@ -8,19 +8,20 @@ by the radical of its Gram matrix: the candidates are taken in order into an
 incremental exact LDL^T of the Gram of those kept, a nonzero residual makes a
 candidate a new basis vector and a zero one expresses it in the basis so far.
 Dimensions and weight multiplicities are cross-checked against two
-independent oracles (the Weyl dimension formula and the Freudenthal
-recursion).
+independent oracles: the Weyl dimension formula, and the Freudenthal
+recursion, run on the dominant weights only.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import lru_cache
+from operator import add, mul, sub
 
 from .exact import (LDL, QQ, QI, GaussianRational, dense_inverse,
-                    divided_powers, gauss_jordan, solve_linear, sp_add, sp_eq,
-                    sp_map, sp_mul, sp_mul_many, sp_transpose, sum_powers)
+                    divided_powers, gauss_jordan, sp_add, sp_eq, sp_map,
+                    sp_mul, sp_mul_many, sp_transpose, sum_powers)
 from .rootdata import root_system
 
 
@@ -33,45 +34,48 @@ def root_fund(cartan, r):
     return tuple(sum(r[i] * cartan.a[j][i] for i in range(m)) for j in range(m))
 
 
+@lru_cache(maxsize=None)
+def _weight_form(cartan):
+    """F[i][k] = (a^{-1})[k][i] d_k, so that (mu, nu) = sum mu_i F[i][k] nu_k;
+    built once per Cartan datum."""
+    ainv = dense_inverse([[Fraction(v) for v in row] for row in cartan.a])
+    return tuple(tuple(ainv[k][i] * d for k, d in enumerate(cartan.d))
+                 for i in range(len(ainv)))
+
+
 def weight_bilinear(cartan, mu, nu):
     """(mu, nu) with (alpha_j, alpha_j) = 2 d_j; exact rational."""
-    m = len(cartan.a)
-    amat = [[Fraction(v) for v in row] for row in cartan.a]
-    x = solve_linear(amat, [Fraction(v) for v in mu])
-    return sum(x[j] * cartan.d[j] * nu[j] for j in range(m))
+    return sum(mu_i * sum(map(mul, row, nu))
+               for mu_i, row in zip(mu, _weight_form(cartan)))
 
 
-def dominant_conjugate(cartan, mu):
-    """The dominant Weyl-chamber representative of a weight."""
+def _reflection_walk(cartan, mu):
+    """Reflect mu by the first simple reflection s_i with <mu, alpha_i^vee>
+    < 0 until it is dominant; the dominant weight and the i taken."""
     m = len(cartan.a)
     mu = list(mu)
+    word = []
     while True:
         for i in range(m):
             if mu[i] < 0:
                 c = mu[i]
                 for j in range(m):
                     mu[j] -= c * cartan.a[j][i]
-                break
-        else:
-            return tuple(mu)
-
-
-def longest_word(cartan):
-    """A reduced word for the longest Weyl element, via the descent walk
-    from rho to -rho; its length is the number of positive roots."""
-    m = len(cartan.a)
-    lam = [1] * m
-    word = []
-    while True:
-        for i in range(m):
-            if lam[i] > 0:
-                c = lam[i]
-                for j in range(m):
-                    lam[j] -= c * cartan.a[j][i]
                 word.append(i)
                 break
         else:
-            return word
+            return tuple(mu), word
+
+
+def dominant_conjugate(cartan, mu):
+    """The dominant Weyl-chamber representative of a weight."""
+    return _reflection_walk(cartan, mu)[0]
+
+
+def longest_word(cartan):
+    """A reduced word for the longest Weyl element, via the walk from -rho
+    to rho; its length is the number of positive roots."""
+    return _reflection_walk(cartan, (-1,) * len(cartan.a))[1]
 
 
 def weyl_dim(cartan, lam):
@@ -89,51 +93,45 @@ def weyl_dim(cartan, lam):
 
 
 class FreudenthalTable:
-    """Weight multiplicities of the irreducible with highest weight lam,
-    by the Freudenthal recursion on dominant weights."""
+    """Weight multiplicities of the irreducible with highest weight lam, by
+    the Freudenthal recursion on its dominant weights only: these are
+    reached from lam by positive-root steps through dominant weights
+    (Stembridge, Adv. Math. 136, 1998) and taken by depth, the height of
+    lam - nu = sum n_j alpha_j.  Every pairing is an integer, as (nu, alpha)
+    = sum r_j d_j nu_j for alpha = sum r_j alpha_j."""
 
     def __init__(self, cartan, lam):
         self.cartan = cartan
         self.lam = tuple(lam)
-        m = len(cartan.a)
-        rs = root_system(cartan.series, m)
-        amat = [[Fraction(v) for v in row] for row in cartan.a]
-        low = tuple(-v for v in dominant_conjugate(cartan, tuple(-v for v in lam)))
-        extent_fr = solve_linear(amat, [Fraction(a - b) for a, b in zip(lam, low)])
-        assert all(e.denominator == 1 for e in extent_fr)
-        extent = [int(e) for e in extent_fr]
-        lam_rho_sq = weight_bilinear(cartan, tuple(l + 1 for l in lam),
-                                     tuple(l + 1 for l in lam))
-        pos_fund = [(root_fund(cartan, r), r) for r in rs.positive]
-        self.mult = {}
-        # dominant weights in increasing depth
-        grid = sorted(iproduct(*(range(e + 1) for e in extent)), key=sum)
-        for n in grid:
-            nu = tuple(lam[j] - sum(n[i] * cartan.a[j][i] for i in range(m))
-                       for j in range(m))
-            if any(v < 0 for v in nu):
-                continue
-            if sum(n) == 0:
-                self.mult[nu] = 1
-                continue
-            num = Fraction(0)
-            for afund, r in pos_fund:
-                # nu + k*alpha stays inside the weight diagram only while its
-                # depth vector remains componentwise nonnegative
-                kmax = min(n[i] // r[i] for i in range(m) if r[i])
-                for k in range(1, kmax + 1):
-                    up = tuple(nu[j] + k * afund[j] for j in range(m))
-                    mu_mult = self.multiplicity(up)
-                    if mu_mult:
-                        num += mu_mult * weight_bilinear(cartan, up, afund)
-            den = lam_rho_sq - weight_bilinear(
-                cartan, tuple(v + 1 for v in nu), tuple(v + 1 for v in nu))
-            if den == 0:
-                continue
-            val = 2 * num / den
-            assert val.denominator == 1
-            if val:
-                self.mult[nu] = int(val)
+        rs = root_system(cartan.series, len(cartan.a))
+        steps = [(root_fund(cartan, r), r, tuple(map(mul, r, cartan.d)))
+                 for r in rs.positive]
+        depth = {self.lam: (0,) * len(self.lam)}
+        todo = [self.lam]
+        while todo:
+            nu = todo.pop()
+            for afund, r, _ in steps:
+                mu = tuple(map(sub, nu, afund))
+                if min(mu) >= 0 and mu not in depth:
+                    depth[mu] = tuple(map(add, depth[nu], r))
+                    todo.append(mu)
+        order = sorted(depth, key=lambda nu: (sum(depth[nu]), depth[nu]))
+        self.mult = {self.lam: 1}
+        for nu in order[1:]:
+            num = 0
+            for afund, _, rd in steps:
+                # alpha-strings are unbroken (Humphreys 21.3), so the first
+                # nu + k alpha of multiplicity 0 ends the string
+                up = tuple(map(add, nu, afund))
+                while up_mult := self.multiplicity(up):
+                    num += up_mult * sum(map(mul, up, rd))
+                    up = tuple(map(add, up, afund))
+            # (lam + rho)^2 - (nu + rho)^2 = (lam + nu + 2 rho, lam - nu)
+            den = sum(nj * dj * (l + v + 2) for nj, dj, l, v in
+                      zip(depth[nu], cartan.d, self.lam, nu))
+            val, rem = divmod(2 * num, den)
+            assert rem == 0
+            self.mult[nu] = val
 
     def multiplicity(self, nu):
         return self.mult.get(dominant_conjugate(self.cartan, tuple(nu)), 0)
@@ -274,10 +272,6 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
     weight_of = []
     local = []  # global index -> its position in its weight's basis
 
-    def fund_of(depth):
-        return tuple(lam[j] - sum(depth[i] * cartan.a[j][i] for i in range(m))
-                     for j in range(m))
-
     zero = (0,) * m
     weights[zero] = {"fund": lam, "basis": [0], "gram": [[Fraction(1)]],
                      "raw_gram": [[Fraction(1)]], "raw_labels": [None]}
@@ -307,7 +301,7 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
                     cands.append((i, b))
             if not cands:
                 continue
-            fund = fund_of(depth)
+            fund = tuple(map(sub, lam, root_fund(cartan, depth)))
             # E_j of each candidate F_i b, as a dict over global indices:
             # E_j F_i b = F_i (E_j b) + delta_ij <j, wt b> b
             cand_E = []

@@ -170,19 +170,20 @@ class SU2Rep:
         self.two_j = two_j
         self.mod = build_irrep(build_cartan("A", 1), (two_j,))
         self.dim = self.mod.dim
-        # Gram is diagonal (one basis vector per weight); orthonormalize
-        g = np.zeros(self.dim)
+        # the Gram is diagonal (one basis vector per weight, the highest of
+        # norm 1); its entries reach (2j)!^2, so only their ratios are floats
+        g = [None] * self.dim
         for data in self.mod.weights.values():
-            g[data["basis"][0]] = float(data["gram"][0][0])
-        self.scale = np.sqrt(g)
+            g[data["basis"][0]] = data["gram"][0][0]
+        self.scale = np.cumprod(
+            [1.0] + [math.sqrt(g[b + 1] / g[b]) for b in range(self.dim - 1)])
         self.mvals = np.array([w[0] for w in self.mod.weight_of])
-        k = np.zeros((self.dim, self.dim))
+        # E - F in the orthonormal coordinates, entry (r, c) times sqrt(g_r/g_c)
+        self._k = np.zeros((self.dim, self.dim))
         for sign, mat in ((1.0, self.mod.E[0]), (-1.0, self.mod.F[0])):
             for r, row in mat.items():
                 for c, v in row.items():
-                    k[r, c] = sign * float(v)
-        # E - F in the orthonormal coordinates
-        self._k = k * self.scale[:, None] * (1.0 / self.scale)[None, :]
+                    self._k[r, c] = sign * float(v) * math.sqrt(g[r] / g[c])
 
     def rotation(self, theta):
         """exp(-theta K / 2), real; an array of angles gives the stack of
@@ -207,15 +208,16 @@ class SU2Rep:
 
 
 class SU2Quadrature:
-    """Euler-angle Haar quadrature: phi, psi on uniform midpoint grids over
-    [0,2pi) and [0,4pi); theta through u = cos theta with Gauss-Legendre
-    nodes, which integrates the band-limited integrands exactly."""
+    """Euler-angle Haar quadrature: midpoint grids of spacing 2pi/grid in phi
+    over [0,2pi) and in psi over [0,4pi), and grid Gauss-Legendre nodes in
+    u = cos theta; exact for a spin-j1 matrix coefficient times a spin-j2 one
+    when j1 + j2 < grid."""
 
     def __init__(self, grid=64):
         import numpy as np
         self.grid = grid
         self.phis = (np.arange(grid) + 0.5) * (2 * np.pi / grid)
-        self.psis = (np.arange(grid) + 0.5) * (4 * np.pi / grid)
+        self.psis = (np.arange(2 * grid) + 0.5) * (2 * np.pi / grid)
         self.us, self.ws = np.polynomial.legendre.leggauss(grid)
         self.thetas = np.arccos(self.us)
 
@@ -397,13 +399,11 @@ def q_plus_enumerate(series, rank, bound):
     """Dominant weights in the root lattice with root-height <= bound —
     the index set of K-irreducibles up to that height."""
     cartan = build_cartan(series, rank)
-    m = rank
     out = []
-    for x in iproduct(range(bound + 1), repeat=m):
+    for x in iproduct(range(bound + 1), repeat=rank):
         if sum(x) > bound:
             continue
-        lam = tuple(sum(cartan.a[j][i] * x[i] for i in range(m))
-                    for j in range(m))
+        lam = root_fund(cartan, x)
         if all(v >= 0 for v in lam):
             out.append((lam, x))
     out.sort(key=lambda p: (sum(p[1]), p[0]))

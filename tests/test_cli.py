@@ -122,9 +122,49 @@ def test_peterweyl_schur_refuses_over_the_caps(monkeypatch):
             assert res.exit_code == 2, args
             assert "cap" in res.output or "at most" in res.output
     res = run("peterweyl", "schur", "--j1", f"{cli.SCHUR_DIM_CAP - 1}/2",
-              "--j2", "0", "--grid", "4")
+              "--j2", "0", "--grid", "16")
     assert res.exit_code == 0
     assert json.loads(res.output)["ok"] is True
+
+
+def test_peterweyl_schur_band(monkeypatch):
+    """The grid-n rule is exact for j1 + j2 < n: spins (10, 10) pass at the
+    default grid 32, and j1 + j2 >= n is refused with exit 2 before any
+    module or quadrature is built."""
+    import liekit.cli as cli
+
+    res = run("peterweyl", "schur", "--j1", "10", "--j2", "10")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["ok"] is True
+    res = run("peterweyl", "schur", "--j1", "2", "--j2", "3/2", "--grid", "4")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["ok"] is True
+
+    def refuse(*args):
+        raise AssertionError("built before the band check")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "SU2Rep", refuse)
+        m.setattr(cli, "SU2Quadrature", refuse)
+        for args in (("--j1", "2", "--j2", "2", "--grid", "4"),
+                     ("--j1", "5", "--j2", "5", "--grid", "4"),
+                     ("--j1", "15", "--j2", "1", "--grid", "16")):
+            res = run("peterweyl", "schur", *args)
+            assert res.exit_code == 2, args
+            assert "j1 + j2 <" in res.output
+
+
+@pytest.mark.parametrize("suite,tp", [
+    ("liealg", "B4"), ("liealg", "C4"), ("liealg", "D5"), ("liealg", "F4"),
+    ("liealg", "E6"), ("compact", "F4"), ("compact", "E6")])
+def test_verify_type_matrix(suite, tp):
+    """Types past the ranks of the acceptance criteria: every check runs
+    and passes."""
+    res = run("verify", suite, "--type", tp)
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["ok"] is True and data["checks"]
+    assert all(c["ok"] for c in data["checks"]), data["checks"]
 
 
 def test_peterweyl_plancherel_cli():

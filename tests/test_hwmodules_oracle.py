@@ -8,24 +8,32 @@ transpose and apply matrices by `sp_mul`.  The references below are the
 direct algorithms they replace: a fresh `solve_linear` of the pivot Gram for
 every candidate, row scans of E and F, the adjoint G^{-1} M^H G over Q(i),
 the full product B* A, every leading principal minor, and a per-vector scan
-of every row.  Each fast path must agree with its reference exactly.
+of every row.  `FreudenthalTable` walks the dominant weights of V(lam) by
+positive-root steps from lam, `weight_bilinear` reads one cached form and
+`longest_word` is the reflection walk from -rho; their references are the
+Freudenthal recursion over the whole box of depth vectors, one
+`solve_linear` per pairing, and the descent walk from rho.  Each fast path
+must agree with its reference exactly.
 """
 
 import math
+import random
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from liekit.exact import (QI, QQ, GaussianRational, dense_inverse,
                           leading_principal_minors, solve_linear, sp_eq,
                           sp_map, sp_mul, sp_mul_many)
-from liekit.hwmodules import (ModuleGenerators, WeightModule, _nullspace,
-                              adjoint_check, build_irrep,
-                              shapovalov_binomial_check, unitarity_deviation,
-                              weyl_dim)
+from liekit.hwmodules import (FreudenthalTable, ModuleGenerators,
+                              WeightModule, _nullspace, adjoint_check,
+                              build_irrep, dominant_conjugate, longest_word,
+                              root_fund, shapovalov_binomial_check,
+                              unitarity_deviation, weight_bilinear, weyl_dim)
 from liekit.peterweyl import MatrixCoefficient, OElement, end_inner
-from liekit.rootdata import build_cartan
+from liekit.rootdata import build_cartan, root_system
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +316,84 @@ def reference_gram_positive_definite(mod):
     return True, None
 
 
+def reference_weight_bilinear(cartan, mu, nu):
+    """(mu, nu) with (alpha_j, alpha_j) = 2 d_j; exact rational."""
+    m = len(cartan.a)
+    amat = [[Fraction(v) for v in row] for row in cartan.a]
+    x = solve_linear(amat, [Fraction(v) for v in mu])
+    return sum(x[j] * cartan.d[j] * nu[j] for j in range(m))
+
+
+def reference_longest_word(cartan):
+    """A reduced word for the longest Weyl element, via the descent walk
+    from rho to -rho; its length is the number of positive roots."""
+    m = len(cartan.a)
+    lam = [1] * m
+    word = []
+    while True:
+        for i in range(m):
+            if lam[i] > 0:
+                c = lam[i]
+                for j in range(m):
+                    lam[j] -= c * cartan.a[j][i]
+                word.append(i)
+                break
+        else:
+            return word
+
+
+class ReferenceFreudenthalTable:
+    """Weight multiplicities of the irreducible with highest weight lam,
+    by the Freudenthal recursion on dominant weights."""
+
+    def __init__(self, cartan, lam):
+        self.cartan = cartan
+        self.lam = tuple(lam)
+        m = len(cartan.a)
+        rs = root_system(cartan.series, m)
+        amat = [[Fraction(v) for v in row] for row in cartan.a]
+        low = tuple(-v for v in dominant_conjugate(cartan, tuple(-v for v in lam)))
+        extent_fr = solve_linear(amat, [Fraction(a - b) for a, b in zip(lam, low)])
+        assert all(e.denominator == 1 for e in extent_fr)
+        extent = [int(e) for e in extent_fr]
+        lam_rho_sq = reference_weight_bilinear(
+            cartan, tuple(l + 1 for l in lam), tuple(l + 1 for l in lam))
+        pos_fund = [(root_fund(cartan, r), r) for r in rs.positive]
+        self.mult = {}
+        # dominant weights in increasing depth
+        grid = sorted(iproduct(*(range(e + 1) for e in extent)), key=sum)
+        for n in grid:
+            nu = tuple(lam[j] - sum(n[i] * cartan.a[j][i] for i in range(m))
+                       for j in range(m))
+            if any(v < 0 for v in nu):
+                continue
+            if sum(n) == 0:
+                self.mult[nu] = 1
+                continue
+            num = Fraction(0)
+            for afund, r in pos_fund:
+                # nu + k*alpha stays inside the weight diagram only while its
+                # depth vector remains componentwise nonnegative
+                kmax = min(n[i] // r[i] for i in range(m) if r[i])
+                for k in range(1, kmax + 1):
+                    up = tuple(nu[j] + k * afund[j] for j in range(m))
+                    mu_mult = self.multiplicity(up)
+                    if mu_mult:
+                        num += mu_mult * reference_weight_bilinear(
+                            cartan, up, afund)
+            den = lam_rho_sq - reference_weight_bilinear(
+                cartan, tuple(v + 1 for v in nu), tuple(v + 1 for v in nu))
+            if den == 0:
+                continue
+            val = 2 * num / den
+            assert val.denominator == 1
+            if val:
+                self.mult[nu] = int(val)
+
+    def multiplicity(self, nu):
+        return self.mult.get(dominant_conjugate(self.cartan, tuple(nu)), 0)
+
+
 # ---------------------------------------------------------------------------
 # build_irrep
 
@@ -486,3 +572,50 @@ def test_module_checks_witness_on_doubled_f_entry(series, rank, lam, i):
     for j in range(rank):
         assert gens.s_second_sum(j) == reference_s_second_sum(gens, j)
     assert unitarity_deviation(mod) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# FreudenthalTable, weight_bilinear and longest_word
+
+SMALL_TYPES = ([("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 6)]
+               + [("C", r) for r in range(2, 6)] + [("D", 4), ("D", 5)]
+               + [("G", 2), ("F", 4)])
+ALL_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+             + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+# every fundamental weight of SMALL_TYPES (F4's second among them), and
+# weights with several dominant weights below them
+FREUDENTHAL = ([(s, r, tuple(int(j == i) for j in range(r)))
+                for s, r in SMALL_TYPES for i in range(r)]
+               + [("E", 6, (0, 0, 0, 1, 0, 0)), ("B", 3, (2, 1, 1)), ("G", 2, (2, 1)), ("A", 3, (2, 1, 2)),
+                  ("C", 3, (1, 1, 1)), ("D", 4, (1, 1, 1, 1))])
+
+
+@pytest.mark.parametrize("series,rank,lam", FREUDENTHAL)
+def test_freudenthal_matches_depth_vector_box(series, rank, lam):
+    """Equal tables, in the same order: the character sums of
+    `char_orthonormality` add the weights in that order."""
+    cartan = build_cartan(series, rank)
+    got = FreudenthalTable(cartan, lam).mult
+    want = ReferenceFreudenthalTable(cartan, lam).mult
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_longest_word_matches_descent_walk(series, rank):
+    cartan = build_cartan(series, rank)
+    word = longest_word(cartan)
+    assert word == reference_longest_word(cartan)
+    assert len(word) == len(root_system(series, rank).positive)
+
+
+@pytest.mark.parametrize("series,rank", SMALL_TYPES + [("E", 8)])
+def test_weight_bilinear_matches_solve(series, rank):
+    cartan = build_cartan(series, rank)
+    rng = random.Random(rank)
+    for _ in range(20):
+        mu = tuple(rng.randint(-6, 6) for _ in range(rank))
+        nu = tuple(rng.randint(-6, 6) for _ in range(rank))
+        got = weight_bilinear(cartan, mu, nu)
+        assert isinstance(got, Fraction)
+        assert got == reference_weight_bilinear(cartan, mu, nu)

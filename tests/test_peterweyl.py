@@ -1,13 +1,14 @@
 """Fourier blocks, Haar quadrature, characters, and integral forms."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from liekit.exact import GaussianRational
-from liekit.hwmodules import build_irrep
+from liekit.hwmodules import build_irrep, weyl_dim
 from liekit.peterweyl import (MatrixCoefficient, OElement, SU2Quadrature,
                               SU2Rep, char_orthonormality, character_weights,
                               fourier_coeff, inner_product,
@@ -142,6 +143,17 @@ def test_su2_schur_general_vectors():
     assert abs(got - want) < 1e-10
 
 
+@pytest.mark.parametrize("two_j", [99, 140])
+def test_su2_rep_past_the_float_range_of_its_gram(two_j):
+    """The Gram entries reach (2j)!^2, beyond a float from 2j = 99; the
+    rotations are built from exact ratios and stay orthogonal."""
+    rep = SU2Rep(two_j)
+    assert np.all(np.isfinite(rep.scale))
+    for theta in (0.3, 1.0, 2.5, np.pi):
+        rot = rep.rotation(theta)
+        assert np.abs(rot @ rot.T - np.eye(rep.dim)).max() < 1e-10
+
+
 def test_convolution_quadrature_cross_check():
     mod = build_irrep(build_cartan("A", 1), (1,))
     f = MatrixCoefficient(mod, {0: GaussianRational(1),
@@ -208,3 +220,22 @@ def test_q_plus_enumeration():
         recon = tuple(sum(cartan.a[j][i] * x[i] for i in range(2))
                       for j in range(2))
         assert recon == lam
+
+
+@pytest.mark.parametrize("series,rank,lam,dim", [
+    ("E", 7, (0, 1, 0, 0, 0, 0, 0), 912),
+    ("E", 7, (0, 0, 1, 0, 0, 0, 0), 8645),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1), 248),
+    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0), 3875),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 1, 0), 30380)])
+def test_character_weights_at_e7_e8(series, rank, lam, dim):
+    """sum mult * |orbit| is the Weyl dimension.  The Freudenthal table
+    visits only the dominant weights, so each takes well under a second
+    (the box of all depth vectors took 13 s at E7 dim 912)."""
+    cartan = build_cartan(series, rank)
+    start = time.perf_counter()
+    table = character_weights(cartan, lam)
+    elapsed = time.perf_counter() - start
+    assert weyl_dim(cartan, lam) == dim
+    assert sum(table.values()) == dim
+    assert elapsed < 1.0

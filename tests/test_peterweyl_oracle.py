@@ -143,7 +143,7 @@ def _schur_reference(q, rep1, rep2, w1, v1, w2, v2):
     for u_w, theta in zip(q.ws, q.thetas):
         f1 = coeff_grid(rep1, w1, v1, _rotation(rep1, theta))
         f2 = coeff_grid(rep2, w2, v2, _rotation(rep2, theta))
-        total += (u_w / 2.0) * np.sum(f1 * np.conj(f2)) / q.grid ** 2
+        total += (u_w / 2.0) * np.sum(f1 * np.conj(f2)) / (len(q.phis) * len(q.psis))
     return complex(total)
 
 
@@ -160,7 +160,7 @@ def _convolution_reference(q, rep, z1, z1p, z2, z2p, x):
                 piy = (left[:, None] * rot) * right[None, :]
                 fv = np.dot(np.conj(z1p), np.conj(piy).T @ pix @ z1)
                 gv = np.dot(np.conj(z2p), piy @ z2)
-                total += (u_w / 2.0) * fv * gv / q.grid ** 2
+                total += (u_w / 2.0) * fv * gv / (len(q.phis) * len(q.psis))
     return total
 
 
