@@ -15,9 +15,9 @@ import math
 from fractions import Fraction
 
 from .chevgroup import ChevalleyGroup
-from .exact import (QI, Domain, GaussianRational, SparsePoly,
-                    leading_principal_minors, sp_eq, sp_map, sp_mul_many,
-                    sp_transpose)
+from .exact import (LDL, QI, QQ, Domain, GaussianRational, SparsePoly,
+                    components, sp_eq, sp_from_dense, sp_map, sp_mul_many,
+                    sp_to_dense, sp_transpose)
 from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
                      table_bracket)
 from .rootcat import RootCatObject
@@ -191,7 +191,10 @@ def d_coefficients_dual(alg, x, y):
 
 def gamma_string_product_check(alg):
     """For every pair with p_{XY} = 0 the closed gamma-string product equals
-    (-1)^{j-k} (q-k)! j! / ((q-j)! k!); returns (ok, witness)."""
+    (-1)^{j-k} (q-k)! j! / ((q-j)! k!); returns (ok, witness).  The product
+    is gamma_{X,L_l}^{L_{l+1}} over k <= l < j, read up the X-chain from Y,
+    times gamma_{X,TL_l}^{TL_{l-1}} over k < l <= j, read up the X-chain
+    from TL_q, as in `d_coefficients_dual`."""
     cat = alg.cat
     for x in cat.objects:
         for y in cat.objects:
@@ -200,18 +203,12 @@ def gamma_string_product_check(alg):
             p, q = cat.pq(x, y)
             if p != 0:
                 continue
-            chain = [y]
-            for l in range(q):
-                chain.append(cat.object_of_class(
-                    tuple(a + b for a, b in zip(x.cls, chain[-1].cls))))
+            up = _chain(alg, x, y, q)
+            tlq = cat.chain_object(cat.shift(x), cat.shift(y), q, 1)
+            tup = _chain(alg, x, tlq, q)
             for k in range(q + 1):
                 for j in range(k, q + 1):
-                    prod = 1
-                    for l in range(k, j):
-                        prod *= alg.gamma_of(x, chain[l], chain[l + 1])
-                    for l in range(j, k, -1):
-                        prod *= alg.gamma_of(
-                            x, cat.shift(chain[l]), cat.shift(chain[l - 1]))
+                    prod = math.prod(up[k:j]) * math.prod(tup[q - j:q - k])
                     want = ((-1) ** (j - k) * math.factorial(q - k)
                             * math.factorial(j)
                             // (math.factorial(q - j) * math.factorial(k)))
@@ -398,36 +395,49 @@ class CompactForm:
     def killing_gram(self):
         """Pullback of the trace form through phi; real, symmetric, and
         negative definite."""
-        gram_g = self.alg.killing_gram()
-        cols = sp_transpose(self.phi_matrix())
-        n = self.dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                tot = GaussianRational(0)
-                for r, vr in cols.get(i, {}).items():
-                    for s_, vs in cols.get(j, {}).items():
-                        g = gram_g[r][s_]
-                        if g:
-                            tot = tot + vr * vs * g
-                if tot.im != 0:
-                    raise ArithmeticError("compact form pairing is not real")
-                out[i][j] = tot.re
-        return out
+        phi = self.phi_matrix()
+        gram = sp_mul_many([sp_transpose(phi),
+                            sp_from_dense(self.alg.killing_gram(), QQ), phi], QI)
+        if any(v.im for row in gram.values() for v in row.values()):
+            raise ArithmeticError("compact form pairing is not real")
+        return sp_to_dense(sp_map(gram, lambda v: v.re), self.dim, QQ)
 
     def definiteness_minors(self):
-        """Leading principal minors of the compact Gram; minor k must have
-        sign (-1)^k for negative definiteness."""
-        return leading_principal_minors(self.killing_gram())
+        """Leading principal minors of the compact Gram G, up to the first
+        whose sign is not (-1)^k for the k x k minor, as negative
+        definiteness needs.
+
+        The entries of G draw `components` on the basis, and G restricted to
+        the first k indices is block diagonal over them, each block a
+        leading block of its component.  So the k x k minor is (-1)^k times
+        the product of the `LDL` pivots of -G_c at indices below k, over
+        every component c."""
+        gram = self.killing_gram()
+        pivot = {}
+        for idx in components(self.dim, [sp_from_dense(gram, QQ)]):
+            fac = LDL.of([[-gram[r][c] for c in idx] for r in idx])
+            pivot.update(zip(idx, fac.d))
+        minors, prod = [], Fraction(1)
+        for k in range(self.dim):
+            # a component's LDL stops after its first pivot <= 0, so every
+            # index up to the first such pivot has one
+            prod *= pivot[k]
+            minors.append(-prod if k % 2 == 0 else prod)
+            if pivot[k] <= 0:
+                break
+        return minors
 
     def is_negative_definite(self):
-        return all((-1) ** (k + 1) * mnr > 0
-                   for k, mnr in enumerate(self.definiteness_minors()))
+        minors = self.definiteness_minors()
+        return len(minors) == self.dim and all(
+            (-1) ** (k + 1) * mnr > 0 for k, mnr in enumerate(minors))
 
     def generated_subalgebra_dim(self):
-        """Dimension of the subalgebra generated by the basis generators —
-        bracket closure of the spanning set, by exact row reduction."""
-        rows = [{i: Fraction(1)} for i in range(self.dim)]
+        """Dimension of the subalgebra generated by beta_{S_j} and xi_{S_j}
+        over the simple objects S_j: the bracket closure of those 2m
+        vectors, by exact row reduction.  It is `dim` iff they generate."""
+        rows = [c(s) for s in self.cat.simples
+                for c in (self.beta_coords, self.xi_coords)]
         basis = []
         pivots = {}
 

@@ -20,7 +20,8 @@ here.  A matrix over Q or F_p can also be held fraction-free, as an
 integer matrix and one denominator (`ff_mul`, `ff_eq`).  One Gauss-Jordan
 routine backs the dense inverse, the linear solve and the module kernels.
 `LDL`, an exact LDL^T grown a row at a time, picks the basis of each module
-weight space and factors its Gram.
+weight space and factors its Gram, and the blocks of the compact Gram that
+`components` finds.
 """
 
 from __future__ import annotations
@@ -484,6 +485,28 @@ def sp_map(m, f):
     return {i: {j: f(v) for j, v in row.items()} for i, row in m.items()}
 
 
+def components(n, mats):
+    """The components of the graph on 0..n-1 whose edges are the stored
+    entries (r, c) of the sparse matrices `mats`: ascending index lists,
+    in the order of their least index."""
+    root = list(range(n))
+
+    def find(g):
+        while root[g] != g:
+            root[g] = root[root[g]]
+            g = root[g]
+        return g
+
+    for mat in mats:
+        for r, row in mat.items():
+            for c in row:
+                root[find(r)] = find(c)
+    comps = {}
+    for g in range(n):
+        comps.setdefault(find(g), []).append(g)
+    return list(comps.values())
+
+
 def divided_powers(mat, dim):
     """[I, M, M^2/2!, ...] over Q, up to the last nonzero term, for a
     matrix M that is nilpotent on a space of dimension `dim`."""
@@ -603,7 +626,11 @@ def dense_inverse(mat):
 
 
 def dense_det(mat):
-    """Determinant over Fraction by fraction-free-ish Gaussian elimination."""
+    """Determinant over Fraction by fraction-free-ish Gaussian elimination.
+
+    No code in liekit calls it: it is kept as the tests' oracle for the
+    minors that `LDL` pivots give, and because the benchmark's tracer
+    wraps it by name."""
     n = len(mat)
     a = [[Fraction(v) for v in row] for row in mat]
     det = Fraction(1)
@@ -624,6 +651,8 @@ def dense_det(mat):
 
 
 def leading_principal_minors(mat):
+    """Every leading principal minor, each by its own determinant; kept,
+    like the determinant, as a test oracle and a traced name only."""
     return [dense_det([row[: k + 1] for row in mat[: k + 1]])
             for k in range(len(mat))]
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .exact import (LDL, QQ, QI, GaussianRational, dense_inverse,
-                    divided_powers, gauss_jordan, sp_add, sp_eq, sp_map,
-                    sp_mul, sp_mul_many, sp_transpose, sum_powers)
+from .exact import (LDL, QQ, QI, GaussianRational, components,
+                    dense_inverse, divided_powers, gauss_jordan, sp_add, sp_eq,
+                    sp_map, sp_mul, sp_mul_many, sp_transpose, sum_powers)
 from .rootdata import root_system
 
 
@@ -584,7 +584,7 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
 
     E_i and F_i move a weight only along its alpha_i-string, so E_i +- F_i
     is block diagonal, each block inside one string, and so is its
-    exponential.  The blocks are the components of the graph that the
+    exponential.  The blocks are the `components` of the graph that the
     entries of E_i and F_i draw on the basis; the exponentials are taken
     block by block, all blocks of one size in one stacked `expm`."""
     import numpy as np
@@ -607,29 +607,6 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
             lt_inv[g] = {basis[l]: v for l, v in enumerate(
                 fac.forward([Fraction(int(l == k)) for l in range(nb)])) if v}
 
-    def blocks(mats):
-        """The index lists of the components of the graph on the basis whose
-        edges are the entries of `mats`, grouped by their size."""
-        root = list(range(n))
-
-        def find(g):
-            while root[g] != g:
-                root[g] = root[root[g]]
-                g = root[g]
-            return g
-
-        for mat in mats:
-            for r, row in mat.items():
-                for c in row:
-                    root[find(r)] = find(c)
-        comps = {}
-        for g in range(n):
-            comps.setdefault(find(g), []).append(g)
-        out = {}
-        for idx in comps.values():
-            out.setdefault(len(idx), []).append(idx)
-        return out.values()
-
     def dense(mat, idxs):
         """The blocks of mat on the index lists idxs, stacked, as floats in
         the orthonormal coordinates."""
@@ -646,7 +623,10 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
     for i in range(mod.m):
         e = sp_mul_many([lt, mod.E[i], lt_inv], QQ)
         f = sp_mul_many([lt, mod.F[i], lt_inv], QQ)
-        for idxs in blocks((e, f)):
+        by_size = {}
+        for idx in components(n, (e, f)):
+            by_size.setdefault(len(idx), []).append(idx)
+        for idxs in by_size.values():
             eb, fb = dense(e, idxs), dense(f, idxs)
             for base in (eb - fb, 1j * (eb + fb)):
                 for t in ts:

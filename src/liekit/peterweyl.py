@@ -15,7 +15,8 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exact import QI, GaussianRational, dense_inverse, sp_mul
+from .exact import (QI, GaussianRational, dense_inverse, sp_add, sp_map,
+                    sp_mul)
 from .hwmodules import (FreudenthalTable, WeightModule, build_irrep, dagger,
                         root_fund)
 from .rootdata import (build_cartan, invariant_factors, lattice_index,
@@ -81,27 +82,16 @@ class OElement:
     def __add__(self, other):
         blocks = {}
         for lam in set(self.blocks) | set(other.blocks):
-            a = self.blocks.get(lam, {})
-            b = other.blocks.get(lam, {})
-            acc = {}
-            for src in (a, b):
-                for r, row in src.items():
-                    dst = acc.setdefault(r, {})
-                    for c, v in row.items():
-                        dst[c] = dst.get(c, GaussianRational(0)) + v
-            acc = {r: {c: v for c, v in row.items() if v}
-                   for r, row in acc.items()}
-            acc = {r: row for r, row in acc.items() if row}
-            if acc:
-                blocks[lam] = acc
+            blk = sp_add(self.blocks.get(lam, {}), other.blocks.get(lam, {}),
+                         QI)
+            if blk:
+                blocks[lam] = blk
         return OElement(self.modules, blocks)
 
     def scale(self, c):
         c = QI.embed(c)
-        return OElement(self.modules, {
-            lam: {r: {cc: v * c for cc, v in row.items()}
-                  for r, row in blk.items()}
-            for lam, blk in self.blocks.items()})
+        return OElement(self.modules, {lam: sp_map(blk, lambda v: v * c)
+                                       for lam, blk in self.blocks.items()})
 
     def inner(self, other):
         """Function-space inner product via Parseval:
@@ -124,8 +114,7 @@ class OElement:
         for lam, a in self.blocks.items():
             mod = self.modules[lam]
             d = GaussianRational(mod.dim)
-            fhat = {r: {c: v / d for c, v in row.items()}
-                    for r, row in a.items()}
+            fhat = sp_map(a, lambda v: v / d)
             tot = tot + d * d * end_inner(mod, fhat, fhat)
         return tot
 
@@ -136,13 +125,8 @@ class OElement:
             b = other.blocks.get(lam)
             if b is None:
                 continue
-            mod = self.modules[lam]
-            dinv = GaussianRational(Fraction(1, mod.dim))
-            prod = sp_mul(a, b, QI)
-            blk = {r: {c: v * dinv for c, v in row.items()}
-                   for r, row in prod.items()}
-            blk = {r: {c: v for c, v in row.items() if v} for r, row in blk.items()}
-            blk = {r: row for r, row in blk.items() if row}
+            dinv = GaussianRational(Fraction(1, self.modules[lam].dim))
+            blk = sp_map(sp_mul(a, b, QI), lambda v: v * dinv)
             if blk:
                 blocks[lam] = blk
         return OElement(self.modules, blocks)
@@ -175,8 +159,13 @@ class SU2Rep:
         g = [None] * self.dim
         for data in self.mod.weights.values():
             g[data["basis"][0]] = data["gram"][0][0]
-        self.scale = np.cumprod(
-            [1.0] + [math.sqrt(g[b + 1] / g[b]) for b in range(self.dim - 1)])
+        with np.errstate(over="ignore"):
+            self.scale = np.cumprod([1.0] + [math.sqrt(g[b + 1] / g[b])
+                                             for b in range(self.dim - 1)])
+        if not np.isfinite(self.scale).all():
+            # from 2j = 171 the largest scale passes the float range
+            raise ValueError(f"spin {two_j}/2: the orthonormal coordinates "
+                             "overflow a float")
         self.mvals = np.array([w[0] for w in self.mod.weight_of])
         # E - F in the orthonormal coordinates, entry (r, c) times sqrt(g_r/g_c)
         self._k = np.zeros((self.dim, self.dim))

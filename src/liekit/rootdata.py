@@ -218,100 +218,47 @@ def root_string(rs, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with recorded unimodular transforms
+# Smith normal form
 
-def smith_normal_form(mat):
-    """Return (U, D, V) with U @ mat @ V = D diagonal, U, V unimodular.
+def invariant_factors(mat):
+    """The invariant factors d_1 | d_2 | ... of an integer matrix, the
+    nonnegative diagonal of its Smith normal form, min(rows, cols) of them.
 
-    D's diagonal is the invariant-factor chain d1 | d2 | ... (nonnegative).
-    """
+    Unimodular row and column operations bring the remaining entry of least
+    nonzero magnitude to the pivot and reduce its row and column by it; a
+    nonzero remainder is smaller and becomes the next pivot, and a row with
+    an entry the pivot does not divide is added to the pivot's row."""
     a = [list(map(int, row)) for row in mat]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i, j, f):  # row_i -= f * row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, f):  # col_i -= f * col_j
-        for r in a:
-            r[i] -= f * r[j]
-        for r in v:
-            r[i] -= f * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        while True:
-            # pick the remaining entry of least nonzero magnitude as pivot
-            piv = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j] != 0 and (piv is None
-                                         or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            # reduce column t and row t modulo the pivot; restart if a smaller
-            # remainder shows up (it becomes the new pivot)
-            restart = False
-            for i in range(t + 1, nrows):
-                if a[i][t] % a[t][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    restart = True
-            for j in range(t + 1, ncols):
-                if a[t][j] % a[t][t] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    restart = True
-            if restart:
-                continue
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-            # the pivot must divide everything left, else fold a bad row in
-            bad = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                row_op(t, bad, -1)  # row_t += row_bad
-                continue
-            break
-        if all(a[i][j] == 0 for i in range(t, nrows) for j in range(t, ncols)):
-            break
-        t += 1
     n = min(nrows, ncols)
-    for i in range(n):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return u, a, v
-
-
-def invariant_factors(mat):
-    _, d, _ = smith_normal_form(mat)
-    n = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(n)]
+    for t in range(n):
+        while True:
+            rest = [(abs(a[i][j]), i, j) for i in range(t, nrows)
+                    for j in range(t, ncols) if a[i][j]]
+            if not rest:
+                return [abs(a[i][i]) for i in range(n)]
+            _, pi, pj = min(rest)
+            a[t], a[pi] = a[pi], a[t]
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            p = a[t][t]
+            for i in range(t + 1, nrows):
+                f = a[i][t] // p
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, ncols):
+                f = a[t][j] // p
+                for r in a:
+                    r[j] -= f * r[t]
+            if any(a[i][t] for i in range(t + 1, nrows)) or any(
+                    a[t][j] for j in range(t + 1, ncols)):
+                continue
+            bad = next((i for i in range(t + 1, nrows)
+                        if any(a[i][j] % p for j in range(t + 1, ncols))), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+    return [abs(a[i][i]) for i in range(n)]
 
 
 def lattice_index(cartan):

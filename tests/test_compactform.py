@@ -1,8 +1,15 @@
-"""The compact real form: trig-polynomial scalars, brackets, exponentials."""
+"""The compact real form: trig-polynomial scalars, brackets, exponentials.
+
+The definiteness minors come from the LDL^T pivots of each component of the
+compact Gram; the dense `leading_principal_minors` they replaced is their
+oracle here, and numpy's eigenvalues a float one.  The parent's own walk of
+the gamma-strings is kept as the reference of `gamma_string_product_check`.
+"""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +19,9 @@ from liekit.compactform import (CompactForm, TrigPoly, closed_form_vs_expm,
                                 exp_beta_factorization_check,
                                 gamma_string_product_check,
                                 gram_preservation_deviation, trig_multiple)
-from liekit.liealg import lie_algebra
+from liekit.exact import leading_principal_minors
+from liekit.liealg import LieAlgebraZ, lie_algebra
+from liekit.rootcat import root_category
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
 
@@ -75,10 +84,85 @@ def test_form_negative_definite(series, rank):
     assert cf.is_negative_definite()
 
 
-@pytest.mark.parametrize("series,rank", TYPES)
+@pytest.mark.parametrize("series,rank", TYPES + [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)])
 def test_generates_full_algebra(series, rank):
     cf = CompactForm(lie_algebra(series, rank))
     assert cf.generated_subalgebra_dim() == cf.dim
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2)])
+def test_generated_subalgebra_reads_the_brackets(series, rank):
+    """With every bracket zero the 2m simple generators span only
+    themselves."""
+    cf = CompactForm(lie_algebra(series, rank))
+    cf._brackets = [[{} for _ in range(cf.dim)] for _ in range(cf.dim)]
+    assert cf.generated_subalgebra_dim() == 2 * cf.m
+
+
+@pytest.mark.parametrize("series,rank", TYPES + [
+    ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)])
+def test_definiteness_minors_equal_dense_minors(series, rank):
+    cf = CompactForm(lie_algebra(series, rank))
+    assert cf.definiteness_minors() == leading_principal_minors(
+        cf.killing_gram())
+
+
+def _negative_definite_by_eigenvalues(gram):
+    return bool(np.linalg.eigvalsh(
+        np.array([[float(v) for v in row] for row in gram])).max() < 0)
+
+
+@pytest.mark.parametrize("series,rank", [("F", 4), ("E", 6), ("E", 7),
+                                         ("E", 8)])
+def test_negative_definite_agrees_with_eigenvalues(series, rank):
+    cf = CompactForm(lie_algebra(series, rank))
+    assert cf.is_negative_definite()
+    assert _negative_definite_by_eigenvalues(cf.killing_gram())
+
+
+def _zero_row(k):
+    def edit(g):
+        for j in range(len(g)):
+            g[k][j] = g[j][k] = Fraction(0)
+    return edit
+
+
+def _couple(i, j):
+    """A symmetric pair of entries large enough to make the 2 x 2 block on
+    (i, j) indefinite."""
+    def edit(g):
+        big = 10 * max(abs(v) for row in g for v in row)
+        g[i][j] = g[j][i] = big
+    return edit
+
+
+def _diag(k, v):
+    def edit(g):
+        g[k][k] = Fraction(v)
+    return edit
+
+
+@pytest.mark.parametrize("series,rank,edit", [
+    ("B", 2, _zero_row(4)),           # singular inside a 1 x 1 block
+    ("B", 2, _zero_row(1)),           # singular inside the Cartan block
+    ("G", 2, _diag(13, 0)),           # singular at the last index only
+    ("B", 2, _couple(0, 1)),          # indefinite inside the Cartan block
+    ("B", 2, _couple(1, 7)),          # joins two blocks, indefinite at 7
+    ("G", 2, _couple(3, 6)),
+    ("G", 2, _diag(13, 1)),           # one positive pivot, the last
+])
+def test_planted_gram_is_not_negative_definite(monkeypatch, series, rank,
+                                               edit):
+    cf = CompactForm(lie_algebra(series, rank))
+    gram = cf.killing_gram()
+    edit(gram)
+    monkeypatch.setattr(cf, "killing_gram", lambda: gram)
+    dense = leading_principal_minors(gram)
+    first = next(k for k, v in enumerate(dense) if (-1) ** (k + 1) * v <= 0)
+    assert cf.definiteness_minors() == dense[:first + 1]
+    assert cf.is_negative_definite() is False
+    assert _negative_definite_by_eigenvalues(gram) is False
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
@@ -88,6 +172,61 @@ def test_root_string_coefficient_identities(series, rank):
     assert ok, witness
     ok, witness = d_equals_dual_check(alg)
     assert ok, witness
+
+
+def _reference_gamma_string_product_check(alg):
+    """`gamma_string_product_check` walking the X-chain from Y once and
+    reading every gamma of the shifted chain off its own objects."""
+    cat = alg.cat
+    for x in cat.objects:
+        for y in cat.objects:
+            if x.pos_root == y.pos_root:
+                continue
+            p, q = cat.pq(x, y)
+            if p != 0:
+                continue
+            chain = [y]
+            for l in range(q):
+                chain.append(cat.object_of_class(
+                    tuple(a + b for a, b in zip(x.cls, chain[-1].cls))))
+            for k in range(q + 1):
+                for j in range(k, q + 1):
+                    prod = 1
+                    for l in range(k, j):
+                        prod *= alg.gamma_of(x, chain[l], chain[l + 1])
+                    for l in range(j, k, -1):
+                        prod *= alg.gamma_of(
+                            x, cat.shift(chain[l]), cat.shift(chain[l - 1]))
+                    want = ((-1) ** (j - k) * math.factorial(q - k)
+                            * math.factorial(j)
+                            // (math.factorial(q - j) * math.factorial(k)))
+                    if prod != want:
+                        return False, (x, y, k, j, prod, want)
+    return True, None
+
+
+def _flipped(series, rank, key):
+    """The algebra with gamma[key] negated, as `verify --mutate-gamma`."""
+    alg = LieAlgebraZ(root_category(series, rank))
+    il, g = alg.gamma[key]
+    alg.gamma[key] = (il, -g)
+    alg._brackets = alg._build_bracket_table()
+    alg._ad_cache = {}
+    return alg
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2)])
+def test_gamma_string_product_check_matches_reference_walk(series, rank):
+    """Equal verdicts and witnesses on the algebra and on every one of its
+    single flipped structure constants, each of which the check rejects."""
+    alg = lie_algebra(series, rank)
+    assert gamma_string_product_check(alg) == (True, None)
+    assert _reference_gamma_string_product_check(alg) == (True, None)
+    for key in sorted(alg.gamma):
+        flip = _flipped(series, rank, key)
+        got = gamma_string_product_check(flip)
+        assert got[0] is False, key
+        assert got == _reference_gamma_string_product_check(flip), key
 
 
 def _reference_chain_coefficient(alg, x, y, j):

@@ -8,7 +8,8 @@ import pytest
 
 from liekit.compactform import TRIG_QI, TrigPoly
 from liekit.exact import (GaussianRational, LAURENT, LDL, LaurentPoly,
-                          PrimeField, QI, QQ, ZZ, dense_inverse, dense_matmul, dense_det,
+                          PrimeField, QI, QQ, ZZ, components, dense_inverse,
+                          dense_matmul, dense_det,
                           ff_eq, ff_mul, ff_reduce, leading_principal_minors,
                           solve_linear, sp_eq, sp_from_dense, sp_identity,
                           sp_mul, sp_to_dense, sp_transpose)
@@ -256,3 +257,25 @@ def test_zero_denominator_equals_nothing():
     assert not ff_eq((n, 1), (n, 0))
     assert not ff_eq((n, 5), (n, 5), 5)
     assert ff_eq((n, 6), (n, 6), 5)
+
+
+def test_components_of_disjoint_blocks():
+    a = {0: {3: 1}, 3: {0: 1}, 2: {2: 5}}
+    b = {4: {1: 1}}
+    assert components(6, [a, b]) == [[0, 3], [1, 4], [2], [5]]
+    assert components(6, [b]) == [[0], [1, 4], [2], [3], [5]]
+
+
+def test_components_of_a_chain():
+    """A path 5 - 3 - 1 - 4 - 0 whose edges come from two matrices, one
+    direction each, is one component; 2 stays alone."""
+    a = {5: {3: 1}, 1: {4: 1}}
+    b = {1: {3: 1}, 0: {4: 1}}
+    assert components(6, [a, b]) == [[0, 1, 3, 4, 5], [2]]
+    assert components(6, [a]) == [[0], [1, 4], [2], [3, 5]]
+
+
+def test_components_of_empty_inputs():
+    assert components(0, []) == []
+    assert components(3, []) == [[0], [1], [2]]
+    assert components(3, [{}, {}]) == [[0], [1], [2]]

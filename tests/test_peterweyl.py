@@ -2,6 +2,7 @@
 
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +153,16 @@ def test_su2_rep_past_the_float_range_of_its_gram(two_j):
     for theta in (0.3, 1.0, 2.5, np.pi):
         rot = rep.rotation(theta)
         assert np.abs(rot @ rot.T - np.eye(rep.dim)).max() < 1e-10
+
+
+def test_su2_rep_refuses_a_scale_past_the_float_range():
+    """From 2j = 171 the largest orthonormal scale passes the float range;
+    the representation is refused rather than built with inf in it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(SU2Rep(170).scale).all()
+        with pytest.raises(ValueError, match="overflow"):
+            SU2Rep(171)
 
 
 def test_convolution_quadrature_cross_check():

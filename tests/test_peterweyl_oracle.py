@@ -15,6 +15,9 @@ array expression.  The references here are the direct sums they replaced:
 the Schur integral evaluated per theta node on the full (phi, psi) grid, the
 convolution integral by a loop over every node of the product grid, and the
 character pairing by a loop over every torus node.
+
+The block algebra of `OElement` runs on `sp_add`, `sp_map` and `sp_mul`;
+the dict loops it replaced are kept here as its reference.
 """
 
 import cmath
@@ -27,12 +30,12 @@ import pytest
 from scipy.linalg import expm
 
 from liekit import peterweyl
-from liekit.exact import GaussianRational
-from liekit.hwmodules import root_fund
+from liekit.exact import QI, GaussianRational
+from liekit.hwmodules import build_irrep, root_fund
 from liekit.liealg import lie_algebra
 from liekit.peterweyl import (MatrixCoefficient, OElement, SU2Quadrature,
                               SU2Rep, char_orthonormality, character_weights,
-                              integral_lattice_report)
+                              end_inner, integral_lattice_report)
 from liekit.rootcat import RootCategory, root_category
 from liekit.rootdata import build_cartan, root_system
 
@@ -290,3 +293,99 @@ def test_planted_fault_broken_representation(monkeypatch, two_j):
     monkeypatch.setattr(peterweyl, "SU2Rep", _BrokenRep)
     assert q.convolution_check(f, g) > 1e-3
 
+
+
+def _ref_add(x, y):
+    """The sum of two OElements by per-entry dict loops."""
+    blocks = {}
+    for lam in set(x.blocks) | set(y.blocks):
+        acc = {}
+        for src in (x.blocks.get(lam, {}), y.blocks.get(lam, {})):
+            for r, row in src.items():
+                dst = acc.setdefault(r, {})
+                for c, v in row.items():
+                    dst[c] = dst.get(c, GaussianRational(0)) + v
+        acc = {r: {c: v for c, v in row.items() if v} for r, row in acc.items()}
+        acc = {r: row for r, row in acc.items() if row}
+        if acc:
+            blocks[lam] = acc
+    return blocks
+
+
+def _ref_scale(x, c):
+    c = QI.embed(c)
+    return {lam: {r: {cc: v * c for cc, v in row.items()}
+                  for r, row in blk.items()}
+            for lam, blk in x.blocks.items()}
+
+
+def _ref_convolve(x, y):
+    """Blockwise (1/dim) A B with the product summed entry by entry."""
+    blocks = {}
+    for lam, a in x.blocks.items():
+        b = y.blocks.get(lam)
+        if b is None:
+            continue
+        dinv = GaussianRational(Fraction(1, x.modules[lam].dim))
+        blk = {}
+        for r, arow in a.items():
+            for k, av in arow.items():
+                for c, bv in b.get(k, {}).items():
+                    blk.setdefault(r, {})
+                    blk[r][c] = blk[r].get(c, GaussianRational(0)) + av * bv
+        blk = {r: {c: v * dinv for c, v in row.items() if v}
+               for r, row in blk.items()}
+        blk = {r: row for r, row in blk.items() if row}
+        if blk:
+            blocks[lam] = blk
+    return blocks
+
+
+def _ref_parseval_rhs(x):
+    tot = GaussianRational(0)
+    for lam, a in x.blocks.items():
+        mod = x.modules[lam]
+        d = GaussianRational(mod.dim)
+        fhat = {r: {c: v / d for c, v in row.items()} for r, row in a.items()}
+        tot = tot + d * d * end_inner(mod, fhat, fhat)
+    return tot
+
+
+@pytest.fixture(scope="module")
+def a2_elements():
+    cartan = build_cartan("A", 2)
+    mods = {lam: build_irrep(cartan, lam) for lam in [(1, 0), (0, 1), (1, 1)]}
+    rng = random.Random(7)
+
+    def coeff(mod, sparse):
+        def vec():
+            return {k: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                    for k in range(mod.dim) if not sparse or rng.random() < 0.3}
+        return MatrixCoefficient(mod, vec(), vec())
+
+    out = [OElement.from_coefficients(mods, [coeff(mod, sparse)
+                                             for mod in mods.values()])
+           for sparse in (False, True, True)]
+    # an element on one block only, so that sums and products meet a block
+    # that the other side lacks
+    out.append(OElement.from_coefficients(mods, [coeff(mods[(1, 1)], False)]))
+    return out
+
+
+def test_oelement_block_algebra_matches_dict_loops(a2_elements):
+    for x in a2_elements:
+        for c in (2, GaussianRational(Fraction(1, 3), -1), 0):
+            assert x.scale(c).blocks == _ref_scale(x, c)
+        for y in a2_elements:
+            assert (x + y).blocks == _ref_add(x, y)
+            assert x.convolve(y).blocks == _ref_convolve(x, y)
+        assert x.parseval_rhs() == _ref_parseval_rhs(x)
+
+
+def test_oelement_sum_that_cancels_has_no_block(a2_elements):
+    x, y = a2_elements[0], a2_elements[3]
+    assert (x + x.scale(-1)).blocks == {} == _ref_add(x, x.scale(-1))
+    diff = (x + y) + x.scale(-1)
+    assert set(diff.blocks) == {(1, 1)}
+    assert diff.blocks == _ref_add(x + y, OElement(x.modules,
+                                                   _ref_scale(x, -1)))

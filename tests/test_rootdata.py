@@ -1,11 +1,13 @@
 """Cartan data, root systems, and lattice utilities."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
 from liekit.rootdata import (build_cartan, invariant_factors, lattice_index,
-                             parse_type, root_string, root_system,
-                             smith_normal_form)
+                             parse_type, root_string, root_system)
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("D", 4), ("G", 2)]
@@ -100,28 +102,38 @@ def test_root_strings_bounded(series, rank):
 
 sq = st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
               min_size=3, max_size=3)
+rect = st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+    min_size=1, max_size=4))
 
 
-@given(sq)
-def test_smith_normal_form_properties(mat):
-    u, d, v = smith_normal_form([row[:] for row in mat])
-    # u @ mat @ v == d, with d diagonal and divisibility down the diagonal
-    n = 3
+def _det(m):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in m[1:]])
+               for j in range(len(m)))
 
-    def mm(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
 
-    prod = mm(mm(u, mat), v)
-    assert prod == d
-    diag = [d[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
+@given(st.one_of(sq, rect))
+def test_invariant_factors_properties(mat):
+    """An oracle apart from any elimination: the factors are nonnegative,
+    each divides the next, and d_1...d_k is the gcd D_k of the k x k minors
+    (Smith's theorem)."""
+    d = invariant_factors(mat)
+    rows, cols = len(mat), len(mat[0])
+    assert len(d) == min(rows, cols)
+    assert all(v >= 0 for v in d)
+    for a, b in zip(d, d[1:]):
+        assert b % a == 0 if a else b == 0
+    prod = 1
+    for k in range(1, len(d) + 1):
+        prod *= d[k - 1]
+        minors = [_det([[mat[i][j] for j in cs] for i in rs])
+                  for rs in combinations(range(rows), k)
+                  for cs in combinations(range(cols), k)]
+        assert prod == gcd(*minors)
 
 
 def test_invariant_factors_known():
