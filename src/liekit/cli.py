@@ -395,6 +395,10 @@ def plancherel(type_name, trunc):
 def verify(suite, type_name, seed, mutate_gamma):
     """Run a verification suite; exit 0 iff every check passes."""
     series, rank = _type(type_name)
+    if mutate_gamma is not None and suite in ("modules", "peterweyl"):
+        raise click.UsageError(
+            f"--mutate-gamma changes the Lie algebra, which the {suite} "
+            "suite does not read")
     cartan = build_cartan(series, rank)
     fundamental = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     if suite in ("all", "modules"):

@@ -98,6 +98,24 @@ def test_group_elements_are_automorphisms():
     assert preserves_bracket(alg, g, f7)
 
 
+@pytest.mark.parametrize("series,rank", [("F", 4), ("E", 6)])
+def test_prime_field_words_at_rank_4_and_6(series, rank):
+    """A random word in E/h/n over F_101 is an automorphism; with one entry
+    of its matrix changed it is not."""
+    alg = lie_algebra(series, rank)
+    dom = PrimeField(101)
+    rng = random.Random(f"F_101 word {series}{rank}")
+    word = random_group_element(ChevalleyGroup(alg), dom, rng, 12,
+                                list(range(1, 101)))
+    assert preserves_bracket(alg, word, dom)
+    r = rng.choice(sorted(word))
+    c = rng.randrange(alg.dim)
+    row = dict(word[r])
+    row[c] = dom.add(row.get(c, dom.zero), dom.one)
+    changed = {**word, r: {k: v for k, v in row.items() if v}}
+    assert not preserves_bracket(alg, changed, dom)
+
+
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2)])
 def test_unit_modulus_torus_preserves_bracket(series, rank):
     """h_X(i) over Q(i), an element of the compact torus, is an automorphism."""

@@ -73,6 +73,15 @@ def test_verify_liealg_pass_and_mutation_fail():
     assert not jac["ok"] and "witness" in jac
 
 
+@pytest.mark.parametrize("suite", ["modules", "peterweyl"])
+def test_mutate_gamma_refused_where_no_check_reads_it(suite):
+    """The modules and peterweyl suites build no Lie algebra, so a mutated
+    one would be reported without being checked."""
+    res = run("verify", suite, "--type", "A2", "--mutate-gamma", "0,2")
+    assert res.exit_code == 2
+    assert "--mutate-gamma" in res.output and "\"checks\"" not in res.output
+
+
 def test_verify_deterministic_output():
     a = run("verify", "group", "--type", "A2", "--seed", "5")
     b = run("verify", "group", "--type", "A2", "--seed", "5")
@@ -246,6 +255,19 @@ def test_verify_peterweyl_type_matrix(type_name):
     data = json.loads(res.output)
     assert data["ok"] is True
     assert [c["check"] for c in data["checks"]] == ["integral_lattice_is_root_lattice"]
+
+
+@pytest.mark.slow
+def test_verify_liealg_e8():
+    """Jacobi, the invariant form against tr(ad ad) and the gamma pair
+    products all pass on E8."""
+    res = run("verify", "liealg", "--type", "E8")
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["ok"] is True
+    assert [(c["check"], c["ok"]) for c in data["checks"]] == [
+        ("jacobi", True), ("killing_equals_trace", True),
+        ("gamma_pair_products", True)]
 
 
 @pytest.mark.slow
