@@ -332,7 +332,7 @@ def commutator_constants(alg, x, y, grp=None):
         grp.E(x, t, LAURENT), grp.E(y, s, LAURENT),
         grp.E(x, -t, LAURENT), grp.E(y, -s, LAURENT)], LAURENT)
     cands = sorted((i, j) for i in range(1, 6) for j in range(1, 6)
-                   if cat.chain_class(x, y, i, j) is not None)
+                   if cat.chain_object(x, y, i, j) is not None)
     out = []
     for (i, j) in cands:
         lobj = cat.chain_object(x, y, i, j)

@@ -27,7 +27,7 @@ from .exact import GaussianRational
 from .hwmodules import (DIM_CAP, adjoint_check, build_irrep,
                         shapovalov_binomial_check, unitarity_deviation,
                         weyl_dim)
-from .liealg import LieAlgebraZ, lie_algebra
+from .liealg import lie_algebra
 from .peterweyl import (MatrixCoefficient, OElement, SU2Quadrature, SU2Rep,
                         char_orthonormality, inner_product,
                         integral_lattice_report)
@@ -417,13 +417,10 @@ def verify(suite, type_name, seed, mutate_gamma):
     if mutate_gamma is not None:
         try:
             ix, iy = (int(c) for c in mutate_gamma.split(","))
-            alg = LieAlgebraZ(root_category(series, rank))
             il, g = alg.gamma[(ix, iy)]
         except (ValueError, KeyError):
             raise click.UsageError(f"bad gamma key {mutate_gamma!r}")
-        alg.gamma[(ix, iy)] = (il, -g)
-        alg._brackets = alg._build_bracket_table()
-        alg._ad_cache = {}
+        alg = alg.with_gamma({(ix, iy): (il, -g)})
 
     if suite in ("all", "liealg"):
         ok, wit = alg.jacobi_check()

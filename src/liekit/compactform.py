@@ -141,7 +141,7 @@ def _chain(alg, x, y, n):
     cat = alg.cat
     out = []
     for _ in range(n):
-        nxt = cat.object_of_class(tuple(a + b for a, b in zip(x.cls, y.cls)))
+        nxt = cat.chain_object(x, y, 1, 1)
         out.append(alg.gamma_of(x, y, nxt))
         y = nxt
     return out
@@ -286,8 +286,7 @@ class CompactForm:
         cat = self.cat
         out = []
         for other in (y, cat.shift(y)):
-            l = cat.object_of_class(
-                tuple(a + b for a, b in zip(x.cls, other.cls)))
+            l = cat.chain_object(x, other, 1, 1)
             if l is not None:
                 g = self.alg.gamma_of(x, other, l)
                 if g:

@@ -151,7 +151,7 @@ class WeightModule:
         self.dim = dim
         self.E = E  # list of sparse {row: {col: Fraction}}
         self.F = F
-        self.weights = weights  # {depth: {"fund","basis","gram","raw_gram","raw_labels"}}
+        self.weights = weights  # {depth: {"fund","basis","gram","raw_labels"}}
         self.weight_of = weight_of  # global index -> fundamental coords
         self._gram = self._gram_inverse = self._generators = None
 
@@ -220,8 +220,8 @@ class WeightModule:
 
     def serre_check(self):
         """sum_{p+q=1-a_ij} (-1)^q E_i^(p) E_j E_i^(q) = 0, and the F twin."""
-        for mats in (self.E, self.F):
-            dp = [divided_powers(mats[i], self.dim) for i in range(self.m)]
+        gens = self.generators()
+        for mats, dp in ((self.E, gens.ex), (self.F, gens.fx)):
             for i in range(self.m):
                 for j in range(self.m):
                     if i == j:
@@ -274,7 +274,7 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
 
     zero = (0,) * m
     weights[zero] = {"fund": lam, "basis": [0], "gram": [[Fraction(1)]],
-                     "raw_gram": [[Fraction(1)]], "raw_labels": [None]}
+                     "raw_labels": [None]}
     weight_of.append(lam)
     local.append(0)
     nglobal = 1
@@ -355,7 +355,7 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
             weights[depth] = {
                 "fund": fund, "basis": basis,
                 "gram": [[C[p][q] for q in pivots] for p in pivots],
-                "raw_gram": C, "raw_labels": list(cands),
+                "raw_labels": list(cands),
             }
             # F columns for every candidate; E columns for pivots
             for c_, (i, b) in enumerate(cands):
@@ -407,7 +407,6 @@ def direct_sum(mods):
                 "fund": data["fund"],
                 "basis": [g + off for g in data["basis"]],
                 "gram": data["gram"],
-                "raw_gram": data["raw_gram"],
                 "raw_labels": data["raw_labels"],
             }
         off += mm.dim

@@ -14,6 +14,10 @@ its root block off the gamma table and its Cartan block off one Euler-form
 vector per object, and `trace_gram` gives tr(ad e_i ad e_j) on every pair as
 one sparse integer product over the bracket table.
 
+A changed gamma table is derived with `with_gamma`, never patched into an
+algebra's `_brackets`; the cached `lie_algebra` stays untouched, and
+`ad_matrix` refills its cache whenever `_brackets` is replaced.
+
 The bracket, the bracket over a scalar domain, the bracket-preservation
 sweep and the Jacobi sweep work on any basis bracket table,
 table[i][j] = {k: coefficient of e_k in [e_i, e_j]}; the integer form here
@@ -22,6 +26,7 @@ and the compact form (`compactform`) share them.
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from functools import lru_cache
 
@@ -218,15 +223,24 @@ class LieAlgebraZ:
             for iy, y in enumerate(self.objects):
                 if x.pos_root == y.pos_root:
                     continue
-                l = cat.object_of_class(
-                    tuple(a + b for a, b in zip(x.cls, y.cls)))
+                l = cat.chain_object(x, y, 1, 1)
                 if l is None:
                     continue
                 g = self._gamma_value(x, y, l)
                 if g:
                     self.gamma[(ix, iy)] = (cat.index(l), g)
         self._brackets = self._build_bracket_table()
-        self._ad_cache = {}
+        self._ad_cache, self._ad_table = {}, self._brackets
+
+    def with_gamma(self, changes):
+        """A new algebra with gamma = {**self.gamma, **changes} (keys keep
+        their order) and its own bracket table; it shares `cat`, `rs`, `chev`
+        and `objects` with `self`, which stays untouched, and validates
+        nothing, since a changed table is meant to fail the checks."""
+        out = copy.copy(self)
+        out.gamma = {**self.gamma, **changes}
+        out._brackets = out._build_bracket_table()
+        return out
 
     # -- gamma --------------------------------------------------------------
 
@@ -297,12 +311,13 @@ class LieAlgebraZ:
         return table_bracket(self._brackets, a, b)
 
     def ad_matrix(self, i):
-        """Sparse column-action matrix of ad(e_i): ad[k][j] = coeff of e_k in [e_i, e_j]."""
-        if i in self._ad_cache:
-            return self._ad_cache[i]
-        mat = sp_transpose(dict(enumerate(self._brackets[i])))
-        self._ad_cache[i] = mat
-        return mat
+        """Sparse column-action matrix of ad(e_i): ad[k][j] = coeff of e_k in
+        [e_i, e_j], cached until `_brackets` is replaced."""
+        if self._ad_table is not self._brackets:
+            self._ad_cache, self._ad_table = {}, self._brackets
+        if i not in self._ad_cache:
+            self._ad_cache[i] = sp_transpose(dict(enumerate(self._brackets[i])))
+        return self._ad_cache[i]
 
     def trace_form(self, i, j):
         """tr(ad e_i ad e_j), exact integer, from the two ad matrices.
@@ -357,8 +372,7 @@ class LieAlgebraZ:
             for x in self.objects:
                 if tz.pos_root == x.pos_root:
                     continue
-                y = cat.object_of_class(
-                    tuple(a + b for a, b in zip(tz.cls, x.cls)))
+                y = cat.chain_object(tz, x, 1, 1)
                 if y is None:
                     continue
                 lhs = self.gamma_of(tz, x, y) * cat.d(x)
@@ -388,7 +402,7 @@ class LieAlgebraZ:
         root = [-4] * n_u
         for (itx, iy), (il, g) in self.gamma.items():
             tx, y = objs[itx], objs[iy]
-            l = cat.object_of_class(tuple(a + b for a, b in zip(tx.cls, y.cls)))
+            l = cat.chain_object(tx, y, 1, 1)
             if tx.pos_root == y.pos_root or l is None or cat.index(l) != il:
                 continue
             back = self.gamma.get((shift[itx], il))

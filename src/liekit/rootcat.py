@@ -50,10 +50,6 @@ class RootCategory:
     def shift(self, x):
         return RootCatObject(x.pos_root, 1 - x.parity)
 
-    def object_of_class(self, cls):
-        """The unique indecomposable with the given (+- root) class, or None."""
-        return self._by_class.get(tuple(cls))
-
     def d(self, x):
         """d(X) = dim End X, realized as the symmetrizer of the root."""
         return self.rs.root_d(x.pos_root)
@@ -76,18 +72,10 @@ class RootCategory:
 
     # -- extension chains ---------------------------------------------------
 
-    def chain_class(self, x, y, i, j):
-        """Class of L_{X,Y,i,j} = i*zeta_X + j*zeta_Y if it is a root, else None."""
-        v = tuple(i * a + j * b for a, b in zip(x.cls, y.cls))
-        if self.rs.contains(v):
-            return v
-        return None
-
     def chain_object(self, x, y, i, j):
-        v = self.chain_class(x, y, i, j)
-        if v is None:
-            return None
-        return self._by_class[v]
+        """L_{X,Y,i,j}, the object of class i*zeta_X + j*zeta_Y, or None if
+        that is not a root (every +-root is an object class)."""
+        return self._by_class.get(tuple([i * a + j * b for a, b in zip(x.cls, y.cls)]))
 
     def pq(self, x, y):
         """(p_XY, q_XY): extents of the zeta_X-chain through zeta_Y."""

@@ -23,8 +23,7 @@ from liekit.chevgroup import (ChevalleyGroup, PointGroup,
                               steinberg_report, verify_conjugation_relations)
 from liekit.exact import (QQ, LaurentDomain, LaurentPoly, PrimeField, sp_eq,
                           sp_identity, sp_mul, sp_mul_many)
-from liekit.liealg import LieAlgebraZ, lie_algebra
-from liekit.rootcat import root_category
+from liekit.liealg import lie_algebra
 
 
 class FractionLaurent(LaurentDomain):
@@ -163,7 +162,7 @@ def ref_constants(alg, grp, x, y):
                      grp.E(x, -t, FL), grp.E(y, -s, FL)], FL)
     out = []
     for i, j in sorted((i, j) for i in range(1, 6) for j in range(1, 6)
-                       if cat.chain_class(x, y, i, j) is not None):
+                       if cat.chain_object(x, y, i, j) is not None):
         lobj = cat.chain_object(x, y, i, j)
         il = cat.index(lobj)
         adl = alg.ad_matrix(il)
@@ -251,12 +250,9 @@ def _algebra(case):
     """A2, B2, G2, or B2 with gamma(7, 4) flipped as `verify --mutate-gamma`."""
     if case != "B2-flip":
         return lie_algebra(case[0], int(case[1]))
-    alg = LieAlgebraZ(root_category("B", 2))
+    alg = lie_algebra("B", 2)
     il, g = alg.gamma[(7, 4)]
-    alg.gamma[(7, 4)] = (il, -g)
-    alg._brackets = alg._build_bracket_table()
-    alg._ad_cache = {}
-    return alg
+    return alg.with_gamma({(7, 4): (il, -g)})
 
 
 CASES = ["A2", "B2", "G2", "B2-flip"]

@@ -7,6 +7,8 @@ from click.testing import CliRunner
 
 from liekit.cli import main
 from liekit.hwmodules import ModuleGenerators
+from liekit.liealg import lie_algebra, structure_constants
+from liekit.rootcat import root_category
 
 
 def run(*args):
@@ -268,6 +270,33 @@ def test_verify_liealg_e8():
     assert [(c["check"], c["ok"]) for c in data["checks"]] == [
         ("jacobi", True), ("killing_equals_trace", True),
         ("gamma_pair_products", True)]
+
+
+def test_mutate_gamma_leaves_the_cached_algebra_as_built():
+    """A mutated run and then a plain one in one process: the plain run
+    passes, and the cached E7 algebra still has the gamma table (order
+    included), bracket table and ad matrices of a fresh build."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["verify", "liealg", "--type", "E7",
+                               "--mutate-gamma", "125,122"])
+    assert res.exit_code == 1, res.output
+    res = runner.invoke(main, ["verify", "liealg", "--type", "E7"])
+    assert res.exit_code == 0, res.output
+    alg, fresh = lie_algebra("E", 7), structure_constants(root_category("E", 7))
+    assert list(alg.gamma.items()) == list(fresh.gamma.items())
+    pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+    assert all(alg.bracket_basis(i, j) == fresh.bracket_basis(i, j)
+               for i, j in pairs)
+    assert all(alg.ad_matrix(i) == fresh.ad_matrix(i) for i in range(alg.dim))
+
+
+@pytest.mark.slow
+def test_verify_modules_e6():
+    """Every module check passes on E6."""
+    res = run("verify", "modules", "--type", "E6")
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["ok"] is True and all(c["ok"] for c in data["checks"])
 
 
 @pytest.mark.slow

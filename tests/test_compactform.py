@@ -20,8 +20,7 @@ from liekit.compactform import (CompactForm, TrigPoly, closed_form_vs_expm,
                                 gamma_string_product_check,
                                 gram_preservation_deviation, trig_multiple)
 from liekit.exact import leading_principal_minors
-from liekit.liealg import LieAlgebraZ, lie_algebra
-from liekit.rootcat import root_category
+from liekit.liealg import lie_algebra
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
 
@@ -187,8 +186,7 @@ def _reference_gamma_string_product_check(alg):
                 continue
             chain = [y]
             for l in range(q):
-                chain.append(cat.object_of_class(
-                    tuple(a + b for a, b in zip(x.cls, chain[-1].cls))))
+                chain.append(cat.chain_object(x, chain[-1], 1, 1))
             for k in range(q + 1):
                 for j in range(k, q + 1):
                     prod = 1
@@ -207,12 +205,9 @@ def _reference_gamma_string_product_check(alg):
 
 def _flipped(series, rank, key):
     """The algebra with gamma[key] negated, as `verify --mutate-gamma`."""
-    alg = LieAlgebraZ(root_category(series, rank))
+    alg = lie_algebra(series, rank)
     il, g = alg.gamma[key]
-    alg.gamma[key] = (il, -g)
-    alg._brackets = alg._build_bracket_table()
-    alg._ad_cache = {}
-    return alg
+    return alg.with_gamma({key: (il, -g)})
 
 
 @pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2)])
@@ -234,7 +229,7 @@ def _reference_chain_coefficient(alg, x, y, j):
     cat = alg.cat
     prod, cur = 1, y
     for _ in range(j):
-        nxt = cat.object_of_class(tuple(a + b for a, b in zip(x.cls, cur.cls)))
+        nxt = cat.chain_object(x, cur, 1, 1)
         if nxt is None:
             return Fraction(0)
         prod *= alg.gamma_of(x, cur, nxt)

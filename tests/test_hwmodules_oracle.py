@@ -133,7 +133,7 @@ def reference_build_irrep(cartan, lam):
 
     zero = (0,) * m
     weights[zero] = {"fund": lam, "basis": [0], "gram": [[Fraction(1)]],
-                     "raw_gram": [[Fraction(1)]], "raw_labels": [None]}
+                     "raw_labels": [None]}
     weight_of.append(lam)
     nglobal = 1
     level = [zero]
@@ -215,7 +215,7 @@ def reference_build_irrep(cartan, lam):
             weights[depth] = {
                 "fund": fund, "basis": basis,
                 "gram": [[C[p][q] for q in pivots] for p in pivots],
-                "raw_gram": C, "raw_labels": list(cands),
+                "raw_labels": list(cands),
             }
             for c_, (i, b) in enumerate(cands):
                 kind, data_ = coords[c_]
@@ -403,8 +403,7 @@ BUILDS = [("A", 2, (6, 6)), ("G", 2, (2, 1)), ("B", 3, (0, 1, 1)),
 
 def _entry_types(mod):
     mats = [row for m in mod.E + mod.F for row in m.values()]
-    grams = [row for data in mod.weights.values()
-             for key in ("gram", "raw_gram") for row in data[key]]
+    grams = [row for data in mod.weights.values() for row in data["gram"]]
     return ({type(v) for row in mats for v in row.values()}
             | {type(v) for row in grams for v in row})
 

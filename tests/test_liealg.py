@@ -2,7 +2,9 @@
 
 import pytest
 
-from liekit.liealg import lie_algebra
+from liekit.exact import sp_transpose
+from liekit.liealg import LieAlgebraZ, lie_algebra
+from liekit.rootcat import root_category
 from liekit.rootdata import root_system
 
 SMALL = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
@@ -65,3 +67,40 @@ def test_g2_gamma_magnitudes():
     alg = lie_algebra("G", 2)
     mags = {abs(g) for (_, g) in alg.gamma.values()}
     assert mags == {1, 2, 3}
+
+
+def test_with_gamma_derives_and_leaves_the_algebra_untouched():
+    """The derived algebra shares the category and the Chevalley constants,
+    keeps the gamma order, brackets by the changed table and is not
+    validated; the algebra it came from keeps its tables and ad matrices."""
+    base = lie_algebra("G", 2)
+    gamma = list(base.gamma.items())
+    table = [[dict(c) for c in row] for row in base._brackets]
+    ad = [base.ad_matrix(i) for i in range(base.dim)]
+    key = next(iter(base.gamma))
+    il, g = base.gamma[key]
+    alg = base.with_gamma({key: (il, -g)})
+    assert list(base.gamma.items()) == gamma and base._brackets == table
+    assert [base.ad_matrix(i) for i in range(base.dim)] == ad
+    assert list(alg.gamma) == list(base.gamma) and alg.gamma[key] == (il, -g)
+    assert all(getattr(alg, a) is getattr(base, a)
+               for a in ("cat", "rs", "chev", "objects"))
+    assert alg.bracket_basis(*key) == {il: -g}
+    assert alg.ad_matrix(key[0]) != base.ad_matrix(key[0])
+    assert not alg.jacobi_check()[0]
+
+
+def test_ad_matrix_follows_a_replaced_bracket_table():
+    """The hand rebuild of `perfbench/workloads.py:flipped_algebra`, without
+    its cache clear: ad matrices read before the table is replaced are not
+    served after it."""
+    alg = LieAlgebraZ(root_category("B", 2))
+    before = [alg.ad_matrix(i) for i in range(alg.dim)]
+    il, g = alg.gamma[(7, 4)]
+    alg.gamma[(7, 4)] = (il, -g)
+    alg._brackets = alg._build_bracket_table()
+    after = [alg.ad_matrix(i) for i in range(alg.dim)]
+    assert after != before
+    assert after == [sp_transpose(dict(enumerate(row))) for row in alg._brackets]
+    derived = lie_algebra("B", 2).with_gamma({(7, 4): (il, -g)})
+    assert after == [derived.ad_matrix(i) for i in range(alg.dim)]

@@ -17,8 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from liekit.liealg import LieAlgebraZ, lie_algebra
-from liekit.rootcat import root_category
+from liekit.liealg import lie_algebra
 
 
 def reference_killing_gram(alg):
@@ -76,18 +75,14 @@ def planted(alg):
     out = copy.copy(alg)
     out.gamma = dict(alg.gamma)
     out._brackets = [[dict(c) for c in row] for row in alg._brackets]
-    out._ad_cache = {}
     return out
 
 
 def flipped(series, rank, key):
-    """The algebra `verify --mutate-gamma` builds: gamma[key] negated."""
-    alg = LieAlgebraZ(root_category(series, rank))
+    """The algebra `verify --mutate-gamma` derives: gamma[key] negated."""
+    alg = lie_algebra(series, rank)
     il, g = alg.gamma[key]
-    alg.gamma[key] = (il, -g)
-    alg._brackets = alg._build_bracket_table()
-    alg._ad_cache = {}
-    return alg
+    return alg.with_gamma({key: (il, -g)})
 
 
 TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
@@ -180,6 +175,4 @@ def test_retargeted_gamma_entry(series, rank):
         alg.gamma[key] = (wrong, g)
         ok, wit = assert_same_verdict(alg)
         assert not ok
-        alg._brackets = alg._build_bracket_table()
-        alg._ad_cache = {}
-        assert_same_verdict(alg)
+        assert_same_verdict(base.with_gamma({key: (wrong, g)}))
