@@ -93,11 +93,8 @@ class ChevalleyGroup:
         return sp_mul_many([e1, self.E(tx, tinv, dom), e1], dom)
 
     def n_inv(self, x, t, dom):
-        tinv = dom.inv(t)
-        tx = self.cat.shift(x)
-        mt, mtinv = dom.neg(t), dom.neg(tinv)
-        e1 = self.E(x, mt, dom)
-        return sp_mul_many([e1, self.E(tx, mtinv, dom), e1], dom)
+        """n_X(t)^{-1} = n_X(-t)."""
+        return self.n(x, dom.neg(t), dom)
 
 
 class PointGroup:
@@ -171,26 +168,19 @@ class PointGroup:
         return self.mul(self.h(ix, t), mat, self.h(ix, self.dom.inv(t)))
 
     def n(self, ix, t):
-        return self._reflection(ix, t, False)
-
-    def n_inv(self, ix, t):
-        return self._reflection(ix, t, True)
-
-    def _reflection(self, ix, t, inverse):
-        """E_X(u) E_TX(u^{-1}) E_X(u) at u = t, or at u = -t for the
-        inverse."""
-        key = ("n", ix, t, inverse)
+        """E_X(t) E_TX(t^{-1}) E_X(t)."""
+        key = ("n", ix, t)
         out = self._memo.get(key)
         if out is None:
-            dom = self.dom
-            u, uinv = t, dom.inv(t)
-            if inverse:
-                u, uinv = dom.neg(u), dom.neg(uinv)
             itx = self.cat.index(self.cat.shift(self.cat.objects[ix]))
-            e1 = self.E(ix, u)
+            e1 = self.E(ix, t)
             out = self._memo[key] = self._pair(
-                *self.mul(e1, self.E(itx, uinv), e1))
+                *self.mul(e1, self.E(itx, self.dom.inv(t)), e1))
         return out
+
+    def n_inv(self, ix, t):
+        """n_X(t)^{-1} = n_X(-t), sharing its memo entry."""
+        return self.n(ix, self.dom.neg(t))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +192,11 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     Symbolically over Laurent polynomials in (t, s), then at `samples` fresh
     random rational points.  Returns a report with the extracted signs
     eta_{XY} (asserted to be +-1 by construction of the check).
+
+    Relation (5), that torus elements commute, cannot fail as written: it
+    compares `conj_by_h(x, t, h_Y(s))` with h_Y(s), and `conj_by_h` scales
+    entry (i, j) by t^{A_i - A_j}, which is 1 on the diagonal where h_Y(s)
+    lives.
     """
     if grp is None:
         grp = ChevalleyGroup(alg)

@@ -7,17 +7,19 @@ exp(t ad alpha_X), exp(t ad beta_X), exp(t ad xi_X) have closed forms whose
 entries live in the trigonometric ring Q[sin, cos, cos^-1] modulo
 sin^2 + cos^2 = 1; identities in that ring are decidable, and the same
 symbolic matrices evaluate to floats for comparison against scipy's expm.
+`closed_forms` lists those subgroups once, for every check that walks them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .chevgroup import ChevalleyGroup
-from .exact import (LDL, QI, QQ, Domain, GaussianRational, SparsePoly,
-                    components, sp_eq, sp_from_dense, sp_map, sp_mul_many,
-                    sp_to_dense, sp_transpose)
+from .exact import (LDL, QI, QQ, ZZ, Domain, GaussianRational, SparsePoly,
+                    components, sp_add, sp_eq, sp_from_dense, sp_map,
+                    sp_mul_many, sp_to_dense, sp_transpose)
 from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
                      table_bracket)
 from .rootcat import RootCatObject
@@ -234,6 +236,13 @@ def d_equals_dual_check(alg):
 # ---------------------------------------------------------------------------
 # the compact form itself
 
+def _gamma_sum(terms, coords, sign):
+    """coords(L, g) + sign coords(M, h) for the terms (L, g), (M, h) of
+    `CompactForm._gamma_terms`, as one sparse add of one-row matrices."""
+    a, b = ({0: coords(l, g)} if g else {} for l, g in terms)
+    return sp_add(a, b, ZZ, sign).get(0, {})
+
+
 class CompactForm:
     """Basis layout: alpha_1..alpha_m, then beta_r, xi_r per positive root."""
 
@@ -246,7 +255,6 @@ class CompactForm:
         self.m = alg.m
         self.dim = self.m + 2 * self.npos
         self._pos_index = rs.pos_index
-        self._brackets = self._build_brackets()
 
     # basis indexing
     def beta_index(self, root):
@@ -265,37 +273,20 @@ class CompactForm:
     def xi_coords(self, x):
         return {self.xi_index(x.pos_root): Fraction(-1 if x.parity else 1)}
 
-    def _reduce_beta(self, obj, coeff, acc):
-        k = self.beta_index(obj.pos_root)
-        w = acc.get(k, 0) + coeff
-        if w:
-            acc[k] = w
-        elif k in acc:
-            del acc[k]
-
-    def _reduce_xi(self, obj, coeff, acc):
-        k = self.xi_index(obj.pos_root)
-        w = acc.get(k, 0) + (-coeff if obj.parity else coeff)
-        if w:
-            acc[k] = w
-        elif k in acc:
-            del acc[k]
-
     def _gamma_terms(self, x, y):
-        """[(L, gamma_{XY}^L)] + [(M, gamma_{X,TY}^M)] (at most one each)."""
-        cat = self.cat
+        """(L, gamma_{XY}^L) and (M, gamma_{X,TY}^M); gamma is 0 where the
+        class sum is not a root."""
         out = []
-        for other in (y, cat.shift(y)):
-            l = cat.chain_object(x, other, 1, 1)
-            if l is not None:
-                g = self.alg.gamma_of(x, other, l)
-                if g:
-                    out.append((l, g, other is y))
-            else:
-                out.append((None, 0, other is y))
+        for other in (y, self.cat.shift(y)):
+            l = self.cat.chain_object(x, other, 1, 1)
+            out.append((l, self.alg.gamma_of(x, other, l) if l else 0))
         return out
 
-    def _build_brackets(self):
+    @cached_property
+    def _brackets(self):
+        """table[i][j] = {k: coeff} for the basis bracket [e_i, e_j], built
+        on first read: the closed forms and `compact exp` need only the
+        indices, A and gamma."""
         m, cat = self.m, self.cat
         table = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
 
@@ -310,26 +301,19 @@ class CompactForm:
                 a = cat.A(si, y)
                 put(i, self.beta_index(y.pos_root), {self.xi_index(y.pos_root): -a})
                 put(i, self.xi_index(y.pos_root), {self.beta_index(y.pos_root): a})
-        for xi_, x in enumerate(x0):
+        # g beta_L and g xi_L, with xi_TL = -xi_L
+        beta = lambda l, g: {self.beta_index(l.pos_root): g}
+        xi = lambda l, g: {self.xi_index(l.pos_root): -g if l.parity else g}
+        for k, x in enumerate(x0):
             bx, xx = self.beta_index(x.pos_root), self.xi_index(x.pos_root)
             put(bx, xx, {j: -2 * c for j, c in self.alpha_coords(x).items()})
-            for y in x0[xi_ + 1:]:
+            for y in x0[k + 1:]:
                 by, xy = self.beta_index(y.pos_root), self.xi_index(y.pos_root)
-                acc_bb, acc_xx, acc_bx, acc_xb = {}, {}, {}, {}
-                for (l, g, is_sum) in self._gamma_terms(x, y):
-                    if l is None:
-                        continue
-                    self._reduce_beta(l, g, acc_bb)
-                    self._reduce_beta(l, g if not is_sum else -g, acc_xx)
-                    self._reduce_xi(l, g if is_sum else -g, acc_bx)
-                for (l, g, is_sum) in self._gamma_terms(y, x):
-                    if l is None:
-                        continue
-                    self._reduce_xi(l, g if is_sum else -g, acc_xb)
-                put(bx, by, acc_bb)
-                put(xx, xy, acc_xx)
-                put(bx, xy, acc_bx)
-                put(by, xx, acc_xb)
+                terms = self._gamma_terms(x, y)
+                put(bx, by, _gamma_sum(terms, beta, 1))
+                put(xy, xx, _gamma_sum(terms, beta, -1))
+                put(bx, xy, _gamma_sum(terms, xi, -1))
+                put(by, xx, _gamma_sum(self._gamma_terms(y, x), xi, -1))
         return table
 
     def bracket(self, a, b):
@@ -362,26 +346,12 @@ class CompactForm:
         return mat
 
     def phi_inverse(self):
-        """u_{r,0} = (beta - i xi)/2, u_{r,1} = (beta + i xi)/2, H'_j = -i alpha_j."""
-        cat = self.cat
-        i_ = QI.i
-        half = GaussianRational(Fraction(1, 2))
-        mih = GaussianRational(0, Fraction(-1, 2))
-        mat = {}
-
-        def put(r, c, v):
-            mat.setdefault(r, {})[c] = v
-
-        for j in range(self.m):
-            put(j, self.alg.n_u + j, GaussianRational(0) - i_)
-        for k, r in enumerate(self.positive):
-            u0 = cat.index(RootCatObject(r, 0))
-            u1 = cat.index(RootCatObject(r, 1))
-            put(self.m + 2 * k, u0, half)
-            put(self.m + 2 * k + 1, u0, mih)
-            put(self.m + 2 * k, u1, half)
-            put(self.m + 2 * k + 1, u1, GaussianRational(0) - mih)
-        return mat
+        """D phi^H, D = 1 on the m Cartan rows and 1/2 on the root rows:
+        H'_j = -i alpha_j, u_{r,0} = (beta - i xi)/2, u_{r,1} = (beta + i xi)/2."""
+        half = Fraction(1, 2)
+        return {r: {c: v.conjugate() * (half if r >= self.m else 1)
+                    for c, v in row.items()}
+                for r, row in sp_transpose(self.phi_matrix()).items()}
 
     def phi_homomorphism_check(self):
         """phi([a,b]) == [phi a, phi b] on all basis pairs, over Q(i)."""
@@ -497,60 +467,58 @@ def exp_alpha_matrix(cf: CompactForm, x):
     return mat
 
 
-def _alpha_column_terms(cf, x, partner_coords, sign):
-    """Common alpha_Y column of exp(t ad beta_X) / exp(t ad xi_X):
-    alpha_j + (A_{S_j,X}/2) [(cos2t - 1) alpha_X + sign * sin2t * partner]."""
+def _fixed_columns(cf, x, sign):
+    """The alpha-, own- and partner-columns of exp(t ad g) for parity-0 X:
+    g = beta_X with partner p = xi_X for sign 1, g = xi_X with p = beta_X
+    for sign -1.  alpha_j -> alpha_j + (A_{S_j,X}/2) [(cos2t - 1) alpha_X
+    + sign * sin2t * p], g -> g, and p -> cos2t p - sign * sin2t alpha_X."""
     cat = cf.cat
+    one = TrigPoly.const(Fraction(1))
     cos2, sin2 = trig_multiple(2)
-    cos2m1 = cos2 - TrigPoly.const(Fraction(1))
+    cos2m1 = cos2 - one
     ax = cf.alpha_coords(x)
+    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
+    own, partner = (bx, xx) if sign == 1 else (xx, bx)
     cols = {}
     for j in range(cf.m):
         a = Fraction(cat.A(cat.simples[j], x), 2)
-        col = {j: TrigPoly.const(Fraction(1))}
+        col = {j: one}
         if a:
             for k, v in ax.items():
                 col[k] = col.get(k, TrigPoly()) + cos2m1.scale(a * v)
-            for k, v in partner_coords.items():
-                col[k] = col.get(k, TrigPoly()) + sin2.scale(sign * a * v)
+            col[partner] = col.get(partner, TrigPoly()) + sin2.scale(sign * a)
         cols[j] = {k: v for k, v in col.items() if v}
+    turn = {partner: cos2, **{k: sin2.scale(-sign * v) for k, v in ax.items()}}
+    for k in (bx, xx):
+        cols[k] = {own: one} if k == own else turn
     return cols
+
+
+def _from_columns(cols):
+    """The matrix with columns `cols`; chain terms may cancel, and the
+    matrix keeps no zero entries."""
+    return sp_transpose({c: {r: v for r, v in col.items() if v}
+                         for c, col in cols.items()})
 
 
 def exp_beta_matrix(cf: CompactForm, x):
     """exp(t ad beta_X); beta_{TX} = beta_X so only the root of X matters."""
     x = _parity0(x)
-    cols = _alpha_column_terms(cf, x, cf.xi_coords(x), 1)
-    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
-    cols[bx] = {bx: TrigPoly.const(Fraction(1))}
-    cos2, sin2 = trig_multiple(2)
-    col = {xx: cos2}
-    for k, v in cf.alpha_coords(x).items():
-        col[k] = sin2.scale(-v)
-    cols[xx] = col
+    cols = _fixed_columns(cf, x, 1)
     for r, k, lk, dk in _chain_terms(cf, x):
         bcol = cols.setdefault(cf.beta_index(r), {})
         xcol = cols.setdefault(cf.xi_index(r), {})
         bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
         bcol[bi] = bcol.get(bi, TrigPoly()) + dk
         xcol[xi_] = xcol.get(xi_, TrigPoly()) + (-dk if lk.parity else dk)
-    # chain terms may cancel; the matrix keeps no zero entries
-    return sp_transpose({c: {r: v for r, v in col.items() if v}
-                         for c, col in cols.items()})
+    return _from_columns(cols)
 
 
 def exp_xi_matrix(cf: CompactForm, x):
     """exp(t ad xi_X) for parity-0 X; for TX substitute t -> -t."""
     flip = x.parity == 1
     x = _parity0(x)
-    cols = _alpha_column_terms(cf, x, cf.beta_coords(x), -1)
-    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
-    cos2, sin2 = trig_multiple(2)
-    col = {bx: cos2}
-    for k, v in cf.alpha_coords(x).items():
-        col[k] = sin2.scale(v)
-    cols[bx] = col
-    cols[xx] = {xx: TrigPoly.const(Fraction(1))}
+    cols = _fixed_columns(cf, x, -1)
     for r, k, lk, dk in _chain_terms(cf, x):
         bcol = cols.setdefault(cf.beta_index(r), {})
         xcol = cols.setdefault(cf.xi_index(r), {})
@@ -565,12 +533,24 @@ def exp_xi_matrix(cf: CompactForm, x):
             sx = Fraction(1 if ((k + 1) // 2) % 2 == 0 else -1)
             bcol[xi_] = bcol.get(xi_, TrigPoly()) + dk.scale(sb * xsign)
             xcol[bi] = xcol.get(bi, TrigPoly()) + dk.scale(sx)
-    mat = sp_transpose({c: {r: v for r, v in col.items() if v}
-                        for c, col in cols.items()})
-    if flip:
-        mat = {i: {j: _flip_sin(v) for j, v in row.items()}
-               for i, row in mat.items()}
-    return mat
+    mat = _from_columns(cols)
+    return sp_map(mat, _flip_sin) if flip else mat
+
+
+def closed_forms(cf):
+    """(gen, X, vector, exp(t ad vector)) for every closed-form
+    one-parameter subgroup, yielded lazily in the order alpha_{S_j} over the
+    simples, then beta_X, xi_X and xi_TX for each positive root (X of
+    parity 0).  xi_TX = -xi_X, so its matrix is xi_X's at -t."""
+    for x in cf.cat.simples:
+        yield "alpha", x, cf.alpha_coords(x), exp_alpha_matrix(cf, x)
+    for r in cf.positive:
+        x = RootCatObject(r, 0)
+        tx = cf.cat.shift(x)
+        yield "beta", x, cf.beta_coords(x), exp_beta_matrix(cf, x)
+        xi = exp_xi_matrix(cf, x)
+        yield "xi", x, cf.xi_coords(x), xi
+        yield "xi", tx, cf.xi_coords(tx), sp_map(xi, _flip_sin)
 
 
 def _chain_terms(cf, x):
@@ -619,17 +599,7 @@ def closed_form_vs_expm(cf, ts=(0.3, 0.7, 1.9)):
     import numpy as np
     from scipy.linalg import expm
     worst = 0.0
-    gens = []
-    for j in range(cf.m):
-        vec = {j: Fraction(1)}
-        gens.append((vec, exp_alpha_matrix(cf, cf.cat.simples[j])))
-    for r in cf.positive:
-        y = RootCatObject(r, 0)
-        gens.append(({cf.beta_index(r): Fraction(1)}, exp_beta_matrix(cf, y)))
-        gens.append(({cf.xi_index(r): Fraction(1)}, exp_xi_matrix(cf, y)))
-        ty = RootCatObject(r, 1)
-        gens.append(({cf.xi_index(r): Fraction(-1)}, exp_xi_matrix(cf, ty)))
-    for vec, sym in gens:
+    for _, _, vec, sym in closed_forms(cf):
         ad = ad_matrix_numeric(cf, vec)
         for t in ts:
             ref = expm(t * ad)
@@ -639,19 +609,14 @@ def closed_form_vs_expm(cf, ts=(0.3, 0.7, 1.9)):
 
 
 def gram_preservation_deviation(cf, words=24, max_len=6, seed=20240819):
-    """Random words in the closed-form exponentials must preserve the
-    compact Gram matrix; returns the worst |W^T G W - G| entry."""
+    """Random words in the closed-form exponentials of parity-0 objects
+    must preserve the compact Gram matrix; returns the worst
+    |W^T G W - G| entry."""
     import random as _random
     import numpy as np
     rng = _random.Random(seed)
     gram = np.array([[float(v) for v in row] for row in cf.killing_gram()])
-    syms = []
-    for j in range(cf.m):
-        syms.append(exp_alpha_matrix(cf, cf.cat.simples[j]))
-    for r in cf.positive:
-        y = RootCatObject(r, 0)
-        syms.append(exp_beta_matrix(cf, y))
-        syms.append(exp_xi_matrix(cf, y))
+    syms = [sym for _, x, _, sym in closed_forms(cf) if not x.parity]
     worst = 0.0
     for _ in range(words):
         w = np.eye(cf.dim)
@@ -679,29 +644,22 @@ def exp_beta_factorization_check(alg, cf=None):
     tan = TrigPoly({(1, -1): GaussianRational(1)})
     itan = TrigPoly({(1, -1): QI.i})
     sec = TrigPoly({(0, -1): GaussianRational(1)})
-    for r in cf.positive:
-        x = RootCatObject(r, 0)
-        tx = RootCatObject(r, 1)
-        # beta: transport exp(t ad beta_X) into the integer-form basis
-        sym = sp_map(exp_beta_matrix(cf, x), _gaussian)
-        lhs = sp_mul_many([phi, sym, phiinv], TRIG_QI)
+    # beta: E_X(tan t) h_X(1/cos t) E_TX(tan t);
+    # xi, exp(t ad i(u_X - u_TX)): E_X(i tan t) h_X(1/cos t) E_TX(-i tan t)
+    args = {"beta": (tan, tan), "xi": (itan, -itan)}
+    for gen, x, _, sym in closed_forms(cf):
+        if gen == "alpha" or x.parity:
+            continue
+        # transport exp(t ad g) into the integer-form basis
+        lhs = sp_mul_many([phi, sp_map(sym, _gaussian), phiinv], TRIG_QI)
+        a, b = args[gen]
         rhs = sp_mul_many([
-            grp.E(x, tan, TRIG_QI),
+            grp.E(x, a, TRIG_QI),
             grp.h(x, sec, TRIG_QI),
-            grp.E(tx, tan, TRIG_QI)], TRIG_QI)
+            grp.E(cf.cat.shift(x), b, TRIG_QI)], TRIG_QI)
         if not sp_eq(lhs, rhs, TRIG_QI):
-            return False, ("beta", r)
-        # xi: exp(t ad i(u_X - u_TX)) = E_X(i tan t) h_X(1/cos t) E_TX(-i tan t)
-        sym = sp_map(exp_xi_matrix(cf, x), _gaussian)
-        lhs = sp_mul_many([phi, sym, phiinv], TRIG_QI)
-        rhs = sp_mul_many([
-            grp.E(x, itan, TRIG_QI),
-            grp.h(x, sec, TRIG_QI),
-            grp.E(tx, -itan, TRIG_QI)], TRIG_QI)
-        if not sp_eq(lhs, rhs, TRIG_QI):
-            return False, ("xi", r)
+            return False, (gen, x.pos_root)
     return True, None
-
 
 
 def _gaussian(tp):

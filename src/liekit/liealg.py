@@ -18,10 +18,11 @@ A changed gamma table is derived with `with_gamma`, never patched into an
 algebra's `_brackets`; the cached `lie_algebra` stays untouched, and
 `ad_matrix` refills its cache whenever `_brackets` is replaced.
 
-The bracket, the bracket over a scalar domain, the bracket-preservation
-sweep and the Jacobi sweep work on any basis bracket table,
-table[i][j] = {k: coefficient of e_k in [e_i, e_j]}; the integer form here
-and the compact form (`compactform`) share them.
+The one bracket routine `table_bracket`, the bracket-preservation sweep and
+the Jacobi sweep work on any basis bracket table,
+table[i][j] = {k: coefficient of e_k in [e_i, e_j]}, over any scalars with
+Python's operators; the integer form here and the compact form
+(`compactform`) share them.
 """
 
 from __future__ import annotations
@@ -53,38 +54,21 @@ def table_bracket(table, a, b):
     return out
 
 
-def bracket_over(table, a, b, dom):
-    """Bilinear bracket of dict vectors with coefficients in `dom`."""
-    out = {}
-    for i, ca in a.items():
-        row = table[i]
-        for j, cb in b.items():
-            for k, v in row[j].items():
-                w = dom.mul(dom.mul(ca, cb), dom.embed(v))
-                out[k] = dom.add(out[k], w) if k in out else w
-    return {k: v for k, v in out.items() if not dom.is_zero(v)}
-
-
 def first_bracket_failure(src, dst, mat, dom):
     """First basis pair i < j with M[e_i, e_j] != [M e_i, M e_j], where the
     sparse matrix M over `dom` maps the basis of table `src` into that of
     table `dst` and each bracket is taken in its own table; None if M
-    preserves the bracket."""
+    preserves the bracket.  The two sides are compared entry by entry with
+    `dom.eq`, so the bracket may run on Python's operators (over F_p it
+    leaves residues unreduced)."""
     cols = sp_transpose(mat)
     n = len(src)
     for i in range(n):
         for j in range(i + 1, n):
-            img = {}
-            for k, v in src[i][j].items():
-                v = dom.embed(v)
-                for r, w in cols.get(k, {}).items():
-                    z = dom.mul(v, w)
-                    img[r] = dom.add(img[r], z) if r in img else z
-            img = {r: z for r, z in img.items() if not dom.is_zero(z)}
-            got = bracket_over(dst, cols.get(i, {}), cols.get(j, {}), dom)
-            if img != got and any(
-                    not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
-                    for k in set(img) | set(got)):
+            img = sp_mul({0: src[i][j]}, cols, dom).get(0, {})
+            got = table_bracket(dst, cols.get(i, {}), cols.get(j, {}))
+            if any(not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
+                   for k in img.keys() | got.keys()):
                 return i, j
     return None
 
@@ -125,9 +109,6 @@ class ChevalleyConstants:
         self._npos = {}
         self._order = rs.pos_index
         self._build()
-
-    def _norm(self, v):
-        return self.rs.sym_form(v, v)
 
     def _build(self):
         rs = self.rs
@@ -189,15 +170,17 @@ class ChevalleyConstants:
         if not apos and not bpos:
             neg = lambda v: tuple(-x for x in v)
             return -self.n(neg(a), neg(b))
-        # mixed signs: rotate the zero-sum triple (a, b, c) to its same-sign pair
+        # mixed signs: rotate the zero-sum triple (a, b, c) to its same-sign
+        # pair; (v, v) = 2 d_v for a root v
         c = tuple(-x for x in s)
         cpos = sum(c) > 0
+        d = self.rs.root_d
         if cpos == bpos:
             # N_{a,b}/(c,c) = N_{b,c}/(a,a)
-            val = Fraction(self._norm(c) * self.n(b, c), self._norm(a))
+            val = Fraction(2 * d(c) * self.n(b, c), 2 * d(a))
         else:
             # N_{a,b}/(c,c) = N_{c,a}/(b,b)
-            val = Fraction(self._norm(c) * self.n(c, a), self._norm(b))
+            val = Fraction(2 * d(c) * self.n(c, a), 2 * d(b))
         assert val.denominator == 1
         return int(val)
 

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 SERIES_RANKS = {
     "A": lambda n: n >= 1,
@@ -141,6 +142,13 @@ class RootSystem:
         self.roots = sorted(roots, key=lambda r: (sum(r), r))
         self._set = roots
         self.pos_index = {r: k for k, r in enumerate(self.positive)}
+        # the rows d_i a_ij of the symmetric form, and d_alpha of every root
+        self._sym_rows = [[cartan.sym(i, j) for j in range(n)] for i in range(n)]
+        self._d = {}
+        for r in roots:
+            val = self.sym_form(r, r)
+            assert val % 2 == 0
+            self._d[r] = val // 2
 
     def _reflect(self, beta, i):
         c = self.pairing_with_coroot(beta, i)
@@ -158,15 +166,12 @@ class RootSystem:
 
     def sym_form(self, v, w):
         """(v | w) with (alpha_i | alpha_j) = d_i a_ij; args in root coords."""
-        c = self.cartan
-        return sum(c.sym(i, j) * v[i] * w[j]
-                   for i in range(c.rank) for j in range(c.rank))
+        return sum(vi * sum(map(mul, row, w))
+                   for vi, row in zip(v, self._sym_rows) if vi)
 
     def root_d(self, v):
         """Symmetrizer d_alpha = (alpha|alpha)/2 of a root (1 for short)."""
-        val = self.sym_form(v, v)
-        assert val % 2 == 0
-        return val // 2
+        return self._d[tuple(v)]
 
     def reflect_in_root(self, alpha, beta):
         """s_alpha(beta) = beta - <beta, alpha^vee> alpha."""

@@ -309,9 +309,9 @@ def test_verify_modules_f4():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("type_name", ["B3", "C3", "F4"])
-def test_verify_group_rank_3_and_4(type_name):
-    """Conjugation and Steinberg relations pass on B3, C3 and F4."""
+@pytest.mark.parametrize("type_name", ["B3", "C3", "F4", "E6"])
+def test_verify_group_rank_3_and_up(type_name):
+    """Conjugation and Steinberg relations pass on B3, C3, F4 and E6."""
     res = run("verify", "group", "--type", type_name)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["ok"] is True
