@@ -6,7 +6,11 @@ exact scalars whose operations are Python's operators on its elements, with
 `embed` taking an int or Fraction into the ring and `inv` inverting a unit.
 `IntegerDomain` (ZZ), `RationalDomain` (QQ), `GaussianDomain` (QI) and
 `LaurentDomain` (LAURENT) are defined here and `TrigDomain` in `compactform`;
-`PrimeField` overrides the operations with residue arithmetic.
+`PrimeField` overrides the operations with residue arithmetic.  A Gaussian
+rational is three plain integers (a, b, d) standing for (a + b*i)/d, with
+d > 0 and gcd(a, b, d) = 1, so an operation on two of them takes one gcd
+(none when d = 1), where a pair of Fractions takes one or two for each of
+its part products and sums (Knuth, TAOCP vol. 2, 4.5.1).
 `LaurentPoly` and the trigonometric `TrigPoly` share the sparse-dict base
 `SparsePoly`, which holds everything but the product.
 
@@ -28,87 +32,142 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 
 class GaussianRational:
-    """a + b*i with exact rational a, b."""
+    """(a + b*i)/d with integers a, b, d, where d > 0 and gcd(a, b, d) = 1.
 
-    __slots__ = ("re", "im")
+    The form is unique, so equality compares the three integers.  Every
+    result is built by `_gauss`, which takes one gcd, and none when d = 1;
+    a sum over a common denominator adds the numerators.  An int or a
+    Fraction operand, on either side, is read as (n, 0, 1) or
+    (numerator, 0, denominator), and any other real (a float, say) as its
+    exact Fraction.  `re` and `im` are the parts as Fractions; `==` and
+    `hash` agree with the int's or the Fraction's when im is 0.
+    """
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re=0, im=0):
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        return _gauss(re.numerator * di, im.numerator * dr, dr * di)
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = QI.embed(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a2, b2, d2 = _parts(other)
+        d = self.d
+        if d == d2:
+            return _gauss(self.a + a2, self.b + b2, d)
+        return _gauss(self.a * d2 + a2 * d, self.b * d2 + b2 * d, d * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QI.embed(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a2, b2, d2 = _parts(other)
+        d = self.d
+        if d == d2:
+            return _gauss(self.a - a2, self.b - b2, d)
+        return _gauss(self.a * d2 - a2 * d, self.b * d2 - b2 * d, d * d2)
 
     def __rsub__(self, other):
-        return QI.embed(other) - self
+        return _gauss(*_parts(other), True) - self
 
     def __mul__(self, other):
-        other = QI.embed(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a2, b2, d2 = _parts(other)
+        a, b = self.a, self.b
+        return _gauss(a * a2 - b * b2, a * b2 + b * a2, self.d * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QI.embed(other)
-        n = other.re * other.re + other.im * other.im
+        a2, b2, d2 = _parts(other)
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b = self.a, self.b
+        return _gauss((a * a2 + b * b2) * d2, (b * a2 - a * b2) * d2,
+                      self.d * n)
 
     def __rtruediv__(self, other):
-        return QI.embed(other) / self
+        return _gauss(*_parts(other), True) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self.a, -self.b, self.d, True)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gauss(self.a, -self.b, self.d, True)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return (self.a == other.a and self.b == other.b
+                    and self.d == other.d)
+        if isinstance(other, (int, Fraction)):
+            return (self.a, self.b, self.d) == _parts(other)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if self.b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
+
+
+_object_new = object.__new__
+
+
+def _gauss(a, b, d, lowest=False):
+    """The GaussianRational (a + b*i)/d for integers a, b and d > 0, brought
+    to lowest terms by one gcd unless d = 1 or `lowest` says it is."""
+    if d != 1 and not lowest:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _object_new(GaussianRational)
+    z.a = a
+    z.b = b
+    z.d = d
+    return z
+
+
+def _parts(x):
+    """(a, b, d) of a GaussianRational, an int or any exact real."""
+    if isinstance(x, GaussianRational):
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return x, 0, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, 0, x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +370,16 @@ class RationalDomain(Domain):
 
 
 class GaussianDomain(Domain):
-    """Exact Gaussian rationals Q(i)."""
+    """Exact Gaussian rationals Q(i), as `GaussianRational` integer triples."""
 
     zero = GaussianRational(0)
     one = GaussianRational(1)
     i = GaussianRational(0, 1)
 
     def embed(self, v):
-        return v if isinstance(v, GaussianRational) else GaussianRational(v)
+        if isinstance(v, GaussianRational):
+            return v
+        return _gauss(*_parts(v), True)
 
     def inv(self, a):
         return self.one / a

@@ -317,6 +317,16 @@ def test_verify_group_rank_3_and_up(type_name):
     assert json.loads(res.output)["ok"] is True
 
 
+@pytest.mark.slow
+def test_compact_verify_e7():
+    """Every check of `compact verify` passes on E7, the exp(t ad beta_X)
+    factorization over Q(i) included."""
+    res = run("compact", "verify", "--type", "E7")
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["ok"] is True and all(data["checks"].values())
+
+
 def test_verify_modules_builds_generators_once_per_module(monkeypatch):
     calls = []
     init = ModuleGenerators.__init__

@@ -70,7 +70,7 @@ def test_compact_jacobi_and_antisymmetry(series, rank):
     assert ok, witness
 
 
-@pytest.mark.parametrize("series,rank", TYPES)
+@pytest.mark.parametrize("series,rank", TYPES + [("F", 4)])
 def test_complexification_homomorphism(series, rank):
     cf = CompactForm(lie_algebra(series, rank))
     ok, witness = cf.phi_homomorphism_check()
@@ -285,7 +285,16 @@ def test_gram_preserved_by_words(series, rank):
     assert gram_preservation_deviation(cf, words=8, max_len=4) < 1e-9
 
 
-@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2)])
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2),
+                                         ("G", 2), ("D", 4), ("F", 4)])
 def test_exp_beta_factorization(series, rank):
     ok, witness = exp_beta_factorization_check(lie_algebra(series, rank))
     assert ok, witness
+
+
+def test_exp_beta_factorization_rejects_every_gamma_flip():
+    alg = lie_algebra("B", 2)
+    assert len(alg.gamma) == 24
+    for key in alg.gamma:
+        ok, witness = exp_beta_factorization_check(_flipped("B", 2, key))
+        assert ok is False and witness is not None, key
