@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 
 from .exact import (LAURENT, QQ, ZZ, LaurentPoly, PrimeField, divided_powers,
@@ -124,10 +125,7 @@ class PointGroup:
         return ff_reduce((n, d), self.p) if self.p else (n, d)
 
     def mul(self, *mats):
-        out = mats[0]
-        for m in mats[1:]:
-            out = ff_mul(out, m)
-        return out
+        return reduce(ff_mul, mats)
 
     def eq(self, a, b):
         return ff_eq(a, b, self.p)
@@ -164,8 +162,11 @@ class PointGroup:
         return out
 
     def conj_by_h(self, ix, t, mat):
-        """h_X(t) M h_X(t)^{-1}."""
-        return self.mul(self.h(ix, t), mat, self.h(ix, self.dom.inv(t)))
+        """h_X(t) M h_X(t)^{-1}, the product's pair, made by scaling entry
+        (i, j) of M by diagonal entry i of h_X(t) and j of h_X(t^{-1})."""
+        (hn, hd), (gn, gd) = self.h(ix, t), self.h(ix, self.dom.inv(t))
+        return ({i: {j: hn[i][i] * v * gn[j][j] for j, v in row.items()}
+                 for i, row in mat[0].items()}, hd * mat[1] * gd)
 
     def n(self, ix, t):
         """E_X(t) E_TX(t^{-1}) E_X(t)."""

@@ -93,7 +93,7 @@ def _accumulate(out, coeff, s_deg, c_deg):
     """Add coeff*s^s_deg*c^c_deg to `out`, rewriting s^2 -> 1 - c^2."""
     if s_deg <= 1:
         k = (s_deg, c_deg)
-        w = out.get(k, 0) + coeff
+        w = out[k] + coeff if k in out else coeff
         if w:
             out[k] = w
         elif k in out:
@@ -501,11 +501,12 @@ def _from_columns(cols):
                          for c, col in cols.items()})
 
 
-def exp_beta_matrix(cf: CompactForm, x):
-    """exp(t ad beta_X); beta_{TX} = beta_X so only the root of X matters."""
+def exp_beta_matrix(cf: CompactForm, x, chain=None):
+    """exp(t ad beta_X); beta_{TX} = beta_X so only the root of X matters.
+    `chain` is the list of `_chain_terms(cf, X)`, if the caller has it."""
     x = _parity0(x)
     cols = _fixed_columns(cf, x, 1)
-    for r, k, lk, dk in _chain_terms(cf, x):
+    for r, k, lk, dk in _chain_terms(cf, x) if chain is None else chain:
         bcol = cols.setdefault(cf.beta_index(r), {})
         xcol = cols.setdefault(cf.xi_index(r), {})
         bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
@@ -514,12 +515,12 @@ def exp_beta_matrix(cf: CompactForm, x):
     return _from_columns(cols)
 
 
-def exp_xi_matrix(cf: CompactForm, x):
+def exp_xi_matrix(cf: CompactForm, x, chain=None):
     """exp(t ad xi_X) for parity-0 X; for TX substitute t -> -t."""
     flip = x.parity == 1
     x = _parity0(x)
     cols = _fixed_columns(cf, x, -1)
-    for r, k, lk, dk in _chain_terms(cf, x):
+    for r, k, lk, dk in _chain_terms(cf, x) if chain is None else chain:
         bcol = cols.setdefault(cf.beta_index(r), {})
         xcol = cols.setdefault(cf.xi_index(r), {})
         bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
@@ -547,8 +548,9 @@ def closed_forms(cf):
     for r in cf.positive:
         x = RootCatObject(r, 0)
         tx = cf.cat.shift(x)
-        yield "beta", x, cf.beta_coords(x), exp_beta_matrix(cf, x)
-        xi = exp_xi_matrix(cf, x)
+        chain = list(_chain_terms(cf, x))
+        yield "beta", x, cf.beta_coords(x), exp_beta_matrix(cf, x, chain)
+        xi = exp_xi_matrix(cf, x, chain)
         yield "xi", x, cf.xi_coords(x), xi
         yield "xi", tx, cf.xi_coords(tx), sp_map(xi, _flip_sin)
 

@@ -17,12 +17,15 @@ its part products and sums (Knuth, TAOCP vol. 2, 4.5.1).
 Matrices are kept as dicts of rows because almost every operator we build
 (exp of a nilpotent ad, torus elements, reflection elements) is sparse.
 `sp_mul` is the one product, of matrices and of a matrix and a vector, and
-`sp_transpose` the one way to read a matrix by columns.  The
-divided powers M^k/k! and the sums sum_k c_k M^k/k! behind every
-one-parameter subgroup, of the group and of the modules alike, are built
-here.  A matrix over Q or F_p can also be held fraction-free, as an
-integer matrix and one denominator (`ff_mul`, `ff_eq`).  One Gauss-Jordan
-routine backs the dense inverse, the linear solve and the module kernels.
+`sp_transpose` the one way to read a matrix by columns.  The divided powers
+M^k/k! and their sums (`sum_powers`) behind every one-parameter subgroup,
+of the group and of the modules alike, are built here.  The product and the
+sums add with the elements' own `*` and `+` and finish each row once: zeros
+dropped, each F_p entry reduced mod p once.  No element class may define a
+mutating `__iadd__`.  A matrix over Q or F_p can also be held fraction-free,
+as an integer matrix and one denominator (`ff_mul`, `ff_eq`).  One
+Gauss-Jordan routine backs the dense inverse, the linear solve and the
+module kernels.
 `LDL`, an exact LDL^T grown a row at a time, picks the basis of each module
 weight space and factors its Gram, and the blocks of the compact Gram that
 `components` finds.
@@ -30,7 +33,6 @@ weight space and factors its Gram, and the blocks of the compact Gram that
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -285,9 +287,11 @@ class Domain:
     """A commutative ring of exact scalars as the sparse-matrix code sees it.
 
     The operations are Python's operators on the elements.  A subclass sets
-    `zero` and `one` and supplies `embed`, which takes an int or a Fraction
-    into the ring, and `inv`, which inverts a unit.
+    `zero`, `one` (and `p`, in a `PrimeField`) and supplies `embed`, which
+    takes an int or a Fraction into the ring, and `inv`, which inverts a unit.
     """
+
+    p = None
 
     def add(self, a, b):
         return a + b
@@ -330,16 +334,10 @@ class Domain:
 
 
 class IntegerDomain(Domain):
-    """Plain integers, the numerators of fraction-free matrices (`ff_mul`).
-
-    The sparse product calls `add` and `mul` once per term, so they are the
-    C operators themselves rather than Python methods around them."""
+    """Plain integers, the numerators of fraction-free matrices (`ff_mul`)."""
 
     zero = 0
     one = 1
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
-    is_zero = staticmethod(operator.not_)
 
     def embed(self, v):
         if isinstance(v, int):
@@ -480,8 +478,10 @@ def sp_to_dense(m, n, dom):
 
 
 def sp_mul(a, b, dom):
-    """Matrix product a @ b of sparse row-dict matrices."""
-    mul, add, is_zero = dom.mul, dom.add, dom.is_zero
+    """Matrix product a @ b of sparse row-dict matrices.  A row adds up
+    with the elements' own `*` and `+=`, never a mutating `__iadd__`, and is
+    finished once: zeros dropped, over F_p each entry reduced mod p once."""
+    p = dom.p
     out = {}
     for i, arow in a.items():
         acc = {}
@@ -490,15 +490,22 @@ def sp_mul(a, b, dom):
             if not brow:
                 continue
             for j, bv in brow.items():
-                t = mul(av, bv)
                 if j in acc:
-                    acc[j] = add(acc[j], t)
+                    acc[j] += av * bv
                 else:
-                    acc[j] = t
-        acc = {j: v for j, v in acc.items() if not is_zero(v)}
-        if acc:
+                    acc[j] = av * bv
+        if acc := _finish_row(acc, p):
             out[i] = acc
     return out
+
+
+def _finish_row(row, p):
+    """`row` without its zeros, each entry first reduced mod p if p is given."""
+    if p:
+        return {j: w for j, v in row.items() if (w := v % p)}
+    if all(row.values()):
+        return row
+    return {j: v for j, v in row.items() if v}
 
 
 def sp_mul_many(mats, dom):
@@ -509,15 +516,14 @@ def sp_mul_many(mats, dom):
 
 
 def sp_add(a, b, dom, bsign=1):
-    """a + b, or a - b for bsign = -1."""
+    """a + b, or a - b for bsign = -1, with rows built as in `sp_mul`."""
     out = {}
     for i in set(a) | set(b):
         acc = dict(a.get(i, {}))
         for j, v in b.get(i, {}).items():
-            w = v if bsign == 1 else dom.neg(v)
-            acc[j] = dom.add(acc[j], w) if j in acc else w
-        acc = {j: v for j, v in acc.items() if not dom.is_zero(v)}
-        if acc:
+            w = v if bsign == 1 else -v
+            acc[j] = acc[j] + w if j in acc else w
+        if acc := _finish_row(acc, dom.p):
             out[i] = acc
     return out
 
@@ -589,7 +595,7 @@ def sum_powers(table, coeffs, dom):
     """sum_k c_k M_k over `dom` for a table [M_0, M_1, ...] of exact
     rational matrices, such as one from `divided_powers`, and coefficients
     [c_0, c_1, ...] in `dom`: `dom.powers(t, len(table))` gives the
-    one-parameter element at t."""
+    one-parameter element at t.  Rows are built as in `sp_mul`."""
     out = {}
     for mat, c in zip(table, coeffs):
         terms = {}  # v -> c v; a table has few distinct entries
@@ -598,13 +604,9 @@ def sum_powers(table, coeffs, dom):
             for j, v in row.items():
                 w = terms.get(v)
                 if w is None:
-                    w = terms[v] = dom.mul(c, dom.embed(v))
-                r[j] = dom.add(r[j], w) if j in r else w
-    for i in list(out):
-        out[i] = {j: v for j, v in out[i].items() if not dom.is_zero(v)}
-        if not out[i]:
-            del out[i]
-    return out
+                    w = terms[v] = c * dom.embed(v)
+                r[j] = r[j] + w if j in r else w
+    return {i: r for i, row in out.items() if (r := _finish_row(row, dom.p))}
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +618,7 @@ def sum_powers(table, coeffs, dom):
 def ff_reduce(a, p):
     """A pair with its entries reduced mod p."""
     n, d = a
-    out = {}
-    for i, row in n.items():
-        r = {j: v % p for j, v in row.items() if v % p}
-        if r:
-            out[i] = r
-    return out, d % p
+    return {i: r for i, row in n.items() if (r := _finish_row(row, p))}, d % p
 
 
 def ff_mul(a, b):

@@ -21,8 +21,8 @@ import pytest
 from liekit.chevgroup import (ChevalleyGroup, PointGroup,
                               _conjugation_point_check, _steinberg_point_check,
                               steinberg_report, verify_conjugation_relations)
-from liekit.exact import (QQ, LaurentDomain, LaurentPoly, PrimeField, sp_eq,
-                          sp_identity, sp_mul, sp_mul_many)
+from liekit.exact import (QQ, LaurentDomain, LaurentPoly, PrimeField, ff_eq,
+                          sp_eq, sp_identity, sp_mul, sp_mul_many)
 from liekit.liealg import lie_algebra
 
 
@@ -392,3 +392,52 @@ def test_point_generators_at_zero(p):
         with pytest.raises(ZeroDivisionError):
             gen(0, zero)
     assert pg.eq(pg.E(0, zero), pg.identity())
+
+
+# ---------------------------------------------------------------------------
+# PointGroup.conj_by_h scales entries; the reference is the product form
+
+class ProductConjGroup(PointGroup):
+    """A PointGroup whose h-conjugation is the product h_X(t) M h_X(t^-1)."""
+
+    def conj_by_h(self, ix, t, mat):
+        return self.mul(self.h(ix, t), mat, self.h(ix, self.dom.inv(t)))
+
+
+CONJ_POINTS = {None: POINTS, 3: _field_points(3),
+               7: [(3, 5), (6, 6), (2, 4), (1, 3)]}
+
+
+@pytest.mark.parametrize("p", [None, 3, 7])
+@pytest.mark.parametrize("case", ["A2", "B2", "G2"])
+def test_point_conj_by_h_is_the_product(case, p):
+    alg = _algebra(case)
+    grp = ChevalleyGroup(alg)
+    pg, ref = PointGroup(grp, p), ProductConjGroup(grp, p)
+    objs = range(len(alg.cat.objects))
+    for t0, s0 in CONJ_POINTS[p]:
+        for ix, iy in iproduct(objs, objs):
+            for mat in (pg.n(iy, s0), pg.E(iy, s0), pg.h(iy, s0)):
+                assert ff_eq(pg.conj_by_h(ix, t0, mat),
+                             ref.conj_by_h(ix, t0, mat), p)
+
+
+@pytest.mark.parametrize("p", [None, 3, 7])
+def test_flipped_point_conjugation_fails_as_the_product(p):
+    """On B2 with gamma(7, 4) flipped, the point check gives the failure
+    list of the product form.  With the signs the Laurent check found, both
+    lists are empty; with sign 1 also on the pairs it found none for, the
+    pairs whose n-conjugation fails symbolically fail at the points too."""
+    alg = _algebra("B2-flip")
+    grp = ChevalleyGroup(alg)
+    found = verify_conjugation_relations(alg, samples=0, grp=grp)["eta"]
+    pairs = iproduct(range(len(alg.cat.objects)), repeat=2)
+    every = {key: found.get(key, 1) for key in pairs}
+    for eta in (found, every):
+        got, want = [], []
+        for t0, s0 in CONJ_POINTS[p]:
+            got += _conjugation_point_check(alg, PointGroup(grp, p), t0, s0, eta)
+            want += _conjugation_point_check(alg, ProductConjGroup(grp, p),
+                                             t0, s0, eta)
+        assert got == want
+        assert bool(got) is (eta is every)

@@ -1,7 +1,14 @@
-"""The stdout bytes and exit codes of nine commands that print values
-computed over Q(i), recorded from the two-Fraction `GaussianRational` that
-the integer-triple form replaced (`cli_golden.json`).  The floats among them
-(deviations, `compact exp` entries) pin the complex values bit for bit."""
+"""The stdout bytes and exit codes of fourteen commands, recorded in
+`cli_golden.json` before the kernels they run on were rewritten.
+
+Nine print values computed over Q(i), recorded from the two-Fraction
+`GaussianRational` that the integer-triple form replaced; the floats among
+them (deviations, `compact exp` entries) pin the complex values bit for
+bit.  Five run the group suite, recorded from the sparse product that
+called the domain's methods once per term: `verify group` and `chevgroup
+verify` over Q and over the prime fields, on B2 and G2, and `verify group`
+on B2 with gamma(7, 4) flipped, whose failure list and exit code 1 they
+pin."""
 
 import json
 from pathlib import Path
