@@ -4,12 +4,17 @@ Generators are exponentials of the nilpotent basis operators: E_X(t) is a
 matrix polynomial in t with integer coefficient matrices, h_X(t) is diagonal
 with entries t^{A_{XY}}, and n_X(t) = E_X(t) E_{TX}(t^{-1}) E_X(t).  All
 group relations are verified two ways: as identities of matrices over the
-Laurent-polynomial ring Q[t^{+-1}, s^{+-1}] (a complete proof), and at fresh
-random sample points over Q or a prime field.  The sample points run
+Laurent-polynomial ring Z[t^{+-1}, s^{+-1}] (a complete proof), and at fresh
+random sample points over Q or a prime field.  The proofs run on a
+`LaurentGroup`: every argument they use is a monomial c t^a s^b, so each
+generator is an integer matrix whose column keys (col, et, es) carry the
+exponents, E_X(c t^a s^b) putting c^k times entry (i, j) of M_k at (i, (j,
+ka, kb)), and the torus conjugation only moves keys.  The sample points run
 fraction-free on a `PointGroup`: a matrix at a point of Q is an integer
 matrix over one integer denominator, E_X(a/b) = (sum_k a^k b^(K-k) M_k, b^K),
 and over F_p the same integer kernel works on residues, so no product takes
-a gcd.
+a gcd.  `ChevalleyGroup.E`, `h` and `n` give the generators over any
+`Domain`, Laurent polynomials included.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 
-from .exact import (LAURENT, QQ, ZZ, LaurentPoly, PrimeField, divided_powers,
-                    ff_eq, ff_mul, ff_reduce, sp_eq, sp_identity, sp_map,
-                    sp_mul, sp_mul_many, sum_powers)
+from .exact import (QQ, ZZ, PrimeField, divided_powers, ek_mul, ff_eq, ff_mul,
+                    ff_reduce, sp_identity, sp_map, sp_mul_many, sum_powers)
 from .liealg import LieAlgebraZ, first_bracket_failure
 from .rootdata import invariant_factors
 
@@ -78,12 +82,19 @@ class ChevalleyGroup:
     def conj_by_h(self, x, t, mat, dom):
         """h_X(t) M h_X(t)^{-1}: entrywise scaling by t^{A_i - A_j}."""
         exps = self.h_exponents(x)
+        powers = {}  # one power per distinct exponent
         out = {}
         for i, row in mat.items():
             r = {}
             for j, v in row.items():
                 e = exps[i] - exps[j]
-                r[j] = dom.mul(dom.power(t, e), v) if e else v
+                if e:
+                    te = powers.get(e)
+                    if te is None:
+                        te = powers[e] = dom.power(t, e)
+                    r[j] = dom.mul(te, v)
+                else:
+                    r[j] = v
             out[i] = r
         return out
 
@@ -184,52 +195,115 @@ class PointGroup:
         return self.n(ix, self.dom.neg(t))
 
 
+class LaurentGroup:
+    """E, h, n and n^{-1} of `grp` at monomials c t^a s^b, as integer
+    matrices over Z[t^{+-1}, s^{+-1}] in the exponent-keyed form of `ek_mul`,
+    {row: {(col, et, es): int}} with no zero entry and no empty row, so that
+    `==` is equality.
+
+    Objects are named by index and a monomial by its integer coefficient c
+    and exponents (a, b); n inverts its argument, so there c is +-1, and h
+    is taken at t^a s^b.  Every generator is a relabelling of the integer
+    exp table or of the torus exponents: entry v of M_k in E_X(c t^a s^b)
+    goes to the key (col, k a, k b) with value c^k v.  E and n are memoised
+    by (index, c, a, b).
+    """
+
+    def __init__(self, grp):
+        self.grp = grp
+        self.cat = grp.cat
+        self._memo = {}
+
+    def mul(self, *mats):
+        return reduce(ek_mul, mats)
+
+    def identity(self):
+        return {i: {(i, 0, 0): 1} for i in range(self.grp.dim)}
+
+    def E(self, ix, c, a, b):
+        key = ("E", ix, c, a, b)
+        out = self._memo.get(key)
+        if out is None:
+            out = {}
+            for k, mat in enumerate(self.grp.exp_table(ix)):
+                ck, ka, kb = c ** k, k * a, k * b
+                for i, row in mat.items():
+                    r = out.setdefault(i, {})
+                    for j, v in row.items():
+                        jk = (j, ka, kb)  # keys meet only when a = b = 0
+                        r[jk] = r[jk] + ck * v if jk in r else ck * v
+            out = self._memo[key] = {
+                i: r for i, row in out.items()
+                if (r := {jk: v for jk, v in row.items() if v})}
+        return out
+
+    def h(self, ix, a, b):
+        """h_X(t^a s^b) = diag(t^(e a) s^(e b)) over the exponents e of h_X."""
+        exps = self.grp.h_exponents(self.cat.objects[ix])
+        return {i: {(i, e * a, e * b): 1} for i, e in enumerate(exps)}
+
+    def conj_by_h(self, ix, mat):
+        """h_X(t) M h_X(t)^{-1}: entry (i, j) moved by A_i - A_j in t."""
+        exps = self.grp.h_exponents(self.cat.objects[ix])
+        return {i: {(j, et + exps[i] - exps[j], es): v
+                    for (j, et, es), v in row.items()}
+                for i, row in mat.items()}
+
+    def n(self, ix, c, a, b):
+        """E_X(m) E_TX(m^{-1}) E_X(m) for m = c t^a s^b, c = +-1."""
+        key = ("n", ix, c, a, b)
+        out = self._memo.get(key)
+        if out is None:
+            itx = self.cat.index(self.cat.shift(self.cat.objects[ix]))
+            e1 = self.E(ix, c, a, b)
+            out = self._memo[key] = self.mul(e1, self.E(itx, c, -a, -b), e1)
+        return out
+
+    def n_inv(self, ix, c, a, b):
+        """n_X(m)^{-1} = n_X(-m), sharing its memo entry."""
+        return self.n(ix, -c, a, b)
+
+
 # ---------------------------------------------------------------------------
 # reflection / torus conjugation relations
 
 def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     """Check the six conjugation identities on every ordered pair of objects.
 
-    Symbolically over Laurent polynomials in (t, s), then at `samples` fresh
-    random rational points.  Returns a report with the extracted signs
-    eta_{XY} (asserted to be +-1 by construction of the check).
+    Symbolically over Z[t^{+-1}, s^{+-1}] on a `LaurentGroup`, then at
+    `samples` fresh random rational points.  Returns a report with the
+    extracted signs eta_{XY} (asserted to be +-1 by construction of the
+    check).
 
     Relation (5), that torus elements commute, cannot fail as written: it
-    compares `conj_by_h(x, t, h_Y(s))` with h_Y(s), and `conj_by_h` scales
-    entry (i, j) by t^{A_i - A_j}, which is 1 on the diagonal where h_Y(s)
+    compares `conj_by_h(X, h_Y(s))` with h_Y(s), and `conj_by_h` moves
+    entry (i, j) by A_i - A_j in t, which is 0 on the diagonal where h_Y(s)
     lives.
     """
     if grp is None:
         grp = ChevalleyGroup(alg)
     cat = alg.cat
     objs = cat.objects
-    t = LaurentPoly.var_t()
-    s = LaurentPoly.var_s()
-    n_t = [grp.n(x, t, LAURENT) for x in objs]
-    n_t_inv = [grp.n_inv(x, t, LAURENT) for x in objs]
-    n_s = [grp.n(x, s, LAURENT) for x in objs]
-    E_s = [grp.E_index(ix, s, LAURENT) for ix in range(len(objs))]
-    h_s = [grp.h(x, s, LAURENT) for x in objs]
+    lg = LaurentGroup(grp)
+    idx = range(len(objs))
+    # t = (1, 1, 0) and s = (1, 0, 1) as (c, a, b) of c t^a s^b
+    n_t = [lg.n(ix, 1, 1, 0) for ix in idx]
+    n_t_inv = [lg.n_inv(ix, 1, 1, 0) for ix in idx]
+    n_s = [lg.n(ix, 1, 0, 1) for ix in idx]
+    E_s = [lg.E(ix, 1, 0, 1) for ix in idx]
+    h_s = [lg.h(ix, 0, 1) for ix in idx]
     eta = {}
     failures = []
-    n_memo = {}  # (3) and (6) ask for each n_X(arg) about twice
-
-    def n_of(obj, arg):
-        out = n_memo.get((obj, arg))
-        if out is None:
-            out = n_memo[obj, arg] = grp.n(obj, arg, LAURENT)
-        return out
 
     for ix, x in enumerate(objs):
         for iy, y in enumerate(objs):
-            w = cat.omega(x, y)
+            iw = cat.index(cat.omega(x, y))
             A = cat.A(x, y)
             # (1) n_X(t) E_Y(s) n_X(t)^{-1} = E_{omega}(eta t^{-A} s)
-            lhs = sp_mul_many([n_t[ix], E_s[iy], n_t_inv[ix]], LAURENT)
+            lhs = lg.mul(n_t[ix], E_s[iy], n_t_inv[ix])
             got = None
             for e in (1, -1):
-                arg = LaurentPoly({(-A, 1): e})
-                if sp_eq(lhs, grp.E(w, arg, LAURENT), LAURENT):
+                if lhs == lg.E(iw, e, -A, 1):
                     got = e
                     break
             if got is None:
@@ -237,28 +311,22 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
             else:
                 eta[(ix, iy)] = got
             # (2) h_X(t) E_Y(s) h_X(t)^{-1} = E_Y(t^A s)
-            lhs = grp.conj_by_h(x, t, E_s[iy], LAURENT)
-            rhs = grp.E_index(iy, LaurentPoly({(A, 1): 1}), LAURENT)
-            if not sp_eq(lhs, rhs, LAURENT):
+            if lg.conj_by_h(ix, E_s[iy]) != lg.E(iy, 1, A, 1):
                 failures.append(("h_E_conj", ix, iy))
             # (3) n_X(t) n_Y(s) n_X(t)^{-1} = n_{omega}(eta t^{-A} s)
             if got is not None:
-                lhs = sp_mul_many([n_t[ix], n_s[iy], n_t_inv[ix]], LAURENT)
-                rhs = n_of(w, LaurentPoly({(-A, 1): got}))
-                if not sp_eq(lhs, rhs, LAURENT):
+                lhs = lg.mul(n_t[ix], n_s[iy], n_t_inv[ix])
+                if lhs != lg.n(iw, got, -A, 1):
                     failures.append(("n_n_conj", ix, iy))
             # (4) n_X(t) h_Y(s) n_X(t)^{-1} = h_{omega}(s)
-            lhs = sp_mul_many([n_t[ix], h_s[iy], n_t_inv[ix]], LAURENT)
-            if not sp_eq(lhs, grp.h(w, s, LAURENT), LAURENT):
+            lhs = lg.mul(n_t[ix], h_s[iy], n_t_inv[ix])
+            if lhs != h_s[iw]:
                 failures.append(("n_h_conj", ix, iy))
             # (5) torus elements commute
-            lhs = grp.conj_by_h(x, t, h_s[iy], LAURENT)
-            if not sp_eq(lhs, h_s[iy], LAURENT):
+            if lg.conj_by_h(ix, h_s[iy]) != h_s[iy]:
                 failures.append(("h_h_conj", ix, iy))
             # (6) h_X(t) n_Y(s) h_X(t)^{-1} = n_Y(t^A s)
-            lhs = grp.conj_by_h(x, t, n_s[iy], LAURENT)
-            rhs = n_of(y, LaurentPoly({(A, 1): 1}))
-            if not sp_eq(lhs, rhs, LAURENT):
+            if lg.conj_by_h(ix, n_s[iy]) != lg.n(iy, 1, A, 1):
                 failures.append(("h_n_conj", ix, iy))
 
     rng = random.Random(seed)
@@ -312,21 +380,21 @@ def _conjugation_point_check(alg, pg, t0, s0, eta):
 def commutator_constants(alg, x, y, grp=None):
     """Constants C_{i,j} with [E_X(t), E_Y(s)] = prod_{(i,j) lex} E_L(C t^i s^j).
 
-    The commutator matrix is computed exactly over Laurent polynomials and
-    the product factors are peeled off in lexicographic order; each constant
-    is asserted integral and the final residual is asserted to be the
-    identity, which proves the formula as a polynomial identity.
+    The commutator matrix is computed exactly over Z[t^{+-1}, s^{+-1}] on a
+    `LaurentGroup`, and the product factors are peeled off in lexicographic
+    order, the coefficient of t^i s^j being read off the keys (col, i, j);
+    each constant is asserted integral and the final residual is asserted to
+    be the identity, which proves the formula as a polynomial identity.
     """
     if grp is None:
         grp = ChevalleyGroup(alg)
     cat = alg.cat
     if x.pos_root == y.pos_root:
         raise ValueError("commutator formula needs independent roots")
-    t = LaurentPoly.var_t()
-    s = LaurentPoly.var_s()
-    R = sp_mul_many([
-        grp.E(x, t, LAURENT), grp.E(y, s, LAURENT),
-        grp.E(x, -t, LAURENT), grp.E(y, -s, LAURENT)], LAURENT)
+    lg = LaurentGroup(grp)
+    ix, iy = cat.index(x), cat.index(y)
+    R = lg.mul(lg.E(ix, 1, 1, 0), lg.E(iy, 1, 0, 1),
+               lg.E(ix, -1, 1, 0), lg.E(iy, -1, 0, 1))
     cands = sorted((i, j) for i in range(1, 6) for j in range(1, 6)
                    if cat.chain_object(x, y, i, j) is not None)
     out = []
@@ -335,10 +403,9 @@ def commutator_constants(alg, x, y, grp=None):
         il = cat.index(lobj)
         coef = {}
         for r, row in R.items():
-            for c, v in row.items():
-                val = v.coeff(i, j)
-                if val:
-                    coef.setdefault(r, {})[c] = val
+            for (c, et, es), v in row.items():
+                if et == i and es == j:
+                    coef.setdefault(r, {})[c] = v
         adl = alg.ad_matrix(il)
         # ratio against the first nonzero ad entry, then full proportionality
         C = Fraction(0)
@@ -358,10 +425,9 @@ def commutator_constants(alg, x, y, grp=None):
             raise ArithmeticError("non-integer commutator constant")
         C = int(C)
         if C:
-            mono = LaurentPoly({(i, j): -C})
-            R = sp_mul(grp.E(lobj, mono, LAURENT), R, LAURENT)
+            R = lg.mul(lg.E(il, -C, i, j), R)
             out.append(((i, j), il, C))
-    if not sp_eq(R, sp_identity(alg.dim, LAURENT), LAURENT):
+    if R != lg.identity():
         raise ArithmeticError("commutator does not close on the chain roots")
     return out
 

@@ -16,16 +16,19 @@ its part products and sums (Knuth, TAOCP vol. 2, 4.5.1).
 
 Matrices are kept as dicts of rows because almost every operator we build
 (exp of a nilpotent ad, torus elements, reflection elements) is sparse.
-`sp_mul` is the one product, of matrices and of a matrix and a vector, and
-`sp_transpose` the one way to read a matrix by columns.  The divided powers
-M^k/k! and their sums (`sum_powers`) behind every one-parameter subgroup,
-of the group and of the modules alike, are built here.  The product and the
-sums add with the elements' own `*` and `+` and finish each row once: zeros
-dropped, each F_p entry reduced mod p once.  No element class may define a
-mutating `__iadd__`.  A matrix over Q or F_p can also be held fraction-free,
-as an integer matrix and one denominator (`ff_mul`, `ff_eq`).  One
-Gauss-Jordan routine backs the dense inverse, the linear solve and the
-module kernels.
+`sp_mul` is the one product over a `Domain`, of matrices and of a matrix
+and a vector, and `sp_transpose` the one way to read a matrix by columns.
+The divided powers M^k/k! and their sums (`sum_powers`) behind every
+one-parameter subgroup, of the group and of the modules alike, are built
+here.  The product and the sums add with the elements' own `*` and `+` and
+finish each row once: zeros dropped, each F_p entry reduced mod p once.  No
+element class may define a mutating `__iadd__`.  A matrix over Q or F_p can
+also be held fraction-free, as an integer matrix and one denominator
+(`ff_mul`, `ff_eq`), and a matrix over Z[t^{+-1}, s^{+-1}] exponent-keyed,
+as integers under keys (col, et, es) that carry the exponents (`ek_mul`,
+which the symbolic group proofs use in place of matrices of `LaurentPoly`
+entries).  One Gauss-Jordan routine backs the dense inverse, the linear
+solve and the module kernels.
 `LDL`, an exact LDL^T grown a row at a time, picks the basis of each module
 weight space and factors its Gram, and the blocks of the compact Gram that
 `components` finds.
@@ -512,6 +515,30 @@ def sp_mul_many(mats, dom):
     out = None
     for m in mats:
         out = m if out is None else sp_mul(out, m, dom)
+    return out
+
+
+def ek_mul(a, b):
+    """Product of two matrices over Z[t^{+-1}, s^{+-1}] in exponent-keyed
+    form: {row: {(col, et, es): int}}, the entry (row, col) being the sum of
+    v t^et s^es over its keys.  With no zero entry and no empty row, `==`
+    on two such dicts is equality of the matrices.  A row adds up as in
+    `sp_mul`, the exponents of the two factors adding in the key."""
+    out = {}
+    for i, arow in a.items():
+        acc = {}
+        for (k, at, as_), av in arow.items():
+            brow = b.get(k)
+            if not brow:
+                continue
+            for (j, bt, bs), bv in brow.items():
+                key = j, at + bt, as_ + bs
+                if key in acc:
+                    acc[key] += av * bv
+                else:
+                    acc[key] = av * bv
+        if acc := _finish_row(acc, None):
+            out[i] = acc
     return out
 
 

@@ -59,6 +59,16 @@ def test_conjugation_relations(series, rank):
     assert rep["eta_values_ok"]
 
 
+def test_conjugation_relations_f4():
+    """The symbolic proof on F4: 48 objects, so 48^2 pairs, each with a sign."""
+    rep = verify_conjugation_relations(lie_algebra("F", 4), samples=0)
+    assert rep["ok"], rep["failures"][:5]
+    assert rep["pairs"] == 2304
+    assert len(rep["eta"]) == 2304
+    assert set(rep["eta"].values()) <= {1, -1}
+    assert rep["eta_values_ok"]
+
+
 def test_commutator_constants_a2():
     """[E_alpha(t), E_beta(s)] = E_{alpha+beta}(+-t s) in type A2."""
     alg = lie_algebra("A", 2)

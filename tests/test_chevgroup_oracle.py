@@ -1,15 +1,18 @@
 """The relation checks against a reference that rebuilds every generator.
 
-`verify_conjugation_relations` and `steinberg_report` use integer Laurent
-coefficients, a memoised A-pairing, memoised n_X in the Laurent loop and
-fraction-free sample points on a `PointGroup`.  The reference here is the
-direct algorithm: Laurent coefficients are always Fractions, A is recomputed
-from the Euler form, every generator is rebuilt for every pair over QQ or a
-`PrimeField`, torus conjugation is a full product with h_X(t^-1), and every
-commutator product starts from the identity.  Both must give equal reports,
-also on an algebra with a flipped structure constant, and equal non-empty
-failure lists at points where a changed exponential table or a flipped sign
-must fail.
+`verify_conjugation_relations` and `commutator_constants` prove their
+identities on exponent-keyed integer matrices over Z[t^+-1, s^+-1] (a
+`LaurentGroup`, whose E and n are memoised by index and monomial), with a
+memoised A-pairing, and check the sample points fraction-free on a
+`PointGroup`.  The reference here is the direct algorithm: matrices of
+Laurent polynomials whose coefficients are always Fractions, A recomputed
+from the Euler form, every generator rebuilt for every pair over QQ or a
+`PrimeField`, torus conjugation a full product with h_X(t^-1), and every
+commutator product started from the identity.  Both must give equal
+reports, also on every algebra with one structure constant flipped (all
+12 of A2 in tier 1, all 24 of B2 under `slow`), and equal non-empty failure
+lists at points where a changed exponential table or a flipped sign must
+fail.
 """
 
 import random
@@ -278,6 +281,33 @@ def test_steinberg_matches_reference(case):
         assert got[key] == want[key], key
     assert got["ok"] is (case != "B2-flip")
     assert bool(got["constant_failures"]) is (case == "B2-flip")
+
+
+def _flips(case, marks=()):
+    alg = lie_algebra(case[0], int(case[1]))
+    return [pytest.param(case, key, marks=marks, id=f"{case}-{key[0]},{key[1]}")
+            for key in alg.gamma]
+
+
+@pytest.mark.parametrize("case,key", _flips("A2")
+                         + _flips("B2", marks=pytest.mark.slow))
+def test_every_flip_matches_reference(case, key):
+    """The symbolic reports, with gamma_key negated as `verify
+    --mutate-gamma` does: every eta, failure and commutator constant, and
+    every constant failure with its message."""
+    alg = lie_algebra(case[0], int(case[1]))
+    il, g = alg.gamma[key]
+    alg = alg.with_gamma({key: (il, -g)})
+    got = verify_conjugation_relations(alg, samples=0)
+    want = ref_conjugation(alg, samples=0, seed=0)
+    for name in want:
+        assert got[name] == want[name], name
+    assert got["failures"]
+    got = steinberg_report(alg, primes=(), samples=0)
+    want = ref_steinberg(alg, primes=(), samples=0, seed=0)
+    assert got["constants"] == want["constants"]
+    assert got["constant_failures"] == want["constant_failures"]
+    assert got["constant_failures"]
 
 
 # ---------------------------------------------------------------------------

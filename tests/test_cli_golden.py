@@ -1,4 +1,4 @@
-"""The stdout bytes and exit codes of fourteen commands, recorded in
+"""The stdout bytes and exit codes of seventeen commands, recorded in
 `cli_golden.json` before the kernels they run on were rewritten.
 
 Nine print values computed over Q(i), recorded from the two-Fraction
@@ -8,7 +8,11 @@ bit.  Five run the group suite, recorded from the sparse product that
 called the domain's methods once per term: `verify group` and `chevgroup
 verify` over Q and over the prime fields, on B2 and G2, and `verify group`
 on B2 with gamma(7, 4) flipped, whose failure list and exit code 1 they
-pin."""
+pin.  Three more were recorded from the symbolic proofs over matrices of
+`LaurentPoly` entries, before they moved to exponent-keyed integer
+matrices: `verify group` on G2, `chevgroup verify` on A2 over Q, and
+`verify group` on A2 with gamma(0, 2) flipped, whose failure list, the
+commutator-constant error strings included, and exit code 1 they pin."""
 
 import json
 from pathlib import Path
