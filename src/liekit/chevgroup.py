@@ -377,7 +377,7 @@ def _conjugation_point_check(alg, pg, t0, s0, eta):
 # ---------------------------------------------------------------------------
 # Steinberg relations
 
-def commutator_constants(alg, x, y, grp=None):
+def commutator_constants(alg, x, y, grp=None, lg=None):
     """Constants C_{i,j} with [E_X(t), E_Y(s)] = prod_{(i,j) lex} E_L(C t^i s^j).
 
     The commutator matrix is computed exactly over Z[t^{+-1}, s^{+-1}] on a
@@ -385,13 +385,14 @@ def commutator_constants(alg, x, y, grp=None):
     order, the coefficient of t^i s^j being read off the keys (col, i, j);
     each constant is asserted integral and the final residual is asserted to
     be the identity, which proves the formula as a polynomial identity.
+    A caller that runs many pairs passes one `LaurentGroup` as `lg`, and
+    the pairs share its memo.
     """
-    if grp is None:
-        grp = ChevalleyGroup(alg)
     cat = alg.cat
     if x.pos_root == y.pos_root:
         raise ValueError("commutator formula needs independent roots")
-    lg = LaurentGroup(grp)
+    if lg is None:
+        lg = LaurentGroup(ChevalleyGroup(alg) if grp is None else grp)
     ix, iy = cat.index(x), cat.index(y)
     R = lg.mul(lg.E(ix, 1, 1, 0), lg.E(iy, 1, 0, 1),
                lg.E(ix, -1, 1, 0), lg.E(iy, -1, 0, 1))
@@ -473,13 +474,14 @@ def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
     if grp is None:
         grp = ChevalleyGroup(alg)
     cat = alg.cat
+    lg = LaurentGroup(grp)
     consts = {}
     constant_failures = []
     for ix, x in enumerate(cat.objects):
         for iy, y in enumerate(cat.objects):
             if x.pos_root != y.pos_root:
                 try:
-                    consts[(ix, iy)] = commutator_constants(alg, x, y, grp)
+                    consts[(ix, iy)] = commutator_constants(alg, x, y, lg=lg)
                 except ArithmeticError as exc:
                     constant_failures.append(
                         ("commutator_constants", ix, iy, str(exc)))

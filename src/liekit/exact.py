@@ -29,9 +29,10 @@ as integers under keys (col, et, es) that carry the exponents (`ek_mul`,
 which the symbolic group proofs use in place of matrices of `LaurentPoly`
 entries).  One Gauss-Jordan routine backs the dense inverse, the linear
 solve and the module kernels.
-`LDL`, an exact LDL^T grown a row at a time, picks the basis of each module
-weight space and factors its Gram, and the blocks of the compact Gram that
-`components` finds.
+`Bareiss`, a fraction-free elimination of a symmetric integer matrix grown a
+row at a time, picks the basis of each module weight space from its integer
+Gram.  `LDL`, an exact LDL^T over Q, factors the Gram of each weight space
+and the blocks of the compact Gram that `components` finds.
 """
 
 from __future__ import annotations
@@ -640,7 +641,10 @@ def sum_powers(table, coeffs, dom):
 # fraction-free matrices: a matrix over Q as a pair (N, d) of an integer
 # sparse matrix N and an integer d != 0 standing for N / d; over F_p, N and
 # d are integers read mod p.  Products and equality never divide, so no gcd
-# is taken (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).
+# is taken (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).  A
+# column is held the same way, an integer dict over one denominator, and
+# kept in lowest terms by one gcd (`ff_column`).  `Bareiss` eliminates a
+# symmetric integer matrix with exact integer divisions only.
 
 def ff_reduce(a, p):
     """A pair with its entries reduced mod p."""
@@ -668,6 +672,78 @@ def ff_eq(a, b, p=None):
             if diff % p if p else diff:
                 return False
     return True
+
+
+def ff_column(vec, d):
+    """The column vec / d, an integer dict over a nonzero integer, in lowest
+    terms: zeros dropped, then one gcd over d and every entry, so that d > 0
+    and gcd(d, *vec) = 1.  A zero column comes back as ({}, 1)."""
+    vec = {k: v for k, v in vec.items() if v}
+    g = gcd(d, *vec.values())
+    if d < 0:
+        g = -g
+    if g == 1:
+        return vec, d
+    return {k: v // g for k, v in vec.items()}, d // g
+
+
+def ff_pairing(row, col):
+    """sum row[k] N[k] / d for an integer dict `row` and a column (N, d)
+    whose support `row` covers; raises ArithmeticError when d does not
+    divide the sum, and never truncates."""
+    n, d = col
+    q, r = divmod(sum(row[k] * v for k, v in n.items()), d)
+    if r:
+        raise ArithmeticError(f"pairing {q * d + r}/{d} is not an integer")
+    return q
+
+
+class Bareiss:
+    """Fraction-free elimination of a symmetric integer matrix G, grown one
+    row and column at a time (Bareiss, Math. Comp. 22, 1968).
+
+    `minors` holds the leading minors Delta_0 = 1, Delta_1, ..., Delta_k of
+    the k rows in, and `rows[s][t]`, for t < s, entry (t, s) after t
+    elimination steps: the minor of the leading t x t block bordered by row
+    t and column s.  Every division is exact by Sylvester's identity, so
+    everything stays an integer and no gcd is taken.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.minors = [1]
+
+    def reduce(self, col, diag):
+        """For a new column `col` (its entries in the k rows in) and diagonal
+        entry `diag`: the bordered minor det [[G, col], [col^T, diag]] and v,
+        where v[t] is entry t of the column after t steps.  The minor is 0
+        exactly when the new row is a combination of the rows in; otherwise
+        it is Delta_{k+1} and v the new row of `rows`."""
+        v = list(col)
+        minors, rows = self.minors, self.rows
+        for t in range(len(v)):
+            vt, dn, dp = v[t], minors[t + 1], minors[t]
+            for s in range(t + 1, len(v)):
+                v[s] = (dn * v[s] - rows[s][t] * vt) // dp
+            diag = (dn * diag - vt * vt) // dp
+        return diag, v
+
+    def push(self, v, minor):
+        self.rows.append(v)
+        self.minors.append(minor)
+
+    def span(self, v):
+        """For v from `reduce(col, .)`: the integers y with G y = Delta_k col,
+        so that y / Delta_k are the coordinates of col on the rows in (by
+        Cramer's rule the y are integers).  Back-substitution in the
+        eliminated system, each step an exact division by Delta_{t+1}."""
+        k, rows = len(v), self.rows
+        dk = self.minors[k]
+        y = [0] * k
+        for t in range(k - 1, -1, -1):
+            acc = dk * v[t] - sum(rows[s][t] * y[s] for s in range(t + 1, k))
+            y[t] = acc // self.minors[t + 1]
+        return y
 
 
 # ---------------------------------------------------------------------------
@@ -752,13 +828,10 @@ def solve_linear(gram, rhs):
 
 
 class LDL:
-    """The exact factorisation G = L D L^T of a symmetric matrix over Q,
-    grown one row and column at a time; L is unit lower triangular.
-
-    `reduce` eliminates a new column against the rows already in, in O(k^2)
-    for k rows; its residual is the new pivot d, so the leading minors of G
-    are the prefix products of `d` and no pivoting is needed while every d
-    is nonzero.
+    """The exact factorisation G = L D L^T of a symmetric matrix over Q, in
+    which L is unit lower triangular; the leading minors of G are the prefix
+    products of `d`.  `Bareiss` is its fraction-free twin for integer
+    matrices.
     """
 
     def __init__(self):
@@ -772,36 +845,21 @@ class LDL:
             y.append(c - sum(map(mul, row, y)))
         return y
 
-    def reduce(self, col, diag):
-        """For G the matrix so far, its new column `col` and diagonal entry
-        `diag`: the residual diag - col^T G^{-1} col and z = D^{-1} L^{-1} col,
-        which is the new row of L when the residual is nonzero."""
-        y = self.forward(col)
-        z = [v / dk for v, dk in zip(y, self.d)]
-        return diag - sum(map(mul, y, z)), z
-
-    def push(self, z, resid):
-        self.low.append(z)
-        self.d.append(resid)
-
-    def back(self, z):
-        """x with L^T x = z; for z from `reduce(col, .)`, G x = col."""
-        x = list(z)
-        for k in range(len(x) - 1, -1, -1):
-            for l in range(k + 1, len(x)):
-                x[k] -= self.low[l][k] * x[l]
-        return x
-
     @classmethod
     def of(cls, gram):
         """The factorisation of a symmetric matrix, stopped after its first
         pivot that is not positive: G is positive definite iff every
         d > 0, and otherwise d[-1] <= 0 sits at the first leading minor
-        that is not positive."""
+        that is not positive.  Row k of L is D^{-1} L^{-1} of the column
+        above the diagonal, and the pivot its residual diag - y^T D^{-1} y,
+        so no pivoting is needed while every d is nonzero."""
         f = cls()
         for k, row in enumerate(gram):
-            resid, z = f.reduce(row[:k], row[k])
-            f.push(z, resid)
+            y = f.forward(row[:k])
+            z = [v / dk for v, dk in zip(y, f.d)]
+            resid = row[k] - sum(map(mul, y, z))
+            f.low.append(z)
+            f.d.append(resid)
             if resid <= 0:
                 break
         return f

@@ -1,12 +1,16 @@
-"""Finite-dimensional highest-weight modules over exact rationals.
+"""Finite-dimensional highest-weight modules, exact.
 
-The irreducible with highest weight lambda is built breadth-first by weight:
-every candidate vector F_i b at a new weight gets its E-actions from the
-commutation rule E_j F_i = F_i E_j + delta_ij H_j and its pairings from the
-contravariance (F_i x, y) = (x, E_i y); each weight space is then quotiented
-by the radical of its Gram matrix: the candidates are taken in order into an
-incremental exact LDL^T of the Gram of those kept, a nonzero residual makes a
-candidate a new basis vector and a zero one expresses it in the basis so far.
+The irreducible with highest weight lambda is built breadth-first by weight,
+on integers: every candidate vector F_i b at a new weight gets its E-actions
+from the commutation rule E_j F_i = F_i E_j + delta_ij H_j and its pairings
+from the contravariance (F_i x, y) = (x, E_i y).  Every basis vector is a
+monomial in the F_i applied to v_lambda, so the Gram of the candidates is
+integral, and each E and F column is held as an integer dict over one
+denominator.  Each weight space is quotiented by the radical of that Gram:
+the candidates are taken in order into an incremental fraction-free
+(Bareiss) elimination, a nonzero bordered minor makes a candidate a new
+basis vector and a zero one expresses it in the basis so far.  The finished
+module holds its E, F and Grams as `Fraction`s.
 Dimensions and weight multiplicities are cross-checked against two
 independent oracles: the Weyl dimension formula, and the Freudenthal
 recursion, run on the dominant weights only.
@@ -19,9 +23,10 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .exact import (LDL, QQ, QI, GaussianRational, components,
-                    dense_inverse, divided_powers, gauss_jordan, sp_add, sp_eq,
-                    sp_map, sp_mul, sp_mul_many, sp_transpose, sum_powers)
+from .exact import (LDL, QQ, QI, Bareiss, GaussianRational, components,
+                    dense_inverse, divided_powers, ff_column, ff_pairing,
+                    gauss_jordan, sp_add, sp_eq, sp_map, sp_mul, sp_mul_many,
+                    sp_transpose, sum_powers)
 from .rootdata import root_system
 
 
@@ -254,7 +259,18 @@ class WeightModule:
 DIM_CAP = 5000
 
 
-def build_irrep(cartan, lam, cap=DIM_CAP):
+def irrep_columns(cartan, lam, cap=DIM_CAP):
+    """V(lam) on integers: (E, F, weights, weight_of) with E[j] and F[i]
+    held by columns, {g: (N, d)}, each column an integer dict N over one
+    denominator d in lowest terms (`ff_column`), and integer weight Grams.
+
+    Every basis vector and every candidate F_i b is a monomial in the F_i
+    applied to v_lam, so every pairing of two of them is an integer; one
+    that is not raises ArithmeticError (`ff_pairing`).  Each weight's
+    candidates go in order into a `Bareiss` elimination of their Gram: a
+    nonzero bordered minor makes a candidate a new basis vector, and a zero
+    one expresses it in the basis so far, with integer coordinates over the
+    leading minor Delta_k."""
     lam = tuple(lam)
     if any(v < 0 for v in lam):
         raise ValueError("weight is not dominant")
@@ -263,21 +279,16 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
         raise ValueError(
             f"Weyl dimension {wdim} exceeds the configured cap {cap}")
     m = len(cartan.a)
+    # E[j][g] is column g of E_j; F[i][b] is column b of F_i
     E = [{} for _ in range(m)]
     F = [{} for _ in range(m)]
-    # column views beside the row dicts: Ecol[j][g] is column g of E[j]
-    Ecol = [{} for _ in range(m)]
-    Fcol = [{} for _ in range(m)]
-    weights = {}
-    weight_of = []
-    local = []  # global index -> its position in its weight's basis
-
+    zero_col = ({}, 1)
+    # gram_row[g]: row g of its weight's Gram, over global indices
+    gram_row = {0: {0: 1}}
     zero = (0,) * m
-    weights[zero] = {"fund": lam, "basis": [0], "gram": [[Fraction(1)]],
-                     "raw_labels": [None]}
-    weight_of.append(lam)
-    local.append(0)
-    nglobal = 1
+    weights = {zero: {"fund": lam, "basis": [0], "gram": [[1]],
+                      "raw_labels": [None]}}
+    weight_of = [lam]
     level = [zero]
     while level:
         nxt = set()
@@ -302,85 +313,99 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
             if not cands:
                 continue
             fund = tuple(map(sub, lam, root_fund(cartan, depth)))
-            # E_j of each candidate F_i b, as a dict over global indices:
+            # E_j of each candidate F_i b, as a column (N, d):
             # E_j F_i b = F_i (E_j b) + delta_ij <j, wt b> b
             cand_E = []
             for (i, b) in cands:
-                mu = weight_of[b]
-                fcol = Fcol[i]
+                mu_i = weight_of[b][i]
+                fcols = F[i]
                 evec = []
                 for j in range(m):
+                    nb, db = E[j].get(b, zero_col)
+                    terms = [(v, fcols[c]) for c, v in nb.items() if c in fcols]
+                    den = math.lcm(*(dc for _, (_, dc) in terms))
                     acc = {}
-                    for c, v in Ecol[j].get(b, {}).items():
-                        for r, w in fcol.get(c, {}).items():
-                            acc[r] = acc[r] + w * v if r in acc else w * v
-                    if i == j and mu[j]:
-                        acc[b] = acc.get(b, Fraction(0)) + mu[j]
-                    evec.append({r: v for r, v in acc.items() if v})
+                    for v, (nc, dc) in terms:
+                        f = v * (den // dc)
+                        for r, w in nc.items():
+                            acc[r] = acc[r] + w * f if r in acc else w * f
+                    den *= db
+                    if i == j and mu_i:
+                        acc[b] = acc.get(b, 0) + mu_i * den
+                    evec.append(ff_column(acc, den))
                 cand_E.append(evec)
-            # candidate Gram via contravariance: (F_i b, y) = (b, E_i y); the
-            # form is symmetric, so each pair is computed once
-            nc = len(cands)
-            C = [[None] * nc for _ in range(nc)]
-            for r_, (i_r, b_r) in enumerate(cands):
-                up = list(depth)
-                up[i_r] -= 1
-                grow = weights[tuple(up)]["gram"][local[b_r]]
-                for c_ in range(r_, nc):
-                    C[r_][c_] = C[c_][r_] = sum(
-                        (grow[local[g]] * v for g, v in cand_E[c_][i_r].items()),
-                        Fraction(0))
-            # radical quotient: a candidate whose residual against the
-            # pivots so far is nonzero is a new pivot of the LDL^T of the
-            # pivot Gram; any other is a combination of the pivots
-            ldl = LDL()
+            # radical quotient: the Gram entries a candidate needs come by
+            # contravariance, (F_i b, y) = (b, E_i y), against the pivots so
+            # far and itself
+            nglobal = len(weight_of)
+            elim = Bareiss()
             pivots = []
-            coords = []
-            for c_ in range(nc):
-                resid, z = ldl.reduce([C[p][c_] for p in pivots], C[c_][c_])
-                if resid:
-                    coords.append(("pivot", len(pivots)))
+            gram = []
+            cols = []
+            for c_, (i, b) in enumerate(cands):
+                evec = cand_E[c_]
+                col = [ff_pairing(gram_row[cands[p][1]], evec[cands[p][0]])
+                       for p in pivots]
+                diag = ff_pairing(gram_row[b], evec[i])
+                minor, v = elim.reduce(col, diag)
+                if minor:
+                    cols.append(({nglobal + len(pivots): 1}, 1))
+                    for grow, x in zip(gram, col):
+                        grow.append(x)
+                    gram.append(col + [diag])
                     pivots.append(c_)
-                    ldl.push(z, resid)
+                    elim.push(v, minor)
                 else:
-                    coords.append(("span", ldl.back(z)))
+                    y = elim.span(v)
+                    cols.append(ff_column(
+                        {nglobal + k: yk for k, yk in enumerate(y)},
+                        elim.minors[-1]))
             if not pivots:
                 continue
             basis = list(range(nglobal, nglobal + len(pivots)))
-            nglobal += len(pivots)
-            if nglobal > cap:
+            if basis[-1] >= cap:
                 raise ValueError(f"module exceeded the configured cap {cap}")
             weight_of.extend([fund] * len(pivots))
-            local.extend(range(len(pivots)))
-            weights[depth] = {
-                "fund": fund, "basis": basis,
-                "gram": [[C[p][q] for q in pivots] for p in pivots],
-                "raw_labels": list(cands),
-            }
-            # F columns for every candidate; E columns for pivots
-            for c_, (i, b) in enumerate(cands):
-                kind, x = coords[c_]
-                if kind == "pivot":
-                    col = {basis[x]: Fraction(1)}
-                else:
-                    col = {basis[k]: v for k, v in enumerate(x) if v}
-                if col:
-                    Fcol[i][b] = col
-                for g, v in col.items():
-                    F[i].setdefault(g, {})[b] = v
-            for k, p in enumerate(pivots):
-                g = basis[k]
+            weights[depth] = {"fund": fund, "basis": basis, "gram": gram,
+                              "raw_labels": list(cands)}
+            for g, grow in zip(basis, gram):
+                gram_row[g] = dict(zip(basis, grow))
+            for col, (i, b) in zip(cols, cands):
+                if col[0]:
+                    F[i][b] = col
+            for g, p in zip(basis, pivots):
                 for j in range(m):
-                    Ecol[j][g] = cand_E[p][j]
-                    for r, v in cand_E[p][j].items():
-                        E[j].setdefault(r, {})[g] = v
+                    if cand_E[p][j][0]:
+                        E[j][g] = cand_E[p][j]
             newlevel.append(depth)
         level = newlevel
-    mod = WeightModule(cartan, lam, nglobal, E, F, weights, weight_of)
-    if mod.dim != wdim:
+    if len(weight_of) != wdim:
         raise ArithmeticError(
-            f"built dimension {mod.dim} != Weyl formula {wdim}")
-    return mod
+            f"built dimension {len(weight_of)} != Weyl formula {wdim}")
+    return E, F, weights, weight_of
+
+
+def _fraction_rows(cols):
+    """The sparse matrix {row: {col: Fraction}} of columns held as (N, d)."""
+    out = {}
+    for g, (n, d) in cols.items():
+        for r, v in n.items():
+            out.setdefault(r, {})[g] = Fraction(v, d)
+    return out
+
+
+def build_irrep(cartan, lam, cap=DIM_CAP):
+    """The irreducible `WeightModule` with highest weight lam, built on
+    integers by `irrep_columns`.  `Fraction`s are made only here, at the
+    boundary: the entries of E, F and of every weight's Gram."""
+    E, F, weights, weight_of = irrep_columns(cartan, lam, cap)
+    for data in weights.values():
+        data["gram"] = [[Fraction(v) for v in row] for row in data["gram"]]
+    # in place, so that each matrix's integer columns go as it is converted
+    for mats in (E, F):
+        for j, cols in enumerate(mats):
+            mats[j] = _fraction_rows(cols)
+    return WeightModule(cartan, lam, len(weight_of), E, F, weights, weight_of)
 
 
 def direct_sum(mods):

@@ -1,4 +1,4 @@
-"""The stdout bytes and exit codes of seventeen commands, recorded in
+"""The stdout bytes and exit codes of nineteen commands, recorded in
 `cli_golden.json` before the kernels they run on were rewritten.
 
 Nine print values computed over Q(i), recorded from the two-Fraction
@@ -12,7 +12,10 @@ pin.  Three more were recorded from the symbolic proofs over matrices of
 `LaurentPoly` entries, before they moved to exponent-keyed integer
 matrices: `verify group` on G2, `chevgroup verify` on A2 over Q, and
 `verify group` on A2 with gamma(0, 2) flipped, whose failure list, the
-commutator-constant error strings included, and exit code 1 they pin."""
+commutator-constant error strings included, and exit code 1 they pin.  The
+last two were recorded from `build_irrep` over `Fraction`s, before it moved
+to integers: `irrep --emit actions` on G2 (2,1), whose E and F entries have
+denominators up to lcm 840, and `irrep --emit gram` on B3 (0,1,1)."""
 
 import json
 from pathlib import Path

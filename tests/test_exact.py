@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 import pytest
 
 from liekit.compactform import TRIG_QI, TrigPoly
-from liekit.exact import (GaussianRational, LAURENT, LDL, LaurentPoly,
-                          PrimeField, QI, QQ, ZZ, components, dense_inverse,
-                          dense_matmul, dense_det,
-                          ff_eq, ff_mul, ff_reduce, leading_principal_minors,
+from liekit.exact import (Bareiss, GaussianRational, LAURENT, LDL,
+                          LaurentPoly, PrimeField, QI, QQ, ZZ, components,
+                          dense_inverse, dense_matmul, dense_det, ff_column,
+                          ff_eq, ff_mul, ff_pairing, ff_reduce,
+                          leading_principal_minors,
                           solve_linear, sp_eq, sp_from_dense, sp_identity,
                           sp_mul, sp_to_dense, sp_transpose)
 
@@ -123,21 +124,58 @@ def test_ldl_stops_at_the_first_nonpositive_minor(a):
     assert _prefix_products(d) == minors[:len(d)]
 
 
-@given(sq3, st.lists(fracs, min_size=2, max_size=2))
-def test_ldl_residual_and_span_coordinates(a, x0):
-    """A column in the span of the pivots leaves residual 0, and `back`
-    recovers its coordinates; any other column is a new pivot."""
-    g = [[sum(a[k][i] * a[k][j] for k in range(3)) + (i == j)
-          for j in range(2)] for i in range(2)]
-    f = LDL.of(g)
-    col = [sum(g[i][j] * x0[j] for j in range(2)) for i in range(2)]
-    diag = sum(x0[i] * col[i] for i in range(2))
-    resid, z = f.reduce(col, diag)
-    assert resid == 0 and f.back(z) == x0
-    resid, z = f.reduce(col, diag + 1)
-    assert resid == 1
-    x = f.back(z)
-    assert [sum(g[i][j] * x[j] for j in range(2)) for i in range(2)] == col
+small = st.integers(-3, 3)
+
+
+@given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=5,
+                max_size=5))
+def test_bareiss_minors_and_span_coordinates(vecs):
+    """The Gram of five integer vectors in Z^3, its columns taken in order
+    as `build_irrep` takes its candidates: a nonzero bordered minor is the
+    next leading minor of the pivot Gram, a zero one comes from a column in
+    the span of the pivots, whose integer coordinates over Delta_k solve the
+    pivot Gram; and the same column with its diagonal raised by 1 is a new
+    pivot with minor Delta_k.  Five vectors in rank 3 leave at least two
+    span columns."""
+    g = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
+    f = Bareiss()
+    pivots = []
+    spans = 0
+    for c in range(5):
+        col = [g[p][c] for p in pivots]
+        minor, v = f.reduce(col, g[c][c])
+        bordered = pivots + [c]
+        assert minor == dense_det([[g[p][q] for q in bordered]
+                                   for p in bordered])
+        if minor:
+            f.push(v, minor)
+            pivots.append(c)
+            continue
+        spans += 1
+        dk = f.minors[-1]
+        y = f.span(v)
+        assert all(type(yk) is int for yk in y)
+        assert [Fraction(yk, dk) for yk in y] == solve_linear(
+            [[Fraction(g[p][q]) for q in pivots] for p in pivots], col)
+        assert f.reduce(col, g[c][c] + 1)[0] == dk
+    assert spans >= 2
+    assert f.minors[1:] == leading_principal_minors(
+        [[g[p][q] for q in pivots] for p in pivots])
+
+
+def test_ff_column_takes_lowest_terms():
+    assert ff_column({0: 4, 1: -6, 2: 0}, 8) == ({0: 2, 1: -3}, 4)
+    assert ff_column({3: 3}, -6) == ({3: -1}, 2)
+    assert ff_column({0: 5, 1: 7}, 1) == ({0: 5, 1: 7}, 1)
+    assert ff_column({0: 0}, -5) == ({}, 1)
+
+
+def test_ff_pairing_divides_exactly_or_raises():
+    assert ff_pairing({0: 3, 1: 1}, ({0: 2, 1: 2}, 4)) == 2
+    assert ff_pairing({0: 1, 1: 5}, ({}, 1)) == 0
+    for col in (({0: 1}, 2), ({0: -1}, 2), ({0: 7, 1: 1}, 3)):
+        with pytest.raises(ArithmeticError):
+            ff_pairing({0: 1, 1: 0}, col)
 
 
 def test_solve_linear():

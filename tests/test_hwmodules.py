@@ -159,7 +159,6 @@ def test_unipotent_parametrization_injective():
     assert ok and count == 40
 
 
-@pytest.mark.slow
 def test_b3_211_dimension():
     cartan = build_cartan("B", 3)
     mod = build_irrep(cartan, (2, 1, 1))

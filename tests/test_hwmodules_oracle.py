@@ -1,14 +1,15 @@
 """The module layer against its direct exact algorithms.
 
-`build_irrep` selects pivots by an incremental LDL^T and reads E and F by
-column; `adjoint_check` tests M^H G == G N with no inverse; `end_inner` sums
-only the trace of B* A; `gram_positive_definite` reads the LDL^T pivots;
-`shapovalov_binomial_check` and `s_second_sum` read columns through one
-transpose and apply matrices by `sp_mul`.  The references below are the
-direct algorithms they replace: a fresh `solve_linear` of the pivot Gram for
-every candidate, row scans of E and F, the adjoint G^{-1} M^H G over Q(i),
-the full product B* A, every leading principal minor, and a per-vector scan
-of every row.  `FreudenthalTable` walks the dominant weights of V(lam) by
+`build_irrep` works on integers: E and F by column, each an integer dict
+over one denominator, an integer Gram, and pivots selected by fraction-free
+elimination; `adjoint_check` tests M^H G == G N with no inverse;
+`end_inner` sums only the trace of B* A; `gram_positive_definite` reads the
+LDL^T pivots; `shapovalov_binomial_check` and `s_second_sum` read columns
+through one transpose and apply matrices by `sp_mul`.  The references below
+are the direct algorithms they replace: a `Fraction` build that re-solves
+the pivot Gram for every candidate, row scans of E and F, the adjoint
+G^{-1} M^H G over Q(i), the full product B* A, every leading principal
+minor, and a per-vector scan of every row.  `FreudenthalTable` walks the dominant weights of V(lam) by
 positive-root steps from lam, `weight_bilinear` reads one cached form and
 `longest_word` is the reflection walk from -rho; their references are the
 Freudenthal recursion over the whole box of depth vectors, one
@@ -26,11 +27,12 @@ import pytest
 
 from liekit.exact import (QI, QQ, GaussianRational, dense_inverse,
                           leading_principal_minors, solve_linear, sp_eq,
-                          sp_map, sp_mul, sp_mul_many)
+                          sp_map, sp_mul, sp_mul_many, sp_transpose)
 from liekit.hwmodules import (FreudenthalTable, ModuleGenerators,
                               WeightModule, _nullspace, adjoint_check,
-                              build_irrep, dominant_conjugate, longest_word,
-                              root_fund, shapovalov_binomial_check,
+                              build_irrep, dominant_conjugate, irrep_columns,
+                              longest_word, root_fund,
+                              shapovalov_binomial_check,
                               unitarity_deviation, weight_bilinear, weyl_dim)
 from liekit.peterweyl import MatrixCoefficient, OElement, end_inner
 from liekit.rootdata import build_cartan, root_system
@@ -398,7 +400,10 @@ class ReferenceFreudenthalTable:
 # build_irrep
 
 BUILDS = [("A", 2, (6, 6)), ("G", 2, (2, 1)), ("B", 3, (0, 1, 1)),
-          ("C", 3, (0, 1, 0)), ("D", 4, (0, 1, 0, 0)), ("A", 3, (1, 0, 0))]
+          ("C", 3, (0, 1, 0)), ("D", 4, (0, 1, 0, 0)), ("A", 3, (1, 0, 0)),
+          ("A", 3, (2, 1, 2))]
+SLOW_BUILDS = [pytest.param("G", 2, (3, 1), marks=pytest.mark.slow),
+               pytest.param("B", 2, (4, 3), marks=pytest.mark.slow)]
 
 
 def _entry_types(mod):
@@ -408,7 +413,7 @@ def _entry_types(mod):
             | {type(v) for row in grams for v in row})
 
 
-@pytest.mark.parametrize("series,rank,lam", BUILDS)
+@pytest.mark.parametrize("series,rank,lam", BUILDS + SLOW_BUILDS)
 def test_build_irrep_matches_direct_construction(series, rank, lam):
     cartan = build_cartan(series, rank)
     mod = build_irrep(cartan, lam)
@@ -419,6 +424,26 @@ def test_build_irrep_matches_direct_construction(series, rank, lam):
     assert mod.weight_of == weight_of
     assert mod.dim == len(weight_of) == weyl_dim(cartan, lam)
     assert _entry_types(mod) == {Fraction}
+
+
+@pytest.mark.parametrize("series,rank,lam", BUILDS)
+def test_irrep_columns_are_integral_and_reduced(series, rank, lam):
+    """Every E and F column is an integer dict over a positive denominator
+    in lowest terms, with no zero entry, and every Gram entry an int; read
+    as Fractions they are `build_irrep`'s matrices and Grams."""
+    cartan = build_cartan(series, rank)
+    E, F, weights, _ = irrep_columns(cartan, lam)
+    mod = build_irrep(cartan, lam)
+    for cols, rows in zip(E + F, mod.E + mod.F):
+        assert sp_transpose(rows) == {
+            g: {r: Fraction(v, d) for r, v in n.items()}
+            for g, (n, d) in cols.items()}
+        for n, d in cols.values():
+            assert n and d > 0 and math.gcd(d, *n.values()) == 1
+            assert all(type(v) is int and v for v in n.values())
+    for depth, data in weights.items():
+        assert {type(v) for row in data["gram"] for v in row} == {int}
+        assert data["gram"] == mod.weights[depth]["gram"]
 
 
 # ---------------------------------------------------------------------------
