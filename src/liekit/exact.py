@@ -31,8 +31,9 @@ entries).  One Gauss-Jordan routine backs the dense inverse, the linear
 solve and the module kernels.
 `Bareiss`, a fraction-free elimination of a symmetric integer matrix grown a
 row at a time, picks the basis of each module weight space from its integer
-Gram.  `LDL`, an exact LDL^T over Q, factors the Gram of each weight space
-and the blocks of the compact Gram that `components` finds.
+Gram and reads the signs of that Gram's leading minors.  `LDL`, an exact
+LDL^T over Q, factors the Gram of each weight space for the unitarity
+coordinates, and the blocks of the compact Gram that `components` finds.
 """
 
 from __future__ import annotations
@@ -790,7 +791,7 @@ def dense_det(mat):
     """Determinant over Fraction by fraction-free-ish Gaussian elimination.
 
     No code in liekit calls it: it is kept as the tests' oracle for the
-    minors that `LDL` pivots give, and because the benchmark's tracer
+    minors that `LDL` and `Bareiss` give, and because the benchmark's tracer
     wraps it by name."""
     n = len(mat)
     a = [[Fraction(v) for v in row] for row in mat]

@@ -245,13 +245,21 @@ class WeightModule:
         return True, None
 
     def gram_positive_definite(self):
-        """Every weight block's LDL^T pivots are positive; otherwise (depth, k)
-        of the first pivot that is not, which is where the first leading
-        minor that is not positive sits."""
+        """Every leading minor of every weight Gram is positive; otherwise
+        (depth, k) of the first minor Delta_{k+1} that is not.  The minors
+        come from a fraction-free `Bareiss` elimination of the Gram times
+        the lcm D of its denominators (1 for the Grams `build_irrep`
+        makes), which multiplies Delta_{k+1} by D^(k+1) > 0."""
         for depth, data in self.weights.items():
-            d = LDL.of(data["gram"]).d
-            if d[-1] <= 0:
-                return False, (depth, len(d) - 1)
+            gram = data["gram"]
+            den = math.lcm(*(v.denominator for row in gram for v in row))
+            bar = Bareiss()
+            for k, row in enumerate(gram):
+                ints = [v.numerator * (den // v.denominator) for v in row[:k + 1]]
+                minor, v = bar.reduce(ints[:k], ints[k])
+                if minor <= 0:
+                    return False, (depth, k)
+                bar.push(v, minor)
         return True, None
 
 

@@ -18,18 +18,22 @@ A changed gamma table is derived with `with_gamma`, never patched into an
 algebra's `_brackets`; the cached `lie_algebra` stays untouched, and
 `ad_matrix` refills its cache whenever `_brackets` is replaced.
 
-The one bracket routine `table_bracket`, the bracket-preservation sweep and
-the Jacobi sweep work on any basis bracket table,
+The one bracket routine `table_bracket` and the bracket-preservation sweep
+work on any basis bracket table,
 table[i][j] = {k: coefficient of e_k in [e_i, e_j]}, over any scalars with
-Python's operators; the integer form here and the compact form
-(`compactform`) share them.
+Python's operators, and the Jacobi sweep on any such table over the
+rationals; the integer form here and the compact form (`compactform`)
+share them.  The Jacobi sweep visits only the triples with a nonzero term
+(on E7, 49,647 of 383,306), which is exact: every other Jacobiator is 0.
 """
 
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import ZZ, sp_mul, sp_transpose
 from .rootcat import RootCategory, root_category
@@ -74,22 +78,69 @@ def first_bracket_failure(src, dst, mat, dom):
 
 
 def jacobi_sweep(table):
-    """Exhaustive Jacobi over basis triples i < j < k; returns (ok, witness)."""
+    """Jacobi on every basis triple i < j < k, driven by the table's nonzero
+    entries; returns (ok, witness), the witness being the lexicographically
+    least triple whose Jacobiator is not 0.
+
+    A term [[e_a, e_b], e_c] is the sum of v * table[l][c] over the e_l in
+    [e_a, e_b] with coefficient v.  For each least index i in turn, the
+    Jacobiators of all triples i < j < k are accumulated from their nonzero
+    terms only, in three families by where i sits: a = i (scan row i, then
+    the nonzero entries of each row l it reaches, past j), c = i (through
+    an index l -> [(a, b, v)] of where e_l occurs, built once per call) and
+    b = i (scan column i).  A triple with no nonzero term has Jacobiator 0,
+    so skipping it changes no verdict; nothing assumes antisymmetry or
+    grading, which a flipped ordered gamma breaks.  Memory is bounded by
+    one i at a time.
+
+    The scalars are rationals (int or Fraction).  A table with Fractions
+    is swept as the table times the lcm D of their denominators, in
+    integers: every Jacobiator is quadratic in the table, so it only
+    scales by D^2."""
     n = len(table)
+    if any(type(v) is not int for row in table for d in row for v in d.values()):
+        den = lcm(*(v.denominator for row in table for d in row for v in d.values()))
+        table = [[{q: v.numerator * (den // v.denominator) for q, v in d.items()}
+                  for d in row] for row in table]
+    heads = [[c for c, d in enumerate(row) if d] for row in table]
+    occurs = [[] for _ in range(n)]
+    for a, row in enumerate(table):
+        for b in heads[a]:
+            for l, v in row[b].items():
+                occurs[l].append((a, b, v))
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, v in table[a][b].items():
-                        for q, w in table[l][c].items():
-                            t = acc.get(q, 0) + v * w
-                            if t:
-                                acc[q] = t
-                            elif q in acc:
-                                del acc[q]
-                if acc:
-                    return False, (i, j, k)
+        # acc[(j * n + k) * n + q]: coefficient of e_q in J(e_i, e_j, e_k)
+        acc = {}
+        col = [a for a, row in enumerate(table) if row[i]]
+        for j in heads[i]:  # a = i: [[e_i, e_j], e_k], k > j
+            if j <= i:
+                continue
+            for l, v in table[i][j].items():
+                row, head = table[l], heads[l]
+                for k in head[bisect_right(head, j):]:
+                    base = (j * n + k) * n
+                    for q, w in row[k].items():
+                        acc[base + q] = acc.get(base + q, 0) + v * w
+        for l in col:  # c = i: [[e_j, e_k], e_i]
+            e = table[l][i]
+            for j, k, v in occurs[l]:
+                if i < j < k:
+                    base = (j * n + k) * n
+                    for q, w in e.items():
+                        acc[base + q] = acc.get(base + q, 0) + v * w
+        for k in col:  # b = i: [[e_k, e_i], e_j], i < j < k
+            if k <= i:
+                continue
+            for l, v in table[k][i].items():
+                row, head = table[l], heads[l]
+                for j in head[bisect_right(head, i):bisect_left(head, k)]:
+                    base = (j * n + k) * n
+                    for q, w in row[j].items():
+                        acc[base + q] = acc.get(base + q, 0) + v * w
+        bad = [key for key, w in acc.items() if w]
+        if bad:
+            j, k = divmod(min(bad) // n, n)
+            return False, (i, j, k)
     return True, None
 
 
@@ -331,7 +382,7 @@ class LieAlgebraZ:
     # -- verification sweeps ---------------------------------------------------
 
     def jacobi_check(self):
-        """Exhaustive Jacobi over basis triples; returns (ok, witness)."""
+        """Jacobi on every basis triple (`jacobi_sweep`); returns (ok, witness)."""
         return jacobi_sweep(self._brackets)
 
     def gamma_pair_products(self):

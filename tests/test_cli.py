@@ -259,7 +259,6 @@ def test_verify_peterweyl_type_matrix(type_name):
     assert [c["check"] for c in data["checks"]] == ["integral_lattice_is_root_lattice"]
 
 
-@pytest.mark.slow
 def test_verify_liealg_e8():
     """Jacobi, the invariant form against tr(ad ad) and the gamma pair
     products all pass on E8."""

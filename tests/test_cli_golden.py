@@ -1,4 +1,4 @@
-"""The stdout bytes and exit codes of nineteen commands, recorded in
+"""The stdout bytes and exit codes of twenty-two commands, recorded in
 `cli_golden.json` before the kernels they run on were rewritten.
 
 Nine print values computed over Q(i), recorded from the two-Fraction
@@ -15,7 +15,11 @@ matrices: `verify group` on G2, `chevgroup verify` on A2 over Q, and
 commutator-constant error strings included, and exit code 1 they pin.  The
 last two were recorded from `build_irrep` over `Fraction`s, before it moved
 to integers: `irrep --emit actions` on G2 (2,1), whose E and F entries have
-denominators up to lcm 840, and `irrep --emit gram` on B3 (0,1,1)."""
+denominators up to lcm 840, and `irrep --emit gram` on B3 (0,1,1).  Three
+were recorded from the Jacobi sweep over all C(n, 3) triples, before it
+visited only the triples with a nonzero term: `verify liealg` on F4, on E7
+with gamma(125, 122) flipped (witness (13, 122, 123), exit 1), and `verify
+compact` on D4 with gamma(0, 4) flipped (witness (0, 5, 8), exit 1)."""
 
 import json
 from pathlib import Path

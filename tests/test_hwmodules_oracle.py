@@ -4,7 +4,7 @@
 over one denominator, an integer Gram, and pivots selected by fraction-free
 elimination; `adjoint_check` tests M^H G == G N with no inverse;
 `end_inner` sums only the trace of B* A; `gram_positive_definite` reads the
-LDL^T pivots; `shapovalov_binomial_check` and `s_second_sum` read columns
+leading minors off a `Bareiss` elimination; `shapovalov_binomial_check` and `s_second_sum` read columns
 through one transpose and apply matrices by `sp_mul`.  The references below
 are the direct algorithms they replace: a `Fraction` build that re-solves
 the pivot Gram for every candidate, row scans of E and F, the adjoint
@@ -25,7 +25,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from liekit.exact import (QI, QQ, GaussianRational, dense_inverse,
+from liekit.exact import (LDL, QI, QQ, GaussianRational, dense_inverse,
                           leading_principal_minors, solve_linear, sp_eq,
                           sp_map, sp_mul, sp_mul_many, sp_transpose)
 from liekit.hwmodules import (FreudenthalTable, ModuleGenerators,
@@ -546,6 +546,21 @@ def test_gram_positive_definite_matches_minors():
     singular = _with_block(mod, depth, [[a, b], [c, b * c / a]])
     assert singular.gram_positive_definite() \
         == reference_gram_positive_definite(singular) == (False, (depth, 1))
+
+
+def test_gram_positive_definite_matches_minors_on_b3_211():
+    """Weight multiplicities up to 27; then the largest block with its last
+    diagonal entry lowered by its LDL^T pivot and a half, which makes its
+    last leading minor negative and its Gram non-integral."""
+    mod = build_irrep(build_cartan("B", 3), (2, 1, 1))
+    assert mod.gram_positive_definite() \
+        == reference_gram_positive_definite(mod) == (True, None)
+    depth, data = max(mod.weights.items(), key=lambda dd: len(dd[1]["basis"]))
+    gram = [list(row) for row in data["gram"]]
+    gram[-1][-1] -= LDL.of(gram).d[-1] + Fraction(1, 2)
+    lowered = _with_block(mod, depth, gram)
+    assert lowered.gram_positive_definite() \
+        == reference_gram_positive_definite(lowered) == (False, (depth, 26))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The invariant form against the walks it replaced.
+"""The invariant form and the Jacobi sweep against the walks they replaced.
 
 `LieAlgebraZ.killing_gram` reads its root block off the gamma table and its
 Cartan block off one Euler-form vector per object, and
@@ -9,6 +9,13 @@ by m^2 Euler-form sums, and the trace form by `trace_form` on every pair.
 Both must give equal Grams and equal (ok, witness), also on flipped
 structure constants, planted bracket-table faults and a gamma entry whose
 target is not the class-sum object.
+
+`jacobi_sweep` accumulates each Jacobiator from the table's nonzero terms
+only; the reference is the earlier sweep over all C(n, 3) triples, copied
+here unchanged.  Both must give the same (ok, witness) on the integer and
+compact tables, on every single gamma flip of A2, B2 and G2, and on planted
+entries that break the grading, touch the Cartan indices or make a nonzero
+[e_i, e_i].
 """
 
 import copy
@@ -17,7 +24,9 @@ from fractions import Fraction
 
 import pytest
 
-from liekit.liealg import lie_algebra
+from liekit.compactform import CompactForm
+from liekit.liealg import jacobi_sweep, lie_algebra
+from test_liealg import ALL
 
 
 def reference_killing_gram(alg):
@@ -176,3 +185,99 @@ def test_retargeted_gamma_entry(series, rank):
         ok, wit = assert_same_verdict(alg)
         assert not ok
         assert_same_verdict(base.with_gamma({key: (wrong, g)}))
+
+
+# ---------------------------------------------------------------------------
+# jacobi_sweep
+
+def reference_jacobi_sweep(table):
+    """Exhaustive Jacobi over basis triples i < j < k; returns (ok, witness)."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, v in table[a][b].items():
+                        for q, w in table[l][c].items():
+                            t = acc.get(q, 0) + v * w
+                            if t:
+                                acc[q] = t
+                            elif q in acc:
+                                del acc[q]
+                if acc:
+                    return False, (i, j, k)
+    return True, None
+
+
+def assert_same_jacobi(table):
+    got = jacobi_sweep(table)
+    assert got == reference_jacobi_sweep(table)
+    return got
+
+
+@pytest.mark.parametrize("series,rank", ALL + [
+    ("E", 7), pytest.param("E", 8, marks=pytest.mark.slow)])
+def test_jacobi_equals_the_exhaustive_sweep(series, rank):
+    assert assert_same_jacobi(lie_algebra(series, rank)._brackets) == (True, None)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_jacobi_on_every_gamma_flip(series, rank):
+    alg = lie_algebra(series, rank)
+    verdicts = [assert_same_jacobi(flipped(series, rank, key)._brackets)
+                for key in alg.gamma]
+    assert not any(ok for ok, _ in verdicts)
+
+
+def test_jacobi_on_flipped_e7():
+    ok, wit = assert_same_jacobi(flipped("E", 7, (125, 122))._brackets)
+    assert (ok, wit) == (False, (13, 122, 123))
+
+
+def _plant_entry(table, alg, rng, kind):
+    """Add c to the coefficient of e_q in [e_i, e_j], where the integer
+    table holds nothing: off the graded target, on a Cartan index (as the
+    coefficient, or in the bracket of a Cartan element), on [e_i, e_i], or
+    a half anywhere."""
+    n, n_u = alg.dim, alg.n_u
+    cartan = range(n_u, n)
+    if kind == "ungraded":
+        i, j = rng.sample(range(n_u), 2)
+        q = rng.choice([q for q in range(n_u) if q not in table[i][j]])
+    elif kind == "cartan coefficient":
+        (i, j), q = rng.sample(range(n), 2), rng.choice(cartan)
+    elif kind == "cartan bracket":
+        i, j, q = rng.choice(cartan), rng.randrange(n), rng.randrange(n)
+    elif kind == "diagonal":
+        i = j = rng.randrange(n)
+        q = rng.randrange(n)
+    else:
+        (i, j), q = rng.sample(range(n), 2), rng.randrange(n)
+    c = Fraction(1, 2) if kind == "half" else rng.choice([-2, -1, 1, 3])
+    table[i][j][q] = table[i][j].get(q, 0) + c
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2), ("A", 3), ("B", 3)])
+@pytest.mark.parametrize("kind", ["ungraded", "cartan coefficient",
+                                  "cartan bracket", "diagonal", "half"])
+def test_jacobi_on_planted_entries(series, rank, kind):
+    """Equal verdicts and witnesses on seeded planted entries; an entry
+    that moves no Jacobiator may pass, but most must be rejected."""
+    alg = lie_algebra(series, rank)
+    rng = random.Random(f"jacobi {series}{rank} {kind}")
+    rejected = 0
+    for _ in range(6):
+        table = [[dict(c) for c in row] for row in alg._brackets]
+        _plant_entry(table, alg, rng, kind)
+        ok, _ = assert_same_jacobi(table)
+        rejected += not ok
+    assert rejected >= 3
+
+
+@pytest.mark.parametrize("series,rank,key", [("B", 2, None), ("G", 2, None),
+                                             ("D", 4, None), ("D", 4, (0, 4))])
+def test_jacobi_on_compact_tables(series, rank, key):
+    alg = lie_algebra(series, rank) if key is None else flipped(series, rank, key)
+    ok, wit = assert_same_jacobi(CompactForm(alg)._brackets)
+    assert (ok, wit) == ((True, None) if key is None else (False, (0, 5, 8)))
