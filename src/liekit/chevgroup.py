@@ -377,7 +377,7 @@ def _conjugation_point_check(alg, pg, t0, s0, eta):
 # ---------------------------------------------------------------------------
 # Steinberg relations
 
-def commutator_constants(alg, x, y, grp=None, lg=None):
+def commutator_constants(alg, x, y, lg=None):
     """Constants C_{i,j} with [E_X(t), E_Y(s)] = prod_{(i,j) lex} E_L(C t^i s^j).
 
     The commutator matrix is computed exactly over Z[t^{+-1}, s^{+-1}] on a
@@ -392,7 +392,7 @@ def commutator_constants(alg, x, y, grp=None, lg=None):
     if x.pos_root == y.pos_root:
         raise ValueError("commutator formula needs independent roots")
     if lg is None:
-        lg = LaurentGroup(ChevalleyGroup(alg) if grp is None else grp)
+        lg = LaurentGroup(ChevalleyGroup(alg))
     ix, iy = cat.index(x), cat.index(y)
     R = lg.mul(lg.E(ix, 1, 1, 0), lg.E(iy, 1, 0, 1),
                lg.E(ix, -1, 1, 0), lg.E(iy, -1, 0, 1))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .chevgroup import ChevalleyGroup
-from .exact import (LDL, QI, QQ, ZZ, Domain, GaussianRational, SparsePoly,
+from .exact import (QI, QQ, ZZ, Bareiss, Domain, GaussianRational, SparsePoly,
                     components, sp_add, sp_eq, sp_from_dense, sp_map,
                     sp_mul_many, sp_to_dense, sp_transpose)
 from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
@@ -379,17 +379,20 @@ class CompactForm:
         The entries of G draw `components` on the basis, and G restricted to
         the first k indices is block diagonal over them, each block a
         leading block of its component.  So the k x k minor is (-1)^k times
-        the product of the `LDL` pivots of -G_c at indices below k, over
-        every component c."""
+        the product of the pivots Delta_{j+1} / (scale Delta_j) of the
+        `Bareiss.of` elimination of -G_c at indices below k, over every
+        component c."""
         gram = self.killing_gram()
         pivot = {}
         for idx in components(self.dim, [sp_from_dense(gram, QQ)]):
-            fac = LDL.of([[-gram[r][c] for c in idx] for r in idx])
-            pivot.update(zip(idx, fac.d))
+            fac = Bareiss.of([[-gram[r][c] for c in idx] for r in idx])
+            mnr = fac.minors
+            pivot.update((g, Fraction(mnr[j + 1], fac.scale * mnr[j]))
+                         for j, g in enumerate(idx[:len(mnr) - 1]))
         minors, prod = [], Fraction(1)
         for k in range(self.dim):
-            # a component's LDL stops after its first pivot <= 0, so every
-            # index up to the first such pivot has one
+            # a component's elimination stops after its first pivot <= 0, so
+            # every index up to the first such pivot has one
             prod *= pivot[k]
             minors.append(-prod if k % 2 == 0 else prod)
             if pivot[k] <= 0:

@@ -31,16 +31,16 @@ entries).  One Gauss-Jordan routine backs the dense inverse, the linear
 solve and the module kernels.
 `Bareiss`, a fraction-free elimination of a symmetric integer matrix grown a
 row at a time, picks the basis of each module weight space from its integer
-Gram and reads the signs of that Gram's leading minors.  `LDL`, an exact
-LDL^T over Q, factors the Gram of each weight space for the unitarity
-coordinates, and the blocks of the compact Gram that `components` finds.
+Gram.  `Bareiss.of` factors a whole symmetric matrix over Q on integers, and
+is the one factorization of a Gram: its leading minors decide the
+definiteness of each weight Gram and of the blocks of the compact Gram that
+`components` finds, and its L D L^T gives the unitarity coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import gcd, lcm
 
 
 class GaussianRational:
@@ -258,10 +258,6 @@ class LaurentPoly(SparsePoly):
     @classmethod
     def var_t(cls, e=1):
         return cls({(e, 0): 1})
-
-    @classmethod
-    def var_s(cls, e=1):
-        return cls({(0, e): 1})
 
     def __mul__(self, other):
         out = {}
@@ -708,11 +704,36 @@ class Bareiss:
     elimination steps: the minor of the leading t x t block bordered by row
     t and column s.  Every division is exact by Sylvester's identity, so
     everything stays an integer and no gcd is taken.
+
+    Read as G = L D L^T, with L unit lower triangular, the elimination gives
+    L[s][t] = rows[s][t] / Delta_{t+1} and D_t = Delta_{t+1} / Delta_t; for a
+    rational matrix factored by `of`, D_t = Delta_{t+1} / (scale Delta_t).
     """
 
     def __init__(self):
         self.rows = []
         self.minors = [1]
+        self.scale = 1
+
+    @classmethod
+    def of(cls, gram):
+        """The elimination of a whole symmetric matrix over Q, of ints or
+        Fractions, stopped after its first leading minor that is not
+        positive.  G is first multiplied by the lcm `scale` of its
+        denominators (1 for every Gram liekit builds), which multiplies
+        Delta_k by scale^k > 0.  So G is positive definite iff
+        minors[-1] > 0, and otherwise minors[-1] <= 0 is the first leading
+        minor that is not positive.  No pivoting is needed while every
+        minor is nonzero."""
+        f = cls()
+        f.scale = scale = lcm(*(v.denominator for row in gram for v in row))
+        for k, row in enumerate(gram):
+            ints = [v.numerator * (scale // v.denominator) for v in row[:k + 1]]
+            minor, v = f.reduce(ints[:k], ints[k])
+            f.push(v, minor)
+            if minor <= 0:
+                break
+        return f
 
     def reduce(self, col, diag):
         """For a new column `col` (its entries in the k rows in) and diagonal
@@ -778,9 +799,11 @@ def gauss_jordan(rows, ncols):
 
 
 def dense_inverse(mat):
-    """Gauss-Jordan inverse over Q; raises on singular input."""
+    """Gauss-Jordan inverse over Q of a matrix of ints or Fractions; raises
+    on singular input."""
     n = len(mat)
-    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+    rows = [[Fraction(v) for v in row]
+            + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(mat)]
     if len(gauss_jordan(rows, n)) < n:
         raise ValueError("singular matrix")
@@ -791,7 +814,7 @@ def dense_det(mat):
     """Determinant over Fraction by fraction-free-ish Gaussian elimination.
 
     No code in liekit calls it: it is kept as the tests' oracle for the
-    minors that `LDL` and `Bareiss` give, and because the benchmark's tracer
+    minors that `Bareiss` gives, and because the benchmark's tracer
     wraps it by name."""
     n = len(mat)
     a = [[Fraction(v) for v in row] for row in mat]
@@ -827,40 +850,3 @@ def solve_linear(gram, rhs):
         raise ValueError("singular system")
     return [row[n] for row in rows]
 
-
-class LDL:
-    """The exact factorisation G = L D L^T of a symmetric matrix over Q, in
-    which L is unit lower triangular; the leading minors of G are the prefix
-    products of `d`.  `Bareiss` is its fraction-free twin for integer
-    matrices.
-    """
-
-    def __init__(self):
-        self.low = []  # row k of L left of its unit diagonal
-        self.d = []
-
-    def forward(self, col):
-        """y with L y = col, over the first len(d) entries of col."""
-        y = []
-        for row, c in zip(self.low, col):
-            y.append(c - sum(map(mul, row, y)))
-        return y
-
-    @classmethod
-    def of(cls, gram):
-        """The factorisation of a symmetric matrix, stopped after its first
-        pivot that is not positive: G is positive definite iff every
-        d > 0, and otherwise d[-1] <= 0 sits at the first leading minor
-        that is not positive.  Row k of L is D^{-1} L^{-1} of the column
-        above the diagonal, and the pivot its residual diag - y^T D^{-1} y,
-        so no pivoting is needed while every d is nonzero."""
-        f = cls()
-        for k, row in enumerate(gram):
-            y = f.forward(row[:k])
-            z = [v / dk for v, dk in zip(y, f.d)]
-            resid = row[k] - sum(map(mul, y, z))
-            f.low.append(z)
-            f.d.append(resid)
-            if resid <= 0:
-                break
-        return f

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .exact import (LDL, QQ, QI, Bareiss, GaussianRational, components,
+from .exact import (QQ, QI, Bareiss, GaussianRational, components,
                     dense_inverse, divided_powers, ff_column, ff_pairing,
                     gauss_jordan, sp_add, sp_eq, sp_map, sp_mul, sp_mul_many,
                     sp_transpose, sum_powers)
@@ -43,7 +43,7 @@ def root_fund(cartan, r):
 def _weight_form(cartan):
     """F[i][k] = (a^{-1})[k][i] d_k, so that (mu, nu) = sum mu_i F[i][k] nu_k;
     built once per Cartan datum."""
-    ainv = dense_inverse([[Fraction(v) for v in row] for row in cartan.a])
+    ainv = dense_inverse(cartan.a)
     return tuple(tuple(ainv[k][i] * d for k, d in enumerate(cartan.d))
                  for i in range(len(ainv)))
 
@@ -247,19 +247,11 @@ class WeightModule:
     def gram_positive_definite(self):
         """Every leading minor of every weight Gram is positive; otherwise
         (depth, k) of the first minor Delta_{k+1} that is not.  The minors
-        come from a fraction-free `Bareiss` elimination of the Gram times
-        the lcm D of its denominators (1 for the Grams `build_irrep`
-        makes), which multiplies Delta_{k+1} by D^(k+1) > 0."""
+        come from `Bareiss.of`, which stops at the first that is not."""
         for depth, data in self.weights.items():
-            gram = data["gram"]
-            den = math.lcm(*(v.denominator for row in gram for v in row))
-            bar = Bareiss()
-            for k, row in enumerate(gram):
-                ints = [v.numerator * (den // v.denominator) for v in row[:k + 1]]
-                minor, v = bar.reduce(ints[:k], ints[k])
-                if minor <= 0:
-                    return False, (depth, k)
-                bar.push(v, minor)
+            minors = Bareiss.of(data["gram"]).minors
+            if minors[-1] <= 0:
+                return False, (depth, len(minors) - 2)
         return True, None
 
 
@@ -608,11 +600,11 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
     hermitian inner product; returns the worst |U U^H - I| entry in the
     orthonormalized coordinates.
 
-    Each weight block of the Gram is factored exactly as L D L^T, so
-    u = D^{1/2} L^T x are orthonormal coordinates and an operator M becomes
-    D^{1/2} (L^T M L^{-T}) D^{-1/2}.  The middle factor is exact; only the
-    scale sqrt(d_i / d_j) is taken in float, so the error does not grow
-    with the condition of the Gram.
+    Each weight block of the Gram is factored exactly as L D L^T, read off
+    its `Bareiss.of` elimination, so u = D^{1/2} L^T x are orthonormal
+    coordinates and an operator M becomes D^{1/2} (L^T M L^{-T}) D^{-1/2}.
+    The middle factor is exact; only the scale sqrt(d_i / d_j) is taken in
+    float, so the error does not grow with the condition of the Gram.
 
     E_i and F_i move a weight only along its alpha_i-string, so E_i +- F_i
     is block diagonal, each block inside one string, and so is its
@@ -627,17 +619,22 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
     for data in mod.weights.values():
         basis = data["basis"]
         nb = len(basis)
-        fac = LDL.of(data["gram"])
-        if fac.d[-1] <= 0:
+        fac = Bareiss.of(data["gram"])
+        mnr = fac.minors
+        if mnr[-1] <= 0:
             raise ValueError("the Gram is not positive definite")
+        low = [[Fraction(v, mnr[t + 1]) for t, v in enumerate(row)]
+               for row in fac.rows]
         for k, g in enumerate(basis):
-            sqrt_d[g] = math.sqrt(fac.d[k])
+            sqrt_d[g] = math.sqrt(Fraction(mnr[k + 1], fac.scale * mnr[k]))
             # row k of L^T is column k of L; row k of L^{-T} solves L y = e_k
             lt[g] = {g: Fraction(1)}
-            lt[g].update({basis[l]: fac.low[l][k] for l in range(k + 1, nb)
-                          if fac.low[l][k]})
-            lt_inv[g] = {basis[l]: v for l, v in enumerate(
-                fac.forward([Fraction(int(l == k)) for l in range(nb)])) if v}
+            lt[g].update({basis[l]: low[l][k] for l in range(k + 1, nb)
+                          if low[l][k]})
+            y = [Fraction(int(l == k)) for l in range(nb)]
+            for l in range(k + 1, nb):
+                y[l] = -sum(map(mul, low[l][k:l], y[k:l]))
+            lt_inv[g] = {basis[l]: v for l, v in enumerate(y) if v}
 
     def dense(mat, idxs):
         """The blocks of mat on the index lists idxs, stacked, as floats in

@@ -350,7 +350,7 @@ def integral_lattice_report(series, rank):
     cat = root_category(series, rank)
     cartan = cat.cartan
     m = rank
-    ainv = dense_inverse([[Fraction(v) for v in row] for row in cartan.a])
+    ainv = dense_inverse(cartan.a)
     cols = [[cat.A(s, y) for s in cat.simples] for y in cat.objects]
     mismatches = [y.cls for y, col in zip(cat.objects, cols)
                   if any(sum(ainv[k][j] * col[j] for j in range(m)).denominator != 1

@@ -1,8 +1,8 @@
 """The compact real form: trig-polynomial scalars, brackets, exponentials.
 
-The definiteness minors come from the LDL^T pivots of each component of the
-compact Gram; the dense `leading_principal_minors` they replaced is their
-oracle here, and numpy's eigenvalues a float one.  The parent's own walk of
+The definiteness minors come from the `Bareiss.of` pivots of each component
+of the compact Gram; the dense `leading_principal_minors` they replaced is
+their oracle here, and numpy's eigenvalues a float one.  The parent's own walk of
 the gamma-strings is kept as the reference of `gamma_string_product_check`.
 """
 
@@ -162,6 +162,23 @@ def test_planted_gram_is_not_negative_definite(monkeypatch, series, rank,
     assert cf.definiteness_minors() == dense[:first + 1]
     assert cf.is_negative_definite() is False
     assert _negative_definite_by_eigenvalues(gram) is False
+
+
+@pytest.mark.parametrize("series,rank,k", [("B", 2, 1), ("B", 2, 4),
+                                           ("G", 2, 3)])
+def test_non_integral_gram_minors_equal_dense_minors(monkeypatch, series,
+                                                     rank, k):
+    """Row and column k times 2/3, a congruence: the Gram stays negative
+    definite but is no longer integral, so the elimination of the block
+    holding k runs on the block scaled by the lcm of its denominators."""
+    cf = CompactForm(lie_algebra(series, rank))
+    gram = cf.killing_gram()
+    for j in range(len(gram)):
+        gram[k][j] *= Fraction(2, 3)
+        gram[j][k] *= Fraction(2, 3)
+    monkeypatch.setattr(cf, "killing_gram", lambda: gram)
+    assert cf.definiteness_minors() == leading_principal_minors(gram)
+    assert cf.is_negative_definite() is True
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])

@@ -1,5 +1,6 @@
 """Scalar domains and sparse-matrix helpers."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 import pytest
 
 from liekit.compactform import TRIG_QI, TrigPoly
-from liekit.exact import (Bareiss, GaussianRational, LAURENT, LDL,
-                          LaurentPoly, PrimeField, QI, QQ, ZZ, components,
+from liekit.exact import (Bareiss, GaussianRational, LAURENT, LaurentPoly,
+                          PrimeField, QI, QQ, ZZ, components,
                           dense_inverse, dense_matmul, dense_det, ff_column,
                           ff_eq, ff_mul, ff_pairing, ff_reduce,
                           leading_principal_minors,
@@ -89,39 +90,69 @@ def test_leading_minors():
     assert leading_principal_minors(mat) == [Fraction(2), Fraction(5)]
 
 
-def _prefix_products(d):
-    out, acc = [], Fraction(1)
-    for v in d:
-        acc *= v
-        out.append(acc)
-    return out
+def _ldl_of(g):
+    """Bareiss.of(g) and the L, D of G = L D L^T read off it, with L's unit
+    diagonal and zeros above filled in."""
+    f = Bareiss.of(g)
+    mnr, n = f.minors, len(f.rows)
+    low = [[Fraction(row[t], mnr[t + 1]) for t in range(k)] + [Fraction(1)]
+           + [Fraction(0)] * (len(g) - k - 1) for k, row in enumerate(f.rows)]
+    d = [Fraction(mnr[t + 1], f.scale * mnr[t]) for t in range(n)]
+    return f, low, d
 
 
-@given(sq3)
-def test_ldl_reconstructs_a_positive_definite_matrix(a):
-    g = [[sum(a[k][i] * a[k][j] for k in range(3)) + (i == j)
-          for j in range(3)] for i in range(3)]
-    f = LDL.of(g)
-    low = [row + [Fraction(1)] + [Fraction(0)] * (2 - k)
-           for k, row in enumerate(f.low)]
+def _assert_bareiss_of_reconstructs(g):
+    f, low, d = _ldl_of(g)
+    n = len(g)
+    assert f.scale == math.lcm(*(Fraction(v).denominator
+                                 for row in g for v in row))
     ldlt = dense_matmul(dense_matmul(
-        low, [[f.d[i] * (i == j) for j in range(3)] for i in range(3)]),
+        low, [[d[i] * (i == j) for j in range(n)] for i in range(n)]),
         [list(col) for col in zip(*low)])
     assert ldlt == g
-    assert _prefix_products(f.d) == leading_principal_minors(g)
+    assert [Fraction(m, f.scale ** k) for k, m in enumerate(f.minors)][1:] \
+        == leading_principal_minors(g)
 
 
-@given(sq3)
-def test_ldl_stops_at_the_first_nonpositive_minor(a):
-    g = [[a[i][j] + a[j][i] for j in range(3)] for i in range(3)]
-    d = LDL.of(g).d
+def _assert_bareiss_of_stops_at_the_first_nonpositive_minor(g):
+    f = Bareiss.of(g)
     minors = leading_principal_minors(g)
     first = next((k for k, v in enumerate(minors) if v <= 0), None)
     if first is None:
-        assert len(d) == 3 and min(d) > 0
+        assert len(f.minors) == len(g) + 1 and min(f.minors) > 0
     else:
-        assert len(d) == first + 1 and d[-1] <= 0
-    assert _prefix_products(d) == minors[:len(d)]
+        assert len(f.minors) == first + 2 and f.minors[-1] <= 0
+        assert min(f.minors[:-1]) > 0
+    assert [Fraction(m, f.scale ** k) for k, m in enumerate(f.minors)][1:] \
+        == minors[:len(f.minors) - 1]
+
+
+@given(sq3)
+def test_bareiss_of_reconstructs_a_positive_definite_matrix(a):
+    g = [[sum(a[k][i] * a[k][j] for k in range(3)) + (i == j)
+          for j in range(3)] for i in range(3)]
+    _assert_bareiss_of_reconstructs(g)
+
+
+@given(sq3)
+def test_bareiss_of_stops_at_the_first_nonpositive_minor(a):
+    g = [[a[i][j] + a[j][i] for j in range(3)] for i in range(3)]
+    _assert_bareiss_of_stops_at_the_first_nonpositive_minor(g)
+
+
+def test_bareiss_of_scales_a_fraction_gram():
+    """A Gram with denominators 2, 3 and 6 is scaled by 6; lowering its
+    last diagonal entry by 1 makes its last leading minor negative."""
+    g = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
+         [Fraction(1, 3), Fraction(5, 6), Fraction(-1, 2)],
+         [Fraction(1, 6), Fraction(-1, 2), Fraction(1)]]
+    assert Bareiss.of(g).scale == 6
+    _assert_bareiss_of_reconstructs(g)
+    _assert_bareiss_of_stops_at_the_first_nonpositive_minor(g)
+    g[2][2] -= 1
+    f = Bareiss.of(g)
+    assert f.scale == 6 and len(f.minors) == 4 and f.minors[-1] < 0
+    _assert_bareiss_of_stops_at_the_first_nonpositive_minor(g)
 
 
 small = st.integers(-3, 3)

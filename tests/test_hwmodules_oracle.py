@@ -4,12 +4,16 @@
 over one denominator, an integer Gram, and pivots selected by fraction-free
 elimination; `adjoint_check` tests M^H G == G N with no inverse;
 `end_inner` sums only the trace of B* A; `gram_positive_definite` reads the
-leading minors off a `Bareiss` elimination; `shapovalov_binomial_check` and `s_second_sum` read columns
-through one transpose and apply matrices by `sp_mul`.  The references below
+leading minors off `Bareiss.of`; `shapovalov_binomial_check` and
+`s_second_sum` read columns through one transpose and apply matrices by
+`sp_mul`.  The references below
 are the direct algorithms they replace: a `Fraction` build that re-solves
 the pivot Gram for every candidate, row scans of E and F, the adjoint
 G^{-1} M^H G over Q(i), the full product B* A, every leading principal
-minor, and a per-vector scan of every row.  `FreudenthalTable` walks the dominant weights of V(lam) by
+minor, and a per-vector scan of every row.  `unitarity_deviation` reads
+the L D L^T of each weight Gram off `Bareiss.of`; its reference is the same
+routine on the rational LDL^T it used before, and the two must agree to the
+last bit.  `FreudenthalTable` walks the dominant weights of V(lam) by
 positive-root steps from lam, `weight_bilinear` reads one cached form and
 `longest_word` is the reflection walk from -rho; their references are the
 Freudenthal recursion over the whole box of depth vectors, one
@@ -22,12 +26,14 @@ import random
 
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import mul
 
 import pytest
 
-from liekit.exact import (LDL, QI, QQ, GaussianRational, dense_inverse,
-                          leading_principal_minors, solve_linear, sp_eq,
-                          sp_map, sp_mul, sp_mul_many, sp_transpose)
+from liekit.exact import (QI, QQ, Bareiss, GaussianRational, components,
+                          dense_inverse, leading_principal_minors,
+                          solve_linear, sp_eq, sp_map, sp_mul, sp_mul_many,
+                          sp_transpose)
 from liekit.hwmodules import (FreudenthalTable, ModuleGenerators,
                               WeightModule, _nullspace, adjoint_check,
                               build_irrep, dominant_conjugate, irrep_columns,
@@ -284,7 +290,7 @@ def reference_end_inner(mod, a, b):
     return tot / GaussianRational(mod.dim)
 
 
-def reference_unitarity_deviation(mod, ts=(0.37, 1.1)):
+def cholesky_unitarity_deviation(mod, ts=(0.37, 1.1)):
     """The deviation through a float Cholesky factor of the whole Gram."""
     import numpy as np
     from scipy.linalg import expm
@@ -307,6 +313,112 @@ def reference_unitarity_deviation(mod, ts=(0.37, 1.1)):
                 u = low.T @ expm(t * base) @ low_inv.T
                 worst = max(worst, float(
                     np.abs(u @ u.conj().T - np.eye(n)).max()))
+    return worst
+
+
+# `unitarity_deviation` and the exact LDL^T it factored each weight Gram by,
+# as they were before the factorization moved onto `Bareiss.of`
+
+class LDL:
+    """The exact factorisation G = L D L^T of a symmetric matrix over Q, in
+    which L is unit lower triangular; the leading minors of G are the prefix
+    products of `d`.  `Bareiss` is its fraction-free twin for integer
+    matrices.
+    """
+
+    def __init__(self):
+        self.low = []  # row k of L left of its unit diagonal
+        self.d = []
+
+    def forward(self, col):
+        """y with L y = col, over the first len(d) entries of col."""
+        y = []
+        for row, c in zip(self.low, col):
+            y.append(c - sum(map(mul, row, y)))
+        return y
+
+    @classmethod
+    def of(cls, gram):
+        """The factorisation of a symmetric matrix, stopped after its first
+        pivot that is not positive: G is positive definite iff every
+        d > 0, and otherwise d[-1] <= 0 sits at the first leading minor
+        that is not positive.  Row k of L is D^{-1} L^{-1} of the column
+        above the diagonal, and the pivot its residual diag - y^T D^{-1} y,
+        so no pivoting is needed while every d is nonzero."""
+        f = cls()
+        for k, row in enumerate(gram):
+            y = f.forward(row[:k])
+            z = [v / dk for v, dk in zip(y, f.d)]
+            resid = row[k] - sum(map(mul, y, z))
+            f.low.append(z)
+            f.d.append(resid)
+            if resid <= 0:
+                break
+        return f
+
+
+def reference_unitarity_deviation(mod, ts=(0.37, 1.1)):
+    """exp(t(E_i - F_i)) and exp(it(E_i + F_i)) are unitary for the
+    hermitian inner product; returns the worst |U U^H - I| entry in the
+    orthonormalized coordinates.
+
+    Each weight block of the Gram is factored exactly as L D L^T, so
+    u = D^{1/2} L^T x are orthonormal coordinates and an operator M becomes
+    D^{1/2} (L^T M L^{-T}) D^{-1/2}.  The middle factor is exact; only the
+    scale sqrt(d_i / d_j) is taken in float, so the error does not grow
+    with the condition of the Gram.
+
+    E_i and F_i move a weight only along its alpha_i-string, so E_i +- F_i
+    is block diagonal, each block inside one string, and so is its
+    exponential.  The blocks are the `components` of the graph that the
+    entries of E_i and F_i draw on the basis; the exponentials are taken
+    block by block, all blocks of one size in one stacked `expm`."""
+    import numpy as np
+    from scipy.linalg import expm
+    n = mod.dim
+    lt, lt_inv = {}, {}
+    sqrt_d = np.zeros(n)
+    for data in mod.weights.values():
+        basis = data["basis"]
+        nb = len(basis)
+        fac = LDL.of(data["gram"])
+        if fac.d[-1] <= 0:
+            raise ValueError("the Gram is not positive definite")
+        for k, g in enumerate(basis):
+            sqrt_d[g] = math.sqrt(fac.d[k])
+            # row k of L^T is column k of L; row k of L^{-T} solves L y = e_k
+            lt[g] = {g: Fraction(1)}
+            lt[g].update({basis[l]: fac.low[l][k] for l in range(k + 1, nb)
+                          if fac.low[l][k]})
+            lt_inv[g] = {basis[l]: v for l, v in enumerate(
+                fac.forward([Fraction(int(l == k)) for l in range(nb)])) if v}
+
+    def dense(mat, idxs):
+        """The blocks of mat on the index lists idxs, stacked, as floats in
+        the orthonormal coordinates."""
+        out = np.zeros((len(idxs), len(idxs[0]), len(idxs[0])))
+        for b, idx in enumerate(idxs):
+            pos = {g: k for k, g in enumerate(idx)}
+            for r in idx:
+                for c, v in mat.get(r, {}).items():
+                    out[b, pos[r], pos[c]] = float(v)
+        scale = sqrt_d[idxs]
+        return out * scale[:, :, None] / scale[:, None, :]
+
+    worst = 0.0
+    for i in range(mod.m):
+        e = sp_mul_many([lt, mod.E[i], lt_inv], QQ)
+        f = sp_mul_many([lt, mod.F[i], lt_inv], QQ)
+        by_size = {}
+        for idx in components(n, (e, f)):
+            by_size.setdefault(len(idx), []).append(idx)
+        for idxs in by_size.values():
+            eb, fb = dense(e, idxs), dense(f, idxs)
+            for base in (eb - fb, 1j * (eb + fb)):
+                for t in ts:
+                    u = expm(t * base)
+                    worst = max(worst, float(np.abs(
+                        u @ u.conj().swapaxes(1, 2) - np.eye(len(idxs[0]))).max()))
     return worst
 
 
@@ -489,10 +601,47 @@ def test_unitarity_matches_cholesky_coordinates(series, rank, lam):
     mod = build_irrep(build_cartan(series, rank), lam)
     assert any(len(data["basis"]) > 1 for data in mod.weights.values())
     assert unitarity_deviation(mod) < 1e-12
-    assert reference_unitarity_deviation(mod) < 1e-10
+    assert cholesky_unitarity_deviation(mod) < 1e-10
     bad = _doubled_f(mod, rank - 1)
     assert unitarity_deviation(bad) > 1e-6
-    assert reference_unitarity_deviation(bad) > 1e-6
+    assert cholesky_unitarity_deviation(bad) > 1e-6
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 2, (1, 0)), ("A", 3, (1, 0, 0)), ("B", 2, (1, 1)),
+    ("G", 2, (1, 0)), ("G", 2, (2, 1)), ("B", 3, (0, 1, 1))])
+def test_unitarity_deviation_is_bit_equal_to_ldl_reference(series, rank, lam):
+    """The L D L^T read off `Bareiss.of` is the exact factorization the
+    reference computes over Q, so every float that follows is the same."""
+    mod = build_irrep(build_cartan(series, rank), lam)
+    assert unitarity_deviation(mod).hex() \
+        == reference_unitarity_deviation(mod).hex()
+
+
+def test_unitarity_deviation_is_bit_equal_to_ldl_reference_on_doubled_f():
+    """The benchmark's changed A3 (1,0,0) module, F_3 doubled on one row."""
+    bad = _doubled_f(build_irrep(build_cartan("A", 3), (1, 0, 0)), 2)
+    dev = unitarity_deviation(bad)
+    assert dev > 1e-6
+    assert dev.hex() == reference_unitarity_deviation(bad).hex()
+
+
+def test_unitarity_deviation_rejects_a_gram_that_is_not_positive_definite():
+    """The lowest weight's Gram negated (first minor negative), and a block
+    of multiplicity 2 whose second leading minor is exactly 0."""
+    mod = build_irrep(build_cartan("A", 3), (1, 0, 0))
+    low = list(mod.weights)[-1]
+    negated = _with_block(mod, low, [[-v for v in row]
+                                     for row in mod.weights[low]["gram"]])
+    mod = build_irrep(build_cartan("A", 2), (1, 1))
+    depth = next(d for d, data in mod.weights.items()
+                 if len(data["basis"]) == 2)
+    (a, b), (c, _) = mod.weights[depth]["gram"]
+    singular = _with_block(mod, depth, [[a, b], [c, b * c / a]])
+    for bad in (negated, singular):
+        for dev in (unitarity_deviation, reference_unitarity_deviation):
+            with pytest.raises(ValueError, match="not positive definite"):
+                dev(bad)
 
 
 def test_adjoint_check_accepts_rational_arguments():
@@ -550,14 +699,18 @@ def test_gram_positive_definite_matches_minors():
 
 def test_gram_positive_definite_matches_minors_on_b3_211():
     """Weight multiplicities up to 27; then the largest block with its last
-    diagonal entry lowered by its LDL^T pivot and a half, which makes its
-    last leading minor negative and its Gram non-integral."""
+    diagonal entry lowered by its last pivot Delta_27 / (scale Delta_26),
+    read off `Bareiss.of`, and a half, which makes its last leading minor
+    negative and its Gram non-integral."""
     mod = build_irrep(build_cartan("B", 3), (2, 1, 1))
     assert mod.gram_positive_definite() \
         == reference_gram_positive_definite(mod) == (True, None)
     depth, data = max(mod.weights.items(), key=lambda dd: len(dd[1]["basis"]))
     gram = [list(row) for row in data["gram"]]
-    gram[-1][-1] -= LDL.of(gram).d[-1] + Fraction(1, 2)
+    fac = Bareiss.of(gram)
+    assert len(fac.minors) == 28
+    gram[-1][-1] -= Fraction(fac.minors[-1], fac.scale * fac.minors[-2]) \
+        + Fraction(1, 2)
     lowered = _with_block(mod, depth, gram)
     assert lowered.gram_positive_definite() \
         == reference_gram_positive_definite(lowered) == (False, (depth, 26))
