@@ -2,19 +2,18 @@
 
 Generators are exponentials of the nilpotent basis operators: E_X(t) is a
 matrix polynomial in t with integer coefficient matrices, h_X(t) is diagonal
-with entries t^{A_{XY}}, and n_X(t) = E_X(t) E_{TX}(t^{-1}) E_X(t).  All
-group relations are verified two ways: as identities of matrices over the
-Laurent-polynomial ring Z[t^{+-1}, s^{+-1}] (a complete proof), and at fresh
-random sample points over Q or a prime field.  The proofs run on a
-`LaurentGroup`: every argument they use is a monomial c t^a s^b, so each
+with entries t^{A_{XY}}, and n_X(t) = E_X(t) E_{TX}(t^{-1}) E_X(t).  Each
+group relation is proved once, as an identity of matrices over the
+Laurent-polynomial ring Z[t^{+-1}, s^{+-1}], on a `LaurentGroup`: every
+argument the proofs use is a monomial c t^a s^b or the sum t + s, so each
 generator is an integer matrix whose column keys (col, et, es) carry the
 exponents, E_X(c t^a s^b) putting c^k times entry (i, j) of M_k at (i, (j,
-ka, kb)), and the torus conjugation only moves keys.  The sample points run
-fraction-free on a `PointGroup`: a matrix at a point of Q is an integer
-matrix over one integer denominator, E_X(a/b) = (sum_k a^k b^(K-k) M_k, b^K),
-and over F_p the same integer kernel works on residues, so no product takes
-a gcd.  `ChevalleyGroup.E`, `h` and `n` give the generators over any
-`Domain`, Laurent polynomials included.
+ka, kb)), and the torus conjugation only moves keys.  Evaluation at a unit
+point of Q or F_p is a ring homomorphism, so a proved identity holds at
+every point: a sample point evaluates (`ek_at`) only the two sides of a
+proof that failed, and names that proof where they differ.
+`ChevalleyGroup.E`, `h` and `n` give the generators over any `Domain`,
+Laurent polynomials included.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 
-from .exact import (QQ, ZZ, PrimeField, divided_powers, ek_mul, ff_eq, ff_mul,
-                    ff_reduce, sp_identity, sp_map, sp_mul_many, sum_powers)
+from .exact import (PrimeField, divided_powers, ek_at, ek_mul, sp_map,
+                    sp_mul_many, sum_powers)
 from .liealg import LieAlgebraZ, first_bracket_failure
 from .rootdata import invariant_factors
 
@@ -109,92 +108,6 @@ class ChevalleyGroup:
         return self.n(x, dom.neg(t), dom)
 
 
-class PointGroup:
-    """E, h, n and n^{-1} of `grp` at points of Q, or over F_p when `p` is
-    given, as fraction-free pairs (N, d) for `ff_mul` and `ff_eq`.
-
-    Objects are named by index and arguments are Fractions, or residues
-    mod p.  Over F_p an argument t is the pair (t, 1) and each generator is
-    reduced mod p once; products are compared mod p.  Every generator is
-    memoised by its argument, so one PointGroup should live for one rational
-    point or for one prime field.
-    """
-
-    def __init__(self, grp, p=None):
-        self.grp, self.p = grp, p
-        self.dom = QQ if p is None else PrimeField(p)
-        self.cat = grp.cat
-        self._memo = {}
-
-    def _split(self, t):
-        """(a, b) with t = a / b."""
-        if self.p is None:
-            return t.numerator, t.denominator
-        return t % self.p, 1
-
-    def _pair(self, n, d):
-        return ff_reduce((n, d), self.p) if self.p else (n, d)
-
-    def mul(self, *mats):
-        return reduce(ff_mul, mats)
-
-    def eq(self, a, b):
-        return ff_eq(a, b, self.p)
-
-    def identity(self):
-        return sp_identity(self.grp.dim, ZZ), 1
-
-    def E(self, ix, t):
-        key = ("E", ix, t)
-        out = self._memo.get(key)
-        if out is None:
-            table = self.grp.exp_table(ix)
-            a, b = self._split(t)
-            top = len(table) - 1
-            coeffs = [a ** k * b ** (top - k) for k in range(top + 1)]
-            out = self._memo[key] = self._pair(
-                sum_powers(table, coeffs, ZZ), b ** top)
-        return out
-
-    def h(self, ix, t):
-        """h_X(a/b) = diag(a^(e-lo) b^(hi-e)) / (a^-lo b^hi) for the
-        exponents e of h_X, lo <= 0 <= hi."""
-        key = ("h", ix, t)
-        out = self._memo.get(key)
-        if out is None:
-            a, b = self._split(t)
-            if not a:
-                raise ZeroDivisionError("h_X at argument 0")
-            exps = self.grp.h_exponents(self.cat.objects[ix])
-            lo, hi = min(exps), max(exps)
-            diag = {i: {i: a ** (e - lo) * b ** (hi - e)}
-                    for i, e in enumerate(exps)}
-            out = self._memo[key] = self._pair(diag, a ** -lo * b ** hi)
-        return out
-
-    def conj_by_h(self, ix, t, mat):
-        """h_X(t) M h_X(t)^{-1}, the product's pair, made by scaling entry
-        (i, j) of M by diagonal entry i of h_X(t) and j of h_X(t^{-1})."""
-        (hn, hd), (gn, gd) = self.h(ix, t), self.h(ix, self.dom.inv(t))
-        return ({i: {j: hn[i][i] * v * gn[j][j] for j, v in row.items()}
-                 for i, row in mat[0].items()}, hd * mat[1] * gd)
-
-    def n(self, ix, t):
-        """E_X(t) E_TX(t^{-1}) E_X(t)."""
-        key = ("n", ix, t)
-        out = self._memo.get(key)
-        if out is None:
-            itx = self.cat.index(self.cat.shift(self.cat.objects[ix]))
-            e1 = self.E(ix, t)
-            out = self._memo[key] = self._pair(
-                *self.mul(e1, self.E(itx, self.dom.inv(t)), e1))
-        return out
-
-    def n_inv(self, ix, t):
-        """n_X(t)^{-1} = n_X(-t), sharing its memo entry."""
-        return self.n(ix, self.dom.neg(t))
-
-
 class LaurentGroup:
     """E, h, n and n^{-1} of `grp` at monomials c t^a s^b, as integer
     matrices over Z[t^{+-1}, s^{+-1}] in the exponent-keyed form of `ek_mul`,
@@ -237,6 +150,20 @@ class LaurentGroup:
                 if (r := {jk: v for jk, v in row.items() if v})}
         return out
 
+    def E_sum(self, ix):
+        """E_X(t + s): entry v of M_k goes to the keys (col, j, k - j), for
+        j = 0..k, with value C(k, j) v; no two of them meet."""
+        out = {}
+        for k, mat in enumerate(self.grp.exp_table(ix)):
+            binom = [math.comb(k, j) for j in range(k + 1)]
+            for i, row in mat.items():
+                r = out.setdefault(i, {})
+                for col, v in row.items():
+                    if v:
+                        for j, c in enumerate(binom):
+                            r[col, j, k - j] = c * v
+        return {i: r for i, r in out.items() if r}
+
     def h(self, ix, a, b):
         """h_X(t^a s^b) = diag(t^(e a) s^(e b)) over the exponents e of h_X."""
         exps = self.grp.h_exponents(self.cat.objects[ix])
@@ -265,20 +192,33 @@ class LaurentGroup:
 
 
 # ---------------------------------------------------------------------------
+# sample points
+
+def _rational_point(rng):
+    """A nonzero rational a/b with 0 < |a| <= 9 and 0 < b <= 9."""
+    return Fraction(rng.choice([v for v in range(-9, 10) if v]),
+                    rng.randint(1, 9))
+
+
+def _failed_at(failed, t0, s0, p=None):
+    """The keys of the failed proofs (key, lhs, rhs) whose two sides differ
+    at (t0, s0), over Q or, when p is given, over F_p."""
+    return [key for key, lhs, rhs in failed
+            if ek_at(lhs, t0, s0, p) != ek_at(rhs, t0, s0, p)]
+
+
+# ---------------------------------------------------------------------------
 # reflection / torus conjugation relations
 
 def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     """Check the six conjugation identities on every ordered pair of objects.
 
-    Symbolically over Z[t^{+-1}, s^{+-1}] on a `LaurentGroup`, then at
-    `samples` fresh random rational points.  Returns a report with the
-    extracted signs eta_{XY} (asserted to be +-1 by construction of the
-    check).
-
-    Relation (5), that torus elements commute, cannot fail as written: it
-    compares `conj_by_h(X, h_Y(s))` with h_Y(s), and `conj_by_h` moves
-    entry (i, j) by A_i - A_j in t, which is 0 on the diagonal where h_Y(s)
-    lives.
+    Each is proved once over Z[t^{+-1}, s^{+-1}] on a `LaurentGroup`.
+    Returns a report with the extracted signs eta_{XY} (asserted to be +-1
+    by construction of the check).  At each of `samples` fresh random
+    rational points, `sample_failures` names every pair with a sign whose
+    relation (6) failed and whose two sides differ there; relation (1)
+    holds for such a pair by the proof that found its sign.
     """
     if grp is None:
         grp = ChevalleyGroup(alg)
@@ -291,9 +231,11 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     n_t_inv = [lg.n_inv(ix, 1, 1, 0) for ix in idx]
     n_s = [lg.n(ix, 1, 0, 1) for ix in idx]
     E_s = [lg.E(ix, 1, 0, 1) for ix in idx]
+    h_t = [lg.h(ix, 1, 0) for ix in idx]
     h_s = [lg.h(ix, 0, 1) for ix in idx]
     eta = {}
     failures = []
+    failed = []  # (key, lhs, rhs) of each failed proof a point evaluates
 
     for ix, x in enumerate(objs):
         for iy, y in enumerate(objs):
@@ -322,24 +264,21 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
             lhs = lg.mul(n_t[ix], h_s[iy], n_t_inv[ix])
             if lhs != h_s[iw]:
                 failures.append(("n_h_conj", ix, iy))
-            # (5) torus elements commute
-            if lg.conj_by_h(ix, h_s[iy]) != h_s[iy]:
+            # (5) h_X(t) h_Y(s) = h_Y(s) h_X(t)
+            if lg.mul(h_t[ix], h_s[iy]) != lg.mul(h_s[iy], h_t[ix]):
                 failures.append(("h_h_conj", ix, iy))
             # (6) h_X(t) n_Y(s) h_X(t)^{-1} = n_Y(t^A s)
-            if lg.conj_by_h(ix, n_s[iy]) != lg.n(iy, 1, A, 1):
+            lhs, rhs = lg.conj_by_h(ix, n_s[iy]), lg.n(iy, 1, A, 1)
+            if lhs != rhs:
                 failures.append(("h_n_conj", ix, iy))
+                if got is not None:
+                    failed.append((("h_n_conj", ix, iy), lhs, rhs))
 
     rng = random.Random(seed)
-    points = []
-    sample_failures = []
-    for _ in range(samples):
-        t0 = Fraction(rng.choice([v for v in range(-9, 10) if v]),
-                      rng.randint(1, 9))
-        s0 = Fraction(rng.choice([v for v in range(-9, 10) if v]),
-                      rng.randint(1, 9))
-        points.append((t0, s0))
-        sample_failures += _conjugation_point_check(
-            alg, PointGroup(grp), t0, s0, eta)
+    points = [(_rational_point(rng), _rational_point(rng))
+              for _ in range(samples)]
+    sample_failures = [key + (t0, s0) for t0, s0 in points
+                       for key in _failed_at(failed, t0, s0)]
 
     return {
         "ok": not failures and not sample_failures,
@@ -350,28 +289,6 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
         "pairs": len(objs) ** 2,
         "sample_points": points,
     }
-
-
-def _conjugation_point_check(alg, pg, t0, s0, eta):
-    """Relations (1) and (6) at one point, on the PointGroup `pg`, for every
-    pair with a sign in `eta`."""
-    cat, dom = alg.cat, pg.dom
-    fails = []
-    for ix, x in enumerate(cat.objects):
-        for iy, y in enumerate(cat.objects):
-            e = eta.get((ix, iy))
-            if e is None:
-                continue
-            iw = cat.index(cat.omega(x, y))
-            A = cat.A(x, y)
-            lhs = pg.mul(pg.n(ix, t0), pg.E(iy, s0), pg.n_inv(ix, t0))
-            arg = dom.mul(dom.embed(e), dom.mul(dom.power(t0, -A), s0))
-            if not pg.eq(lhs, pg.E(iw, arg)):
-                fails.append(("n_E_conj", ix, iy, t0, s0))
-            lhs = pg.conj_by_h(ix, t0, pg.n(iy, s0))
-            if not pg.eq(lhs, pg.n(iy, dom.mul(dom.power(t0, A), s0))):
-                fails.append(("h_n_conj", ix, iy, t0, s0))
-    return fails
 
 
 # ---------------------------------------------------------------------------
@@ -433,43 +350,21 @@ def commutator_constants(alg, x, y, lg=None):
     return out
 
 
-def _steinberg_point_check(alg, pg, t0, s0, const_cache):
-    """All four Steinberg families at one (t0, s0), on the PointGroup `pg`."""
-    cat, dom = alg.cat, pg.dom
-    fails = []
-    for ix, x in enumerate(cat.objects):
-        lhs = pg.mul(pg.E(ix, t0), pg.E(ix, s0))
-        if not pg.eq(lhs, pg.E(ix, dom.add(t0, s0))):
-            fails.append(("additive", ix))
-        lhs = pg.mul(pg.h(ix, t0), pg.h(ix, s0))
-        if not pg.eq(lhs, pg.h(ix, dom.mul(t0, s0))):
-            fails.append(("h_mult", ix))
-        if not dom.is_zero(t0):
-            lhs = pg.mul(pg.n(ix, t0), pg.E(ix, s0), pg.n_inv(ix, t0))
-            arg = dom.mul(dom.power(t0, -2), s0)
-            if not pg.eq(lhs, pg.E(cat.index(cat.shift(x)), arg)):
-                fails.append(("n_self", ix))
-        for iy, y in enumerate(cat.objects):
-            if y.pos_root == x.pos_root or (ix, iy) not in const_cache:
-                continue
-            lhs = pg.mul(pg.E(ix, t0), pg.E(iy, s0),
-                         pg.E(ix, dom.neg(t0)), pg.E(iy, dom.neg(s0)))
-            rhs = [pg.E(il, dom.mul(dom.embed(c),
-                                    dom.mul(dom.power(t0, i), dom.power(s0, j))))
-                   for (i, j), il, c in const_cache[(ix, iy)]]
-            rhs = pg.mul(*rhs) if rhs else pg.identity()
-            if not pg.eq(lhs, rhs):
-                fails.append(("commutator", ix, iy))
-    return fails
-
-
 def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
                      seed=20240818, grp=None):
     """Steinberg presentation relations over Q and small prime fields.
 
-    A pair whose commutator is not a product of root elements has no
-    constants: it is reported in `constant_failures` with the reason, and
-    the point checks skip it.
+    The commutator constants of each pair of independent roots, and per
+    object the additive relation E_X(t) E_X(s) = E_X(t + s), h_X(t) h_X(s)
+    = h_X(ts) and n_X(t) E_X(s) n_X(t)^{-1} = E_TX(t^{-2} s), are proved
+    once over Z[t^{+-1}, s^{+-1}] on a `LaurentGroup`.  A pair whose
+    commutator is not a product of root elements has no constants: it is
+    reported in `constant_failures` with the reason.  At each rational
+    sample point and at unit points of each prime field, the failure lists
+    name every failed proof whose two sides differ there.  A commutator
+    with constants is proved by `commutator_constants`, given that E_L(-m)
+    inverts E_L(m) for each factor L, which the additive relation of L
+    proves; so it fails at no point.
     """
     if grp is None:
         grp = ChevalleyGroup(alg)
@@ -488,27 +383,32 @@ def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
     all_integer = all(isinstance(c, int)
                       for lst in consts.values() for (_, _, c) in lst)
 
+    failed = []  # (key, lhs, rhs) of each failed proof a point evaluates
+    for ix, x in enumerate(cat.objects):
+        itx = cat.index(cat.shift(x))
+        proofs = [
+            ("additive", lg.mul(lg.E(ix, 1, 1, 0), lg.E(ix, 1, 0, 1)),
+             lg.E_sum(ix)),
+            ("h_mult", lg.mul(lg.h(ix, 1, 0), lg.h(ix, 0, 1)), lg.h(ix, 1, 1)),
+            ("n_self", lg.mul(lg.n(ix, 1, 1, 0), lg.E(ix, 1, 0, 1),
+                              lg.n_inv(ix, 1, 1, 0)), lg.E(itx, 1, -2, 1))]
+        failed += [((name, ix), lhs, rhs)
+                   for name, lhs, rhs in proofs if lhs != rhs]
+
     rng = random.Random(seed)
-    rational_failures = []
-    points = []
-    for _ in range(samples):
-        t0 = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
-        s0 = Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 9))
-        points.append((t0, s0))
-        rational_failures += _steinberg_point_check(
-            alg, PointGroup(grp), t0, s0, consts)
+    points = [(_rational_point(rng), _rational_point(rng))
+              for _ in range(samples)]
+    rational_failures = [key for t0, s0 in points
+                         for key in _failed_at(failed, t0, s0)]
 
     prime_failures = {}
     for p in primes:
-        pg = PointGroup(grp, p)
-        units = pg.dom.units()
+        units = PrimeField(p).units()
         pairs = list(iproduct(units, units))
         if len(pairs) > 16:
             pairs = [(rng.choice(units), rng.choice(units)) for _ in range(16)]
-        fails = []
-        for t0, s0 in pairs:
-            fails += _steinberg_point_check(alg, pg, t0, s0, consts)
-        prime_failures[p] = fails
+        prime_failures[p] = [key for t0, s0 in pairs
+                             for key in _failed_at(failed, t0, s0, p)]
 
     return {
         "ok": (not constant_failures and not rational_failures

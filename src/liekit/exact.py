@@ -22,13 +22,15 @@ The divided powers M^k/k! and their sums (`sum_powers`) behind every
 one-parameter subgroup, of the group and of the modules alike, are built
 here.  The product and the sums add with the elements' own `*` and `+` and
 finish each row once: zeros dropped, each F_p entry reduced mod p once.  No
-element class may define a mutating `__iadd__`.  A matrix over Q or F_p can
-also be held fraction-free, as an integer matrix and one denominator
-(`ff_mul`, `ff_eq`), and a matrix over Z[t^{+-1}, s^{+-1}] exponent-keyed,
-as integers under keys (col, et, es) that carry the exponents (`ek_mul`,
-which the symbolic group proofs use in place of matrices of `LaurentPoly`
-entries).  One Gauss-Jordan routine backs the dense inverse, the linear
-solve and the module kernels.
+element class may define a mutating `__iadd__`.  A matrix over
+Z[t^{+-1}, s^{+-1}] is held exponent-keyed, as integers under keys (col,
+et, es) that carry the exponents: `ek_mul` multiplies two of them, and the
+symbolic group proofs run on it in place of matrices of `LaurentPoly`
+entries; `ek_at` evaluates one at a point of Q or F_p, which is all a
+sample point does with a proof that failed.  A column over Q can be held
+fraction-free, as an integer dict over one denominator (`ff_column`,
+`ff_pairing`).  One Gauss-Jordan routine backs the dense inverse, the
+linear solve and the module kernels.
 `Bareiss`, a fraction-free elimination of a symmetric integer matrix grown a
 row at a time, picks the basis of each module weight space from its integer
 Gram.  `Bareiss.of` factors a whole symmetric matrix over Q on integers, and
@@ -335,7 +337,8 @@ class Domain:
 
 
 class IntegerDomain(Domain):
-    """Plain integers, the numerators of fraction-free matrices (`ff_mul`)."""
+    """Plain integers, for `sp_mul` and `sp_add` on integer matrices (the
+    trace form, compact-form coordinates)."""
 
     zero = 0
     one = 1
@@ -540,6 +543,28 @@ def ek_mul(a, b):
     return out
 
 
+def ek_at(mat, t, s, p=None):
+    """The exponent-keyed matrix `mat` (see `ek_mul`) at the point (t, s):
+    over Q, or over F_p with entries in [0, p) when p is given.  A negative
+    exponent needs t or s to be a unit.  No zero entry and no empty row is
+    kept, so `==` is equality at the point."""
+    if p is None:
+        t, s = Fraction(t), Fraction(s)
+    monos = {}
+    out = {}
+    for i, row in mat.items():
+        acc = {}
+        for (j, et, es), v in row.items():
+            m = monos.get((et, es))
+            if m is None:
+                m = monos[et, es] = (t ** et * s ** es if p is None
+                                     else pow(t, et, p) * pow(s, es, p))
+            acc[j] = acc[j] + v * m if j in acc else v * m
+        if acc := _finish_row(acc, p):
+            out[i] = acc
+    return out
+
+
 def sp_add(a, b, dom, bsign=1):
     """a + b, or a - b for bsign = -1, with rows built as in `sp_mul`."""
     out = {}
@@ -635,41 +660,11 @@ def sum_powers(table, coeffs, dom):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free matrices: a matrix over Q as a pair (N, d) of an integer
-# sparse matrix N and an integer d != 0 standing for N / d; over F_p, N and
-# d are integers read mod p.  Products and equality never divide, so no gcd
-# is taken (the fraction-free idea of Bareiss, Math. Comp. 22, 1968).  A
-# column is held the same way, an integer dict over one denominator, and
-# kept in lowest terms by one gcd (`ff_column`).  `Bareiss` eliminates a
-# symmetric integer matrix with exact integer divisions only.
-
-def ff_reduce(a, p):
-    """A pair with its entries reduced mod p."""
-    n, d = a
-    return {i: r for i, row in n.items() if (r := _finish_row(row, p))}, d % p
-
-
-def ff_mul(a, b):
-    """(N1, d1)(N2, d2) = (N1 N2, d1 d2).  Over F_p the product runs on
-    integer representatives and is not reduced: Z -> F_p is a ring map, so
-    `ff_eq` with p compares it correctly."""
-    return sp_mul(a[0], b[0], ZZ), a[1] * b[1]
-
-
-def ff_eq(a, b, p=None):
-    """N1 / d1 == N2 / d2 by N1 d2 == N2 d1, over F_p when p is given; a pair
-    with d = 0 stands for no matrix and equals nothing."""
-    (n1, d1), (n2, d2) = a, b
-    if not (d1 % p and d2 % p if p else d1 and d2):
-        return False
-    for i in n1.keys() | n2.keys():
-        r1, r2 = n1.get(i, {}), n2.get(i, {})
-        for j in r1.keys() | r2.keys():
-            diff = r1.get(j, 0) * d2 - r2.get(j, 0) * d1
-            if diff % p if p else diff:
-                return False
-    return True
-
+# fraction-free columns: a column over Q as a pair (N, d) of an integer dict
+# N and an integer d != 0 standing for N / d, kept in lowest terms by one
+# gcd (`ff_column`), so no sum of fractions is formed (the fraction-free
+# idea of Bareiss, Math. Comp. 22, 1968).  `Bareiss` eliminates a symmetric
+# integer matrix with exact integer divisions only.
 
 def ff_column(vec, d):
     """The column vec / d, an integer dict over a nonzero integer, in lowest

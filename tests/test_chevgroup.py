@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from liekit.chevgroup import (ChevalleyGroup, center_order_bruteforce,
+from liekit.chevgroup import (ChevalleyGroup, LaurentGroup,
+                              center_order_bruteforce,
                               center_order_formula, commutator_constants,
                               preserves_bracket, random_group_element,
                               steinberg_report, verify_conjugation_relations)
@@ -57,6 +58,47 @@ def test_conjugation_relations(series, rank):
     rep = verify_conjugation_relations(lie_algebra(series, rank), samples=2)
     assert rep["ok"], rep
     assert rep["eta_values_ok"]
+
+
+def test_torus_elements_that_do_not_commute_fail_relation_5(monkeypatch):
+    """With an entry planted off the diagonal of h_0, h_X(t) h_Y(s) and
+    h_Y(s) h_X(t) differ on exactly the pairs that involve object 0."""
+    alg = lie_algebra("A", 2)
+    h = LaurentGroup.h
+
+    def planted(self, ix, a, b):
+        out = h(self, ix, a, b)
+        if ix == 0:
+            out[0] = {**out[0], (1, 0, 0): 1}
+        return out
+
+    monkeypatch.setattr(LaurentGroup, "h", planted)
+    rep = verify_conjugation_relations(alg, samples=0)
+    pairs = {f[1:] for f in rep["failures"] if f[0] == "h_h_conj"}
+    n = len(alg.cat.objects)
+    assert pairs == {(0, iy) for iy in range(n)} | {(ix, 0) for ix in range(n)}
+
+
+def test_failed_relation_6_is_named_at_every_point(monkeypatch):
+    """With the torus conjugation by h_0 negated, relation (6) fails for
+    every pair (0, Y), relation (1) does not use it and finds every sign,
+    and each sample point names each of those pairs, at that point."""
+    alg = lie_algebra("B", 2)
+    conj = LaurentGroup.conj_by_h
+
+    def negated(self, ix, mat):
+        out = conj(self, ix, mat)
+        if ix == 0:
+            out = {i: {k: -v for k, v in row.items()} for i, row in out.items()}
+        return out
+
+    monkeypatch.setattr(LaurentGroup, "conj_by_h", negated)
+    rep = verify_conjugation_relations(alg, samples=3, seed=5)
+    n = len(alg.cat.objects)
+    assert len(rep["eta"]) == n * n
+    assert rep["sample_failures"] == [
+        ("h_n_conj", 0, iy, t0, s0)
+        for t0, s0 in rep["sample_points"] for iy in range(n)]
 
 
 def test_conjugation_relations_f4():

@@ -307,8 +307,8 @@ def test_verify_modules_f4():
     assert json.loads(res.output)["ok"] is True
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("type_name", ["B3", "C3", "F4", "E6"])
+@pytest.mark.parametrize("type_name", [
+    "B3", "C3", "F4", pytest.param("E6", marks=pytest.mark.slow)])
 def test_verify_group_rank_3_and_up(type_name):
     """Conjugation and Steinberg relations pass on B3, C3, F4 and E6."""
     res = run("verify", "group", "--type", type_name)

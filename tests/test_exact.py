@@ -10,9 +10,8 @@ import pytest
 from liekit.compactform import TRIG_QI, TrigPoly
 from liekit.exact import (Bareiss, GaussianRational, LAURENT, LaurentPoly,
                           PrimeField, QI, QQ, ZZ, components,
-                          dense_inverse, dense_matmul, dense_det, ff_column,
-                          ff_eq, ff_mul, ff_pairing, ff_reduce,
-                          leading_principal_minors,
+                          dense_inverse, dense_matmul, dense_det, ek_at,
+                          ff_column, ff_pairing, leading_principal_minors,
                           solve_linear, sp_eq, sp_from_dense, sp_identity,
                           sp_mul, sp_to_dense, sp_transpose)
 
@@ -267,65 +266,45 @@ def test_power_is_repeated_product(dom, unit, other):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free pairs (N, d) against the same matrices with Fraction entries
+# exponent-keyed matrices at a point, against LaurentPoly.evaluate entrywise
 
-sparse_int = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                             st.integers(-30, 30).filter(bool), max_size=9)
-denominators = st.integers(-12, 12).filter(bool)
-
-
-def _rows(entries, scale=1):
-    out = {}
-    for (i, j), v in entries.items():
-        out.setdefault(i, {})[j] = v * scale
-    return out
+ek_entries = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3),
+              st.integers(-3, 3)),
+    st.integers(-5, 5).filter(bool), max_size=12)
 
 
-def _over(dom, n, d):
-    """N / d as a sparse matrix over QQ or a PrimeField."""
-    dinv = dom.inv(dom.embed(d))
-    out = {}
-    for i, row in n.items():
-        r = {j: dom.mul(dom.embed(v), dinv) for j, v in row.items()}
-        r = {j: v for j, v in r.items() if not dom.is_zero(v)}
-        if r:
-            out[i] = r
-    return out
+def _evaluated(entries, t, s, p=None):
+    """The exponent-keyed matrix of `entries` {(i, j, et, es): v}, and the
+    matrix of its entries as LaurentPolys evaluated at (t, s), over Q or,
+    reduced, over F_p; zero entries and empty rows left out."""
+    mat, polys = {}, {}
+    for (i, j, et, es), v in entries.items():
+        mat.setdefault(i, {})[j, et, es] = v
+        polys[i, j] = polys.get((i, j), LAURENT.zero) + LaurentPoly({(et, es): v})
+    want = {}
+    for (i, j), poly in polys.items():
+        v = poly.evaluate(Fraction(t), Fraction(s))
+        if p is not None:
+            v = v.numerator * pow(v.denominator, -1, p) % p
+        if v:
+            want.setdefault(i, {})[j] = v
+    return mat, want
 
 
-@given(sparse_int, denominators, sparse_int, denominators)
-def test_fraction_free_pairs_match_fractions(a, da, b, db):
-    na, nb = _rows(a), _rows(b)
-    fa, fb = _over(QQ, na, da), _over(QQ, nb, db)
-    assert sp_eq(_over(QQ, *ff_mul((na, da), (nb, db))), sp_mul(fa, fb, QQ), QQ)
-    assert ff_eq((na, da), (nb, db)) is sp_eq(fa, fb, QQ)
-    # the same matrix over another denominator, and one entry off
-    assert ff_eq((na, da), (_rows(a, db), da * db))
-    if a:
-        (i, j), v = next(iter(a.items()))
-        assert not ff_eq((na, da), (_rows({**a, (i, j): v + 1}), da))
+@given(ek_entries, fracs.filter(bool), fracs.filter(bool))
+def test_ek_at_evaluates_over_rationals(entries, t, s):
+    mat, want = _evaluated(entries, t, s)
+    assert ek_at(mat, t, s) == want
 
 
-@given(sparse_int, denominators, sparse_int, denominators,
-       st.sampled_from([2, 3, 5, 7]))
-def test_fraction_free_pairs_match_prime_field(a, da, b, db, p):
-    if not (da % p and db % p):
+@given(ek_entries, st.integers(-20, 20), st.integers(-20, 20),
+       st.sampled_from([3, 7]))
+def test_ek_at_evaluates_over_prime_fields(entries, t, s, p):
+    if not (t % p and s % p):
         return
-    f = PrimeField(p)
-    na, nb = _rows(a), _rows(b)
-    fa, fb = _over(f, na, da), _over(f, nb, db)
-    prod = ff_mul((na, da), (nb, db))
-    assert ff_eq(prod, (sp_mul(fa, fb, f), 1), p)
-    assert ff_eq(ff_reduce(prod, p), prod, p)
-    assert ff_eq((na, da), (nb, db), p) is sp_eq(fa, fb, f)
-
-
-def test_zero_denominator_equals_nothing():
-    n = {0: {0: 1}}
-    assert not ff_eq((n, 0), (n, 0))
-    assert not ff_eq((n, 1), (n, 0))
-    assert not ff_eq((n, 5), (n, 5), 5)
-    assert ff_eq((n, 6), (n, 6), 5)
+    mat, want = _evaluated(entries, t, s, p)
+    assert ek_at(mat, t, s, p) == want
 
 
 def test_components_of_disjoint_blocks():

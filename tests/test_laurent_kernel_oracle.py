@@ -11,8 +11,8 @@ stored zero and no empty row.  On A2, B2 and G2, E, h, n, n^{-1} and the
 torus conjugation of a `LaurentGroup` must equal the converted generators
 over LAURENT at t, -t, t^{-1}, s, +-t^{-A} s and t^A s (h at those of
 coefficient 1), and E also at
-constants, where the keys of different powers meet, and at non-unit
-coefficients, as the commutator constants ask for.
+constants, where the keys of different powers meet, at non-unit
+coefficients, as the commutator constants ask for, and at t + s.
 """
 
 import random
@@ -150,6 +150,15 @@ def test_E_at_constants_and_other_coefficients(group):
             [(1, 0, 0), (-1, 0, 0), (2, 0, 0), (2, 1, 1), (-3, 2, 1),
              (-2, 1, 2)]):
         _check(lg.E(ix, c, a, b), from_laurent(grp.E(x, _mono(c, a, b), LAURENT)))
+
+
+def test_E_sum_matches_laurent(group):
+    """E_X(t + s), whose powers spread each entry over binomial keys."""
+    alg, grp = group
+    lg = LaurentGroup(grp)
+    t_plus_s = _mono(1, 1, 0) + _mono(1, 0, 1)
+    for ix, x in enumerate(alg.objects):
+        _check(lg.E_sum(ix), from_laurent(grp.E(x, t_plus_s, LAURENT)))
 
 
 def test_conj_by_h_matches_laurent(group):
