@@ -359,7 +359,8 @@ def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
     = h_X(ts) and n_X(t) E_X(s) n_X(t)^{-1} = E_TX(t^{-2} s), are proved
     once over Z[t^{+-1}, s^{+-1}] on a `LaurentGroup`.  A pair whose
     commutator is not a product of root elements has no constants: it is
-    reported in `constant_failures` with the reason.  At each rational
+    reported in `constant_failures` with the reason.  A failed proof makes
+    the report fail, whether or not any point is sampled; at each rational
     sample point and at unit points of each prime field, the failure lists
     name every failed proof whose two sides differ there.  A commutator
     with constants is proved by `commutator_constants`, given that E_L(-m)
@@ -411,7 +412,7 @@ def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
                              for key in _failed_at(failed, t0, s0, p)]
 
     return {
-        "ok": (not constant_failures and not rational_failures
+        "ok": (not constant_failures and not failed and not rational_failures
                and all_integer and not any(prime_failures.values())),
         "constants": consts,
         "constants_integer": all_integer,

@@ -766,13 +766,6 @@ class Bareiss:
 # ---------------------------------------------------------------------------
 # dense exact linear algebra over Q (Gram matrices, inverses, minors)
 
-def dense_matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m)]
-           for i in range(n)]
-    return out
-
-
 def gauss_jordan(rows, ncols):
     """Reduce `rows`, lists of Fractions, in place to reduced row echelon
     form on their first `ncols` columns; returns the pivot columns."""

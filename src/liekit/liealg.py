@@ -4,10 +4,18 @@ Basis: one u_X per indecomposable X, plus H'_{S_1..S_m} for the parity-0
 simple objects.  The structure constants gamma_{XY}^L have magnitude p+1
 (root strings); their signs come from a deterministic extraspecial-pair
 construction of Chevalley constants N_{alpha,beta} on the underlying root
-system.  Antisymmetry and class grading hold by construction;
-`structure_constants` re-verifies the gamma*gamma range and the triangle-sign
-law and aborts on a violation.  Jacobi is not re-run at construction: it is
-checked by `LieAlgebraZ.jacobi_check` (`liekit verify liealg`).
+system (Carter, *Simple Groups of Lie Type*, 4.1-4.2).  The construction
+works on indices: object 2k + e is the positive root k with parity e, so T
+is `ix ^ 1` and the class of an object is the root of its index.  One pass
+over the unordered positive pairs alpha < beta looks up alpha + beta and
+alpha - beta and gives each object its row {Y: L} of class sums; every
+mixed-sign N is rotated to a same-sign one by exact integer division, which
+raises `ArithmeticError` if it does not divide.  Antisymmetry and class
+grading hold by construction; `structure_constants` re-verifies the
+gamma*gamma range and the triangle-sign law on every pair whose class sum
+is a root, reading gamma by index, and aborts on a violation.  Jacobi is
+not re-run at construction: it is checked by `LieAlgebraZ.jacobi_check`
+(`liekit verify liealg`).
 
 The invariant form costs O(nnz), not dim^2 trace walks: `killing_gram` reads
 its root block off the gamma table and its Cartan block off one Euler-form
@@ -34,10 +42,10 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add, sub
 
 from .exact import ZZ, sp_mul, sp_transpose
 from .rootcat import RootCategory, root_category
-from .rootdata import root_string
 
 
 # ---------------------------------------------------------------------------
@@ -148,92 +156,97 @@ def jacobi_sweep(table):
 # Chevalley structure constants on the root system
 
 class ChevalleyConstants:
-    """N_{alpha,beta} for all root pairs, built by height induction.
+    """N_{x,y} for all pairs of roots whose sum is a root, built by height
+    induction on the positive pairs.
 
-    Extraspecial pairs get N = p+1; remaining special pairs are solved from
-    the standard zero-sum Jacobi identities.  Conventions:
-    [e_a, e_b] = N_{a,b} e_{a+b}, [e_a, e_{-a}] = h_a, N_{-a,-b} = -N_{a,b}.
+    A root is named by the index 2k + e: rs.positive[k] for e = 0 and its
+    negative for e = 1, the class of the root-category object of that
+    index, so negation is `x ^ 1`.  One pass over the unordered positive
+    pairs a < b looks up alpha + beta and alpha - beta and fills
+    `sums[x] = {y: index of x + y}`, each row in ascending y.  Extraspecial
+    pairs get N = p+1; remaining special pairs are solved from the standard
+    zero-sum Jacobi identities.  Conventions: [e_a, e_b] = N_{a,b} e_{a+b},
+    [e_a, e_{-a}] = h_a, N_{-a,-b} = -N_{a,b}.
     """
 
     def __init__(self, rs):
-        self.rs = rs
-        self._npos = {}
-        self._order = rs.pos_index
-        self._build()
+        pos = rs.positive
+        index = {}
+        for k, r in enumerate(pos):
+            index[r], index[tuple(-c for c in r)] = 2 * k, 2 * k + 1
+        self.d = [rs.root_d(r) for r in pos for _ in (0, 1)]  # (v, v) = 2 d_v
+        rows = [{} for _ in index]
+        pairs = [[] for _ in pos]  # the positive pairs of each sum, by alpha
+        for a, alpha in enumerate(pos):
+            x = 2 * a
+            for b in range(a + 1, len(pos)):
+                beta = pos[b]
+                for y, v in ((2 * b, map(add, alpha, beta)),
+                             (2 * b + 1, map(sub, alpha, beta))):
+                    s = index.get(tuple(v))
+                    if s is not None:
+                        rows[x][y] = rows[y][x] = s
+                        rows[x ^ 1][y ^ 1] = rows[y ^ 1][x ^ 1] = s ^ 1
+                        if not y & 1:
+                            pairs[s >> 1].append((x, y))
+        self.sums = [dict(sorted(row.items())) for row in rows]
+        self._n = {}  # N_{alpha,beta} on the positive pairs alpha < beta
+        for k, found in enumerate(pairs):
+            if found:
+                (alpha, beta), rest = found[0], found[1:]  # extraspecial first
+                self._n[alpha, beta] = self._p(alpha, beta) + 1
+                for xi, eta in rest:
+                    self._n[xi, eta] = self._solve_special(
+                        2 * k, alpha, beta, xi, eta)
 
-    def _build(self):
-        rs = self.rs
-        for gamma in rs.positive:
-            if sum(gamma) < 2:
-                continue
-            pairs = []
-            for alpha in rs.positive:
-                beta = tuple(g - a for a, g in zip(alpha, gamma))
-                if rs.contains(beta) and sum(beta) > 0 \
-                        and self._order[alpha] < self._order[beta]:
-                    pairs.append((alpha, beta))
-            pairs.sort(key=lambda ab: self._order[ab[0]])
-            alpha0, beta0 = pairs[0]  # the extraspecial pair of gamma
-            self._npos[(alpha0, beta0)] = root_string(rs, alpha0, beta0)[0] + 1
-            for (xi, eta) in pairs[1:]:
-                self._npos[(xi, eta)] = self._solve_special(
-                    gamma, alpha0, beta0, xi, eta)
+    def _p(self, x, y):
+        """The largest p with y - p x a root."""
+        p, minus = 0, self.sums[x ^ 1]
+        while y in minus:
+            p, y = p + 1, minus[y]
+        return p
 
     def _solve_special(self, gamma, alpha, beta, xi, eta):
         """Jacobi coefficient identity with (b,c,d) = (-xi, -eta, beta):
         N_{-xi,-eta} N_{-gamma, beta} + N_{-eta,beta} N_{beta-eta,-xi}
         + N_{beta,-xi} N_{beta-xi,-eta} = 0.
         """
-        neg = lambda v: tuple(-c for c in v)
-        t2 = self._term(neg(eta), beta, neg(xi))
-        t3 = self._term(beta, neg(xi), neg(eta))
-        denom = self.n(neg(gamma), beta)
-        assert denom != 0
-        val = Fraction(t2 + t3, denom)
-        if val.denominator != 1:
+        t2 = self._term(eta ^ 1, beta, xi ^ 1)
+        t3 = self._term(beta, xi ^ 1, eta ^ 1)
+        n, r = divmod(t2 + t3, self.n(gamma ^ 1, beta))
+        if r:
             raise ArithmeticError("non-integer structure constant")
-        n = int(val)
-        pexp = root_string(self.rs, xi, eta)[0]
-        if abs(n) != pexp + 1:
+        p = self._p(xi, eta)
+        if abs(n) != p + 1:
             raise ArithmeticError(
-                f"structure constant magnitude {n} != p+1 = {pexp + 1}")
+                f"structure constant magnitude {n} != p+1 = {p + 1}")
         return n
 
     def _term(self, a, b, c):
         """N_{a,b} N_{a+b,c} (zero if a+b is not a root)."""
-        ab = tuple(x + y for x, y in zip(a, b))
-        if not self.rs.contains(ab):
-            return 0
-        return self.n(a, b) * self.n(ab, c)
+        ab = self.sums[a].get(b)
+        return 0 if ab is None else self.n(a, b) * self.n(ab, c)
 
-    def n(self, a, b):
-        """N_{a,b} for arbitrary roots a, b with a + b != 0."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if all(v == 0 for v in s):
-            raise ValueError("N undefined for opposite roots")
-        if not self.rs.contains(s):
+    def n(self, x, y):
+        """N_{x,y} for root indices x, y; 0 when x + y is not a root."""
+        z = self.sums[x].get(y)
+        if z is None:
             return 0
-        apos, bpos = sum(a) > 0, sum(b) > 0
-        if apos and bpos:
-            key = (a, b) if self._order[a] < self._order[b] else (b, a)
-            val = self._npos[key]
-            return val if key == (a, b) else -val
-        if not apos and not bpos:
-            neg = lambda v: tuple(-x for x in v)
-            return -self.n(neg(a), neg(b))
-        # mixed signs: rotate the zero-sum triple (a, b, c) to its same-sign
-        # pair; (v, v) = 2 d_v for a root v
-        c = tuple(-x for x in s)
-        cpos = sum(c) > 0
-        d = self.rs.root_d
-        if cpos == bpos:
-            # N_{a,b}/(c,c) = N_{b,c}/(a,a)
-            val = Fraction(2 * d(c) * self.n(b, c), 2 * d(a))
+        if not (x ^ y) & 1:  # N_{b,a} = N_{-a,-b} = -N_{a,b}
+            sign = -1 if x & 1 else 1
+            if x > y:
+                x, y, sign = y, x, -sign
+            return sign * self._n[x & ~1, y & ~1]
+        # mixed signs: rotate the zero-sum triple (x, y, c) to its same-sign
+        # pair, N_{x,y}/d_c = N_{y,c}/d_x = N_{c,x}/d_y, in exact integers
+        c, d = z ^ 1, self.d
+        if (c ^ y) & 1:
+            n, r = divmod(d[c] * self.n(c, x), d[y])
         else:
-            # N_{a,b}/(c,c) = N_{c,a}/(b,b)
-            val = Fraction(2 * d(c) * self.n(c, a), 2 * d(b))
-        assert val.denominator == 1
-        return int(val)
+            n, r = divmod(d[c] * self.n(y, c), d[x])
+        if r:
+            raise ArithmeticError("non-integer structure constant")
+        return n
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +264,14 @@ class LieAlgebraZ:
         self.n_u = len(self.objects)
         self.m = cat.m
         self.dim = self.n_u + self.m
-        # gamma table: dict (ix, iy) -> (iL, gamma) for class-graded brackets
+        # gamma table: dict (ix, iy) -> (iL, gamma) for class-graded brackets,
+        # in ascending (ix, iy); gamma_{XY}^L = s_X s_Y s_L N_{X,Y}, where
+        # s = -1 on the odd parity
         self.gamma = {}
-        for ix, x in enumerate(self.objects):
-            for iy, y in enumerate(self.objects):
-                if x.pos_root == y.pos_root:
-                    continue
-                l = cat.chain_object(x, y, 1, 1)
-                if l is None:
-                    continue
-                g = self._gamma_value(x, y, l)
-                if g:
-                    self.gamma[(ix, iy)] = (cat.index(l), g)
+        for ix, row in enumerate(self.chev.sums):
+            for iy, il in row.items():
+                g = self.chev.n(ix, iy)
+                self.gamma[ix, iy] = (il, -g if (ix ^ iy ^ il) & 1 else g)
         self._brackets = self._build_bracket_table()
         self._ad_cache, self._ad_table = {}, self._brackets
 
@@ -278,12 +287,6 @@ class LieAlgebraZ:
 
     # -- gamma --------------------------------------------------------------
 
-    def _gamma_value(self, x, y, l):
-        sx = -1 if x.parity else 1
-        sy = -1 if y.parity else 1
-        sl = -1 if l.parity else 1
-        return sx * sy * sl * self.chev.n(x.cls, y.cls)
-
     def gamma_of(self, x, y, l):
         """gamma_{XY}^L by objects (0 when ungraded)."""
         key = (self.cat.index(x), self.cat.index(y))
@@ -292,42 +295,39 @@ class LieAlgebraZ:
             return got[1]
         return 0
 
+    def _gamma_to(self, ix, iy, il):
+        """gamma_{XY}^L by indices (0 when the entry of (X, Y) targets
+        another object or is absent)."""
+        got = self.gamma.get((ix, iy))
+        return got[1] if got and got[0] == il else 0
+
     # -- Cartan bookkeeping ---------------------------------------------------
 
     def hprime_coords(self, x):
         """H'_X expanded over H'_{S_1..S_m}: coefficients c_j d_j / d(X)."""
         dx = self.cat.d(x)
         out = []
-        for j in range(self.m):
-            val = Fraction(x.cls[j] * self.cat.cartan.d[j], dx)
-            if val.denominator != 1:
+        for c, d in zip(x.cls, self.cat.cartan.d):
+            q, r = divmod(c * d, dx)
+            if r:
                 raise ArithmeticError("non-integral coroot expansion")
-            out.append(int(val))
+            out.append(q)
         return out
 
     # -- brackets -------------------------------------------------------------
 
     def _build_bracket_table(self):
-        """table[i][j] = dict {k: coeff} for basis bracket [e_i, e_j]."""
+        """table[i][j] = dict {k: coeff} for basis bracket [e_i, e_j], read
+        off the gamma entries of root objects X, Y with Y neither X nor TX,
+        the brackets [u_X, u_TX] = H'_X and the action of each H'_{S_j}."""
         n_u, m, cat = self.n_u, self.m, self.cat
-        table = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                table[i][j] = {}
+        table = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        for (ix, iy), (il, g) in self.gamma.items():
+            if ix >> 1 != iy >> 1 and ix < n_u and iy < n_u:
+                table[ix][iy][il] = g
         for ix, x in enumerate(self.objects):
-            for iy, y in enumerate(self.objects):
-                if ix == iy:
-                    continue
-                if x.pos_root == y.pos_root:
-                    if x.parity != y.parity:  # Y = TX: bracket is H'_X
-                        for j, c in enumerate(self.hprime_coords(x)):
-                            if c:
-                                table[ix][iy][n_u + j] = c
-                    continue
-                got = self.gamma.get((ix, iy))
-                if got:
-                    il, g = got
-                    table[ix][iy][il] = g
+            table[ix][ix ^ 1] = {n_u + j: c for j, c in
+                                 enumerate(self.hprime_coords(x)) if c}
         for j in range(m):
             s = cat.simples[j]
             for iy, y in enumerate(self.objects):
@@ -388,31 +388,22 @@ class LieAlgebraZ:
     def gamma_pair_products(self):
         """All nonzero gamma_{XY}^L * gamma_{X,TL}^{TY}; theory says in {-1..-4}."""
         out = []
-        cat = self.cat
         for (ix, iy), (il, g1) in self.gamma.items():
-            x = self.objects[ix]
-            ty = cat.shift(self.objects[iy])
-            tl = cat.shift(self.objects[il])
-            g2 = self.gamma_of(x, tl, ty)
+            g2 = self._gamma_to(ix, il ^ 1, iy ^ 1)
             if g2:
                 out.append(g1 * g2)
         return out
 
     def triangle_sign_check(self):
-        """gamma_{TZ,X}^Y d(X) = gamma_{YZ}^X d(Y) wherever both sides are graded."""
-        cat = self.cat
-        for z in self.objects:
-            tz = cat.shift(z)
-            for x in self.objects:
-                if tz.pos_root == x.pos_root:
-                    continue
-                y = cat.chain_object(tz, x, 1, 1)
-                if y is None:
-                    continue
-                lhs = self.gamma_of(tz, x, y) * cat.d(x)
-                rhs = self.gamma_of(y, z, x) * cat.d(y)
-                if lhs != rhs:
-                    return False, (z, x, y)
+        """gamma_{TZ,X}^Y d(X) = gamma_{YZ}^X d(Y) for every pair (TZ, X)
+        whose class sum is the class of an object Y, in z-major order; the
+        witness is the first (Z, X, Y) that differs."""
+        d = self.chev.d
+        for iz in range(self.n_u):
+            for ix, iy in self.chev.sums[iz ^ 1].items():
+                if (self._gamma_to(iz ^ 1, ix, iy) * d[ix]
+                        != self._gamma_to(iy, iz, ix) * d[iy]):
+                    return False, tuple(self.objects[i] for i in (iz, ix, iy))
         return True, None
 
     # -- the invariant form ------------------------------------------------------
@@ -432,18 +423,12 @@ class LieAlgebraZ:
         """
         cat, n_u, m, objs = self.cat, self.n_u, self.m, self.objects
         gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        shift = [cat.index(cat.shift(x)) for x in objs]
         root = [-4] * n_u
         for (itx, iy), (il, g) in self.gamma.items():
-            tx, y = objs[itx], objs[iy]
-            l = cat.chain_object(tx, y, 1, 1)
-            if tx.pos_root == y.pos_root or l is None or cat.index(l) != il:
-                continue
-            back = self.gamma.get((shift[itx], il))
-            if back and back[0] == iy:
-                root[shift[itx]] += g * back[1]
+            if self.chev.sums[itx].get(iy) == il:
+                root[itx ^ 1] += g * self._gamma_to(itx ^ 1, il, iy)
         for ix, val in enumerate(root):
-            gram[ix][shift[ix]] = Fraction(val)
+            gram[ix][ix ^ 1] = Fraction(val)
         vecs = [[cat.euler_form(s, z) for s in cat.simples] for z in objs]
         d = cat.cartan.d
         for i in range(m):
@@ -462,24 +447,6 @@ class LieAlgebraZ:
             for j, v in enumerate(row):
                 if v != t.get(j, 0):
                     return False, (i, j, v, t.get(j, 0))
-        return True, None
-
-    def invariance_check(self, form=None):
-        """([x,y],z) = (x,[y,z]) on all basis triples."""
-        gram = form if form is not None else self.killing_gram()
-
-        def pair(vec, k):
-            return sum(c * gram[i][k] for i, c in vec.items())
-
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                bij = self._brackets[i][j]
-                for k in range(n):
-                    lhs = pair(bij, k)
-                    rhs = sum(w * gram[i][l] for l, w in self._brackets[j][k].items())
-                    if lhs != rhs:
-                        return False, (i, j, k)
         return True, None
 
 

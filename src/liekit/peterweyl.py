@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .exact import (QI, GaussianRational, dense_inverse, sp_add, sp_map,
                     sp_mul)
@@ -382,18 +381,3 @@ def integral_lattice_report(series, rank):
             "analytically_integral": pairing_twice % 2 == 0,
         }
     return report
-
-
-def q_plus_enumerate(series, rank, bound):
-    """Dominant weights in the root lattice with root-height <= bound —
-    the index set of K-irreducibles up to that height."""
-    cartan = build_cartan(series, rank)
-    out = []
-    for x in iproduct(range(bound + 1), repeat=rank):
-        if sum(x) > bound:
-            continue
-        lam = root_fund(cartan, x)
-        if all(v >= 0 for v in lam):
-            out.append((lam, x))
-    out.sort(key=lambda p: (sum(p[1]), p[0]))
-    return out

@@ -32,6 +32,8 @@ class RootCategory:
     def __init__(self, series, rank):
         self.cartan = build_cartan(series, rank)
         self.rs: RootSystem = root_system(series, rank)
+        # object 2k + parity lies over rs.positive[k], so the index of TX is
+        # that of X ^ 1; the Lie algebra's index-built tables rely on it
         self.objects = [RootCatObject(r, p)
                         for r in self.rs.positive for p in (0, 1)]
         self._index = {x: k for k, x in enumerate(self.objects)}

@@ -130,6 +130,26 @@ def test_steinberg_b2():
     assert rep["constants_integer"]
 
 
+def test_steinberg_fails_on_a_failed_proof_without_points(monkeypatch):
+    """On B2 with one entry of E_X(t + s) raised, for X object 0, the
+    additive proof of X fails while every commutator keeps its constants;
+    the report fails with no sample point and no prime."""
+    e_sum = LaurentGroup.E_sum
+
+    def raised(self, ix):
+        out = e_sum(self, ix)
+        if ix == 0:
+            row = out[min(out)]
+            key = min(row)
+            row[key] += 1
+        return out
+
+    monkeypatch.setattr(LaurentGroup, "E_sum", raised)
+    rep = steinberg_report(lie_algebra("B", 2), primes=(), samples=0)
+    assert rep["constant_failures"] == []
+    assert rep["ok"] is False
+
+
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2)])
 def test_center_orders(series, rank):
     alg = lie_algebra(series, rank)

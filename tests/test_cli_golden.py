@@ -19,8 +19,15 @@ denominators up to lcm 840, and `irrep --emit gram` on B3 (0,1,1).  Three
 were recorded from the Jacobi sweep over all C(n, 3) triples, before it
 visited only the triples with a nonzero term: `verify liealg` on F4, on E7
 with gamma(125, 122) flipped (witness (13, 122, 123), exit 1), and `verify
-compact` on D4 with gamma(0, 4) flipped (witness (0, 5, 8), exit 1)."""
+compact` on D4 with gamma(0, 4) flipped (witness (0, 5, 8), exit 1).
 
+`cli_digest.json` pins `liealg --emit gamma` and `--emit killing` on F4,
+E6, E7, E8, B8, C8 and D8 by the sha256 of stdout and the exit code,
+recorded from the construction that walked every object pair with
+`chain_object` and rotated mixed-sign constants through `Fraction`s; the
+E8 gamma table alone is 391 kB of JSON, too large to keep verbatim."""
+
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,6 +37,7 @@ from click.testing import CliRunner
 from liekit.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+DIGEST = json.loads((Path(__file__).parent / "cli_digest.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["args"]))
@@ -37,3 +45,10 @@ def test_cli_output_is_byte_identical(case):
     res = CliRunner().invoke(main, case["args"])
     assert res.exit_code == case["exit_code"], res.output
     assert res.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", DIGEST, ids=lambda c: " ".join(c["args"]))
+def test_cli_output_digest(case):
+    res = CliRunner().invoke(main, case["args"])
+    assert res.exit_code == case["exit_code"], res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == case["sha256"]

@@ -10,13 +10,20 @@ import pytest
 from liekit.compactform import TRIG_QI, TrigPoly
 from liekit.exact import (Bareiss, GaussianRational, LAURENT, LaurentPoly,
                           PrimeField, QI, QQ, ZZ, components,
-                          dense_inverse, dense_matmul, dense_det, ek_at,
+                          dense_inverse, dense_det, ek_at,
                           ff_column, ff_pairing, leading_principal_minors,
                           solve_linear, sp_eq, sp_from_dense, sp_identity,
                           sp_mul, sp_to_dense, sp_transpose)
 
 fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7))
 gauss = st.builds(GaussianRational, fracs, fracs)
+
+
+def dense_matmul(a, b):
+    """The product of two dense matrices (lists of rows)."""
+    k, m = len(b), len(b[0]) if b else 0
+    return [[sum(row[l] * b[l][j] for l in range(k)) for j in range(m)]
+            for row in a]
 
 
 @given(gauss, gauss, gauss)

