@@ -207,43 +207,6 @@ class WeightModule:
                     tot = xa * y[b].conjugate() * g + tot
         return tot
 
-    def commutation_check(self):
-        """[E_i, F_j] = delta_ij H_i as exact matrix identities."""
-        for i in range(self.m):
-            for j in range(self.m):
-                lhs = sp_add(sp_mul(self.E[i], self.F[j], QQ),
-                             sp_mul(self.F[j], self.E[i], QQ), QQ, bsign=-1)
-                want = {}
-                if i == j:
-                    for g in range(self.dim):
-                        hv = Fraction(self.h_value(i, g))
-                        if hv:
-                            want[g] = {g: hv}
-                if not sp_eq(lhs, want, QQ):
-                    return False, (i, j)
-        return True, None
-
-    def serre_check(self):
-        """sum_{p+q=1-a_ij} (-1)^q E_i^(p) E_j E_i^(q) = 0, and the F twin."""
-        gens = self.generators()
-        for mats, dp in ((self.E, gens.ex), (self.F, gens.fx)):
-            for i in range(self.m):
-                for j in range(self.m):
-                    if i == j:
-                        continue
-                    nmax = 1 - self.cartan.a[i][j]
-                    acc = {}
-                    for q in range(nmax + 1):
-                        p = nmax - q
-                        if p >= len(dp[i]) or q >= len(dp[i]):
-                            continue
-                        term = sp_mul_many([dp[i][p], mats[j], dp[i][q]], QQ)
-                        acc = sp_add(acc, term, QQ,
-                                     bsign=-1 if q % 2 else 1)
-                    if acc:
-                        return False, (i, j, "E" if mats is self.E else "F")
-        return True, None
-
     def gram_positive_definite(self):
         """Every leading minor of every weight Gram is positive; otherwise
         (depth, k) of the first minor Delta_{k+1} that is not.  The minors
@@ -406,37 +369,6 @@ def build_irrep(cartan, lam, cap=DIM_CAP):
         for j, cols in enumerate(mats):
             mats[j] = _fraction_rows(cols)
     return WeightModule(cartan, lam, len(weight_of), E, F, weights, weight_of)
-
-
-def direct_sum(mods):
-    """Block direct sum of modules over the same Cartan datum."""
-    cartan = mods[0].cartan
-    m = mods[0].m
-    dim = sum(mm.dim for mm in mods)
-    E = [{} for _ in range(m)]
-    F = [{} for _ in range(m)]
-    weight_of = []
-    weights = {}
-    off = 0
-    for t, mm in enumerate(mods):
-        for i in range(m):
-            for r, row in mm.E[i].items():
-                E[i].setdefault(r + off, {}).update(
-                    {c + off: v for c, v in row.items()})
-            for r, row in mm.F[i].items():
-                F[i].setdefault(r + off, {}).update(
-                    {c + off: v for c, v in row.items()})
-        weight_of.extend(mm.weight_of)
-        for depth, data in mm.weights.items():
-            weights[(t,) + depth] = {
-                "fund": data["fund"],
-                "basis": [g + off for g in data["basis"]],
-                "gram": data["gram"],
-                "raw_labels": data["raw_labels"],
-            }
-        off += mm.dim
-    out = WeightModule(cartan, mods[0].lam, dim, E, F, weights, weight_of)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -663,34 +595,3 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
                     worst = max(worst, float(np.abs(
                         u @ u.conj().swapaxes(1, 2) - np.eye(len(idxs[0]))).max()))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# injectivity probe for the unipotent parametrization
-
-def xh_injectivity_probe(cartan, samples=100, seed=20240820):
-    """On the direct sum of all fundamental modules, the map
-    h = (h_1..h_N) -> x_{i_1}(h_1)...x_{i_N}(h_N) along a reduced word for
-    the longest element is injective on random samples."""
-    import random
-    m = len(cartan.a)
-    mods = [build_irrep(cartan, tuple(1 if k == i else 0 for k in range(m)))
-            for i in range(m)]
-    gens = direct_sum(mods).generators()
-    word = longest_word(cartan)
-    rng = random.Random(seed)
-    seen = {}
-    drawn = set()
-    while len(drawn) < samples:
-        h = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 7))
-                  for _ in word)
-        if h in drawn:
-            continue
-        drawn.add(h)
-        mat = sp_mul_many([gens.x(i, hv, QQ) for i, hv in zip(word, h)], QQ)
-        key = tuple(sorted((r, c, v) for r, row in mat.items()
-                           for c, v in row.items()))
-        if key in seen and seen[key] != h:
-            return False, (h, seen[key])
-        seen[key] = h
-    return True, len(seen)

@@ -33,6 +33,9 @@ Python's operators, and the Jacobi sweep on any such table over the
 rationals; the integer form here and the compact form (`compactform`)
 share them.  The Jacobi sweep visits only the triples with a nonzero term
 (on E7, 49,647 of 383,306), which is exact: every other Jacobiator is 0.
+The bracket-preservation sweep checks every basis pair exactly, one row i
+at a time: ad(M e_i) is built once per row from the target table's nonzero
+cells, and two sparse products give both sides for all j > i.
 """
 
 from __future__ import annotations
@@ -70,17 +73,36 @@ def first_bracket_failure(src, dst, mat, dom):
     """First basis pair i < j with M[e_i, e_j] != [M e_i, M e_j], where the
     sparse matrix M over `dom` maps the basis of table `src` into that of
     table `dst` and each bracket is taken in its own table; None if M
-    preserves the bracket.  The two sides are compared entry by entry with
-    `dom.eq`, so the bracket may run on Python's operators (over F_p it
-    leaves residues unreduced)."""
+    preserves the bracket.
+
+    The sweep goes one basis row i at a time.  ad_i[b] = [M e_i, e_b] is
+    the sum of M_{ai} dst[a][b] over the nonzero cells of `dst` (listed
+    once per call); then two sparse products give the whole row:
+    M[e_i, e_j] for every j > i as the rows src[i][j] times the columns of
+    M, and [M e_i, M e_j] as the columns M e_j times ad_i.  Rows equal as
+    dicts pass at once; others are compared entry by entry with `dom.eq`,
+    so no verdict rests on residues being reduced.  The first row that
+    differs returns its least j, so the witness is the lexicographically
+    least failing pair, as a pair-by-pair sweep would find it."""
     cols = sp_transpose(mat)
-    n = len(src)
+    cells = [[(b, d) for b, d in enumerate(row) if d] for row in dst]
+    n, zero = len(src), dom.zero
     for i in range(n):
-        for j in range(i + 1, n):
-            img = sp_mul({0: src[i][j]}, cols, dom).get(0, {})
-            got = table_bracket(dst, cols.get(i, {}), cols.get(j, {}))
-            if any(not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
-                   for k in img.keys() | got.keys()):
+        ad = {}
+        for a, c in cols.get(i, {}).items():
+            for b, d in cells[a]:
+                acc = ad.setdefault(b, {})
+                for k, v in d.items():
+                    acc[k] = acc[k] + c * v if k in acc else c * v
+        row = src[i]
+        lhs = sp_mul({j: row[j] for j in range(i + 1, n) if row[j]}, cols, dom)
+        rhs = sp_mul({j: cols[j] for j in range(i + 1, n) if j in cols}, ad, dom)
+        if lhs == rhs:
+            continue
+        for j in sorted(lhs.keys() | rhs.keys()):
+            x, y = lhs.get(j, {}), rhs.get(j, {})
+            if any(not dom.eq(x.get(k, zero), y.get(k, zero))
+                   for k in x.keys() | y.keys()):
                 return i, j
     return None
 

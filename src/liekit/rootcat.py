@@ -9,7 +9,6 @@ omega symbol — is root-lattice arithmetic on classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .rootdata import build_cartan, root_string, root_system, RootSystem
@@ -66,10 +65,10 @@ class RootCategory:
         """A_{XY} = (H_X|H_Y)/d(X); always an integer."""
         val = self._A.get((x, y))
         if val is None:
-            frac = Fraction(self.euler_form(x, y), self.d(x))
-            if frac.denominator != 1:
+            val, r = divmod(self.euler_form(x, y), self.d(x))
+            if r:
                 raise ArithmeticError(f"non-integer A for {x}, {y}")
-            val = self._A[x, y] = int(frac)
+            self._A[x, y] = val
         return val
 
     # -- extension chains ---------------------------------------------------

@@ -1,9 +1,12 @@
 """The compact form's single routines against the twins they replaced.
 
-`first_bracket_failure` takes [M e_i, M e_j] with `table_bracket` on Python's
-operators and M[e_i, e_j] as one one-row `sp_mul`, comparing with `dom.eq`;
-the reference is the earlier sweep over `bracket_over`, which reduced every
-product in the domain.  `CompactForm.phi_inverse` is D phi^H; the reference
+`first_bracket_failure` sweeps one basis row i at a time: ad_i = [M e_i, -]
+is summed once over the nonzero cells of the target table, and two sparse
+products give M[e_i, e_j] and [M e_i, M e_j] for every j > i, compared with
+`dom.eq`.  It has two references: the sweep over `bracket_over`, which
+reduced every product in the domain, and the per-pair sweep it replaced,
+which took [M e_i, M e_j] with `table_bracket` and M[e_i, e_j] as a one-row
+`sp_mul` for each pair.  `CompactForm.phi_inverse` is D phi^H; the reference
 is the hand-built inverse.  `closed_forms` is the one sequence of closed-form
 subgroups; the reference is the earlier list built by each check for itself,
 with its own beta and xi builders.  Each pair must agree exactly: the same
@@ -19,8 +22,9 @@ from liekit.chevgroup import ChevalleyGroup, random_group_element
 from liekit.compactform import (CompactForm, TrigPoly, _chain_terms,
                                 _flip_sin, closed_forms, exp_alpha_matrix,
                                 trig_multiple)
-from liekit.exact import QI, GaussianRational, PrimeField, sp_transpose
-from liekit.liealg import first_bracket_failure, lie_algebra
+from liekit.exact import (QI, QQ, GaussianRational, PrimeField, sp_mul,
+                          sp_transpose)
+from liekit.liealg import first_bracket_failure, lie_algebra, table_bracket
 from liekit.rootcat import RootCatObject
 
 
@@ -56,6 +60,21 @@ def reference_first_bracket_failure(src, dst, mat, dom):
             if img != got and any(
                     not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
                     for k in set(img) | set(got)):
+                return i, j
+    return None
+
+
+def pairwise_first_bracket_failure(src, dst, mat, dom):
+    """The per-pair sweep: one `table_bracket` and one one-row `sp_mul` for
+    each basis pair i < j."""
+    cols = sp_transpose(mat)
+    n = len(src)
+    for i in range(n):
+        for j in range(i + 1, n):
+            img = sp_mul({0: src[i][j]}, cols, dom).get(0, {})
+            got = table_bracket(dst, cols.get(i, {}), cols.get(j, {}))
+            if any(not dom.eq(img.get(k, dom.zero), got.get(k, dom.zero))
+                   for k in img.keys() | got.keys()):
                 return i, j
     return None
 
@@ -237,6 +256,88 @@ def test_prime_field_sweep_matches_reference(series, rank):
     got = first_bracket_failure(table, table, changed, dom)
     assert got is not None
     assert got == reference_first_bracket_failure(table, table, changed, dom)
+
+
+def _all_three(src, dst, mat, dom):
+    return (first_bracket_failure(src, dst, mat, dom),
+            reference_first_bracket_failure(src, dst, mat, dom),
+            pairwise_first_bracket_failure(src, dst, mat, dom))
+
+
+def _small_word(series, rank, dom, scalars):
+    alg = lie_algebra(series, rank)
+    rng = random.Random(f"row sweep {series}{rank} {dom.p}")
+    return alg, random_group_element(ChevalleyGroup(alg), dom, rng, 6, scalars)
+
+
+SMALL_WORDS = [("A", 2, PrimeField(7), range(1, 7)),
+               ("B", 2, PrimeField(7), range(1, 7)),
+               ("G", 2, PrimeField(7), range(1, 7)),
+               ("A", 2, QQ, [Fraction(k, 3) for k in (-4, -1, 2, 5)])]
+
+
+@pytest.mark.parametrize("series,rank,dom,scalars", SMALL_WORDS,
+                         ids=["A2-F7", "B2-F7", "G2-F7", "A2-QQ"])
+def test_row_sweep_matches_both_references_on_every_single_change(
+        series, rank, dom, scalars):
+    """Every entry of the word, one at a time, increased by 1 (absent
+    entries included): the same verdict and first failing pair as both
+    references."""
+    alg, word = _small_word(series, rank, dom, list(scalars))
+    table = alg._brackets
+    assert _all_three(table, table, word, dom) == (None, None, None)
+    failed = 0
+    for r in range(alg.dim):
+        for c in range(alg.dim):
+            row = dict(word.get(r, {}))
+            row[c] = dom.add(row.get(c, dom.zero), dom.one)
+            changed = {**word, r: {k: v for k, v in row.items()
+                                   if not dom.is_zero(v)}}
+            got, want, pairwise = _all_three(table, table, changed, dom)
+            assert got == want == pairwise
+            failed += got is not None
+    assert failed > alg.dim ** 2 // 2
+
+
+def test_row_sweep_on_an_all_zero_column():
+    """M with column c zero maps e_c to 0; the zero matrix preserves every
+    bracket."""
+    alg, word = _small_word("B", 2, PrimeField(7), list(range(1, 7)))
+    table, dom = alg._brackets, PrimeField(7)
+    assert _all_three(table, table, {}, dom) == (None, None, None)
+    for c in range(alg.dim):
+        zeroed = {r: {k: v for k, v in row.items() if k != c}
+                  for r, row in word.items()}
+        got, want, pairwise = _all_three(table, table, zeroed, dom)
+        assert got is not None
+        assert got == want == pairwise
+
+
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_row_sweep_finds_a_fault_in_the_last_pair_only(side):
+    """One bracket [e_{n-2}, e_{n-1}] planted in the source or the target
+    table, M the identity: only the last pair fails, once from the source
+    side of the comparison and once from the target side."""
+    alg = lie_algebra("A", 2)
+    dom, n = PrimeField(7), alg.dim
+    planted = [[dict(c) for c in row] for row in alg._brackets]
+    planted[n - 2][n - 1] = {0: 1}
+    src, dst = ((planted, alg._brackets) if side == "src"
+                else (alg._brackets, planted))
+    identity = {k: {k: 1} for k in range(n)}
+    assert _all_three(src, dst, identity, dom) == ((n - 2, n - 1),) * 3
+
+
+def test_row_sweep_returns_the_least_failing_j_of_a_row():
+    """Two faults in row 0, at j = 2 and j = 9 of a 10-dimensional zero
+    table, whose indices a set of ints holds as 9 before 2: the witness is
+    still (0, 2)."""
+    n, dom = 10, PrimeField(7)
+    zero = [[{} for _ in range(n)] for _ in range(n)]
+    planted = [[{} for _ in range(n)] for _ in range(n)]
+    planted[0][2] = planted[0][9] = {0: 1}
+    identity = {k: {k: 1} for k in range(n)}
+    assert _all_three(planted, zero, identity, dom) == ((0, 2),) * 3
 
 
 @pytest.mark.parametrize("series,rank", [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from liekit.rootcat import root_category
+from liekit.rootcat import RootCategory, root_category
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("G", 2)]
@@ -28,6 +28,18 @@ def test_pairing_symmetry(series, rank):
         for y in cat.objects:
             assert cat.d(x) * cat.A(x, y) == cat.d(y) * cat.A(y, x)
             assert cat.A(cat.shift(x), y) == -cat.A(x, y)
+
+
+def test_a_raises_on_a_non_dividing_d():
+    """A_{XY} is (H_X|H_Y) / d(X) in exact integers: with d planted as 3,
+    (H_X|H_X) = 2 on a short root does not divide, and A must raise rather
+    than round."""
+    cat = RootCategory("B", 2)
+    cat.d = lambda x: 3
+    x = cat.simples[1]
+    assert cat.euler_form(x, x) == 2
+    with pytest.raises(ArithmeticError, match="non-integer A"):
+        cat.A(x, x)
 
 
 @pytest.mark.parametrize("series,rank", TYPES)
