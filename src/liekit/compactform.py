@@ -1,13 +1,18 @@
 """The compact real form attached to a root category.
 
 Basis: alpha over the simple objects, then (beta, xi) per positive root.
-The defining brackets only involve the A-pairing and the gamma constants, so
-everything stays in exact rational arithmetic.  One-parameter subgroups
-exp(t ad alpha_X), exp(t ad beta_X), exp(t ad xi_X) have closed forms whose
-entries live in the trigonometric ring Q[sin, cos, cos^-1] modulo
-sin^2 + cos^2 = 1; identities in that ring are decidable, and the same
-symbolic matrices evaluate to floats for comparison against scipy's expm.
-`closed_forms` lists those subgroups once, for every check that walks them.
+The defining brackets only involve the A-pairing and the gamma constants,
+read by object index (object 2k + e is the positive root k with parity e,
+so T is `ix ^ 1`); root strings are walked through the class-sum rows
+`alg.chev.sums`, which do not depend on gamma.  Every coefficient is an
+int, since in a Chevalley basis ad(e)^j / j! is integral (Humphreys,
+*Introduction to Lie Algebras*, 25.5); a changed gamma table may leave an
+exact Fraction.  One-parameter subgroups exp(t ad alpha_X), exp(t ad
+beta_X), exp(t ad xi_X) have closed forms whose entries live in the
+trigonometric ring Q[sin, cos, cos^-1] modulo sin^2 + cos^2 = 1; identities
+in that ring are decidable, and the same symbolic matrices evaluate to
+floats for comparison against scipy's expm.  `closed_forms` builds them
+once per `CompactForm`, for every check that walks them.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .chevgroup import ChevalleyGroup
-from .exact import (QI, QQ, ZZ, Bareiss, Domain, GaussianRational, SparsePoly,
-                    components, sp_add, sp_eq, sp_from_dense, sp_map,
+from .exact import (QI, QQ, Bareiss, Domain, GaussianRational, SparsePoly,
+                    _rational, components, sp_eq, sp_from_dense, sp_map,
                     sp_mul_many, sp_to_dense, sp_transpose)
 from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
                      table_bracket)
-from .rootcat import RootCatObject
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +57,11 @@ class TrigPoly(SparsePoly):
 
     @classmethod
     def sin(cls):
-        return cls({(1, 0): Fraction(1)})
+        return cls({(1, 0): 1})
 
     @classmethod
     def cos(cls, e=1):
-        return cls({(0, e): Fraction(1)})
+        return cls({(0, e): 1})
 
     def __mul__(self, other):
         out = {}
@@ -108,7 +113,7 @@ def _accumulate(out, coeff, s_deg, c_deg):
 
 def trig_multiple(a):
     """(cos(a*t), sin(a*t)) as TrigPolys, integer a."""
-    cosk, sink = TrigPoly.const(Fraction(1)), TrigPoly()
+    cosk, sink = TrigPoly.const(1), TrigPoly()
     c, s = TrigPoly.cos(), TrigPoly.sin()
     for _ in range(abs(a)):
         cosk, sink = c * cosk - s * sink, s * cosk + c * sink
@@ -120,7 +125,7 @@ class TrigDomain(Domain):
 
     zero = TrigPoly()
 
-    def __init__(self, coeff_one=Fraction(1)):
+    def __init__(self, coeff_one=1):
         self.coeff_one = coeff_one
         self.one = TrigPoly.const(coeff_one)
 
@@ -138,56 +143,69 @@ TRIG_QI = TrigDomain(GaussianRational(1))
 # ---------------------------------------------------------------------------
 # gamma-product coefficients of the closed-form exponentials
 
-def _chain(alg, x, y, n):
-    """The n steps gamma_{X, L_l}^{L_{l+1}} of the X-chain from L_0 = Y."""
-    cat = alg.cat
-    out = []
-    for _ in range(n):
-        nxt = cat.chain_object(x, y, 1, 1)
-        out.append(alg.gamma_of(x, y, nxt))
-        y = nxt
-    return out
+def _chain(alg, ix, iy):
+    """The X-chain from Y, by index: the objects L_0 = Y, L_1, ... of class
+    zeta_Y + l zeta_X up to the end of the string, and the steps
+    gamma_{X, L_l}^{L_{l+1}} between them."""
+    sums = alg.chev.sums[ix]
+    objs, steps = [iy], []
+    while iy in sums:
+        nxt = sums[iy]
+        steps.append(alg._gamma_to(ix, iy, nxt))
+        objs.append(nxt)
+        iy = nxt
+    return objs, steps
 
 
 def _chain_coeff(steps):
     """C_{X,Y,j,1} = (1/j!) prod_{l<j} gamma_{X, L_l}^{L_{l+1}} from the j
-    steps of the X-chain from Y."""
-    return Fraction(math.prod(steps), math.factorial(len(steps)))
+    steps of the X-chain from Y: an int, or an exact Fraction on a changed
+    gamma table whose product j! does not divide."""
+    return _rational(Fraction(math.prod(steps), math.factorial(len(steps))))
 
 
-def d_coefficients(alg, x, y):
-    """{k: D_{X,Y,k}} as TrigPolys in t for k in [-p_XY, q_XY], from one walk
-    down the TX-chain from Y to L_{-p} and one up the X-chain from there to
-    L_q, L_s being the object of class zeta_Y + s zeta_X."""
-    p, q = alg.cat.pq(x, y)
-    tx = alg.cat.shift(x)
-    down = _chain(alg, tx, y, p)
-    up = _chain(alg, x, alg.cat.chain_object(tx, y, p, 1), p + q)
+def _d_string(alg, ix, iy):
+    """The objects L_{-p}..L_q, L_s of class zeta_Y + s zeta_X, and
+    {k: D_{X,Y,k}} as TrigPolys in t for k in [-p_XY, q_XY], from one walk
+    down the TX-chain from Y to L_{-p} and one up the X-chain from there."""
+    lows, down = _chain(alg, ix ^ 1, iy)
+    objs, up = _chain(alg, ix, lows[-1])
+    p = len(down)
+    q = len(up) - p
     out = {}
     for k in range(-p, q + 1):
-        out[k] = TrigPoly()
+        acc = {}
         for j in range(max(0, -k), p + 1):
             # C_{TX,Y,j,1} C_{X,L_{-j},j+k,1} sin^{2j} tan^k cos^{q-p}
             coeff = _chain_coeff(down[:j]) * _chain_coeff(up[p - j:p + k])
-            out[k] = out[k] + TrigPoly.monomial(coeff, 2 * j + k, -k + q - p)
-    return out
+            if coeff:
+                _accumulate(acc, coeff, 2 * j + k, -k + q - p)
+        out[k] = TrigPoly(acc)
+    return objs, out
 
 
-def d_coefficients_dual(alg, x, y):
+def d_coefficients(alg, ix, iy):
+    """{k: D_{X,Y,k}} for the objects of index ix and iy (`_d_string`)."""
+    return _d_string(alg, ix, iy)[1]
+
+
+def d_coefficients_dual(alg, ix, iy):
     """{k: D'_{X,Y,k}}, equal to `d_coefficients` by a trigonometric
     identity, from one walk up the X-chain from Y to L_q and one up the
     X-chain from TL_q to TL_{-p}."""
-    cat = alg.cat
-    p, q = cat.pq(x, y)
-    up = _chain(alg, x, y, q)
-    tup = _chain(alg, x, cat.chain_object(cat.shift(x), cat.shift(y), q, 1), p + q)
+    highs, up = _chain(alg, ix, iy)
+    _, tup = _chain(alg, ix, highs[-1] ^ 1)
+    q = len(up)
+    p = len(tup) - q
     out = {}
     for k in range(-p, q + 1):
-        out[k] = TrigPoly()
+        acc = {}
         for j in range(max(0, k), q + 1):
             # C_{X,Y,j,1} C_{X,TL_j,j-k,1} sin^{2j-k} cos^{k+p-q}
             coeff = _chain_coeff(up[:j]) * _chain_coeff(tup[q - j:q - k])
-            out[k] = out[k] + TrigPoly.monomial(coeff, 2 * j - k, k + p - q)
+            if coeff:
+                _accumulate(acc, coeff, 2 * j - k, k + p - q)
+        out[k] = TrigPoly(acc)
     return out
 
 
@@ -197,54 +215,43 @@ def gamma_string_product_check(alg):
     is gamma_{X,L_l}^{L_{l+1}} over k <= l < j, read up the X-chain from Y,
     times gamma_{X,TL_l}^{TL_{l-1}} over k < l <= j, read up the X-chain
     from TL_q, as in `d_coefficients_dual`."""
-    cat = alg.cat
-    for x in cat.objects:
-        for y in cat.objects:
-            if x.pos_root == y.pos_root:
-                continue
-            p, q = cat.pq(x, y)
-            if p != 0:
-                continue
-            up = _chain(alg, x, y, q)
-            tlq = cat.chain_object(cat.shift(x), cat.shift(y), q, 1)
-            tup = _chain(alg, x, tlq, q)
-            for k in range(q + 1):
-                for j in range(k, q + 1):
-                    prod = math.prod(up[k:j]) * math.prod(tup[q - j:q - k])
-                    want = ((-1) ** (j - k) * math.factorial(q - k)
-                            * math.factorial(j)
-                            // (math.factorial(q - j) * math.factorial(k)))
-                    if prod != want:
-                        return False, (x, y, k, j, prod, want)
+    sums, objects = alg.chev.sums, alg.objects
+    for ix, iy in product(range(alg.n_u), repeat=2):
+        if ix >> 1 == iy >> 1 or iy in sums[ix ^ 1]:  # one root, or p_XY > 0
+            continue
+        highs, up = _chain(alg, ix, iy)
+        _, tup = _chain(alg, ix, highs[-1] ^ 1)
+        q = len(up)
+        for k in range(q + 1):
+            for j in range(k, q + 1):
+                prod = math.prod(up[k:j]) * math.prod(tup[q - j:q - k])
+                want = ((-1) ** (j - k) * math.factorial(q - k)
+                        * math.factorial(j)
+                        // (math.factorial(q - j) * math.factorial(k)))
+                if prod != want:
+                    return False, (objects[ix], objects[iy], k, j, prod, want)
     return True, None
 
 
 def d_equals_dual_check(alg):
     """D_{X,Y,k} == D'_{X,Y,k} in the trig ring, all pairs and k."""
-    cat = alg.cat
-    for x in cat.objects:
-        for y in cat.objects:
-            if x.pos_root == y.pos_root:
-                continue
-            dual = d_coefficients_dual(alg, x, y)
-            for k, d in d_coefficients(alg, x, y).items():
-                if d != dual[k]:
-                    return False, (x, y, k)
+    for ix, iy in product(range(alg.n_u), repeat=2):
+        if ix >> 1 == iy >> 1:
+            continue
+        dual = d_coefficients_dual(alg, ix, iy)
+        for k, d in d_coefficients(alg, ix, iy).items():
+            if d != dual[k]:
+                return False, (alg.objects[ix], alg.objects[iy], k)
     return True, None
 
 
 # ---------------------------------------------------------------------------
 # the compact form itself
 
-def _gamma_sum(terms, coords, sign):
-    """coords(L, g) + sign coords(M, h) for the terms (L, g), (M, h) of
-    `CompactForm._gamma_terms`, as one sparse add of one-row matrices."""
-    a, b = ({0: coords(l, g)} if g else {} for l, g in terms)
-    return sp_add(a, b, ZZ, sign).get(0, {})
-
-
 class CompactForm:
-    """Basis layout: alpha_1..alpha_m, then beta_r, xi_r per positive root."""
+    """Basis layout: alpha_1..alpha_m, then beta_r, xi_r per positive root,
+    so the object of index ix has beta index m + (ix & ~1) and xi index
+    m + (ix | 1)."""
 
     def __init__(self, alg: LieAlgebraZ):
         self.alg = alg
@@ -255,6 +262,7 @@ class CompactForm:
         self.m = alg.m
         self.dim = self.m + 2 * self.npos
         self._pos_index = rs.pos_index
+        self._forms = None  # the list `closed_forms` builds on first call
 
     # basis indexing
     def beta_index(self, root):
@@ -265,55 +273,59 @@ class CompactForm:
 
     # coordinates of the generators attached to an arbitrary object
     def alpha_coords(self, x):
-        return {j: Fraction(c) for j, c in enumerate(self.alg.hprime_coords(x)) if c}
+        return {j: c for j, c in enumerate(self.alg.hprime_coords(x)) if c}
 
     def beta_coords(self, x):
-        return {self.beta_index(x.pos_root): Fraction(1)}
+        return {self.beta_index(x.pos_root): 1}
 
     def xi_coords(self, x):
-        return {self.xi_index(x.pos_root): Fraction(-1 if x.parity else 1)}
-
-    def _gamma_terms(self, x, y):
-        """(L, gamma_{XY}^L) and (M, gamma_{X,TY}^M); gamma is 0 where the
-        class sum is not a root."""
-        out = []
-        for other in (y, self.cat.shift(y)):
-            l = self.cat.chain_object(x, other, 1, 1)
-            out.append((l, self.alg.gamma_of(x, other, l) if l else 0))
-        return out
+        return {self.xi_index(x.pos_root): -1 if x.parity else 1}
 
     @cached_property
     def _brackets(self):
-        """table[i][j] = {k: coeff} for the basis bracket [e_i, e_j], built
-        on first read: the closed forms and `compact exp` need only the
-        indices, A and gamma."""
-        m, cat = self.m, self.cat
+        """table[i][j] = {k: int coeff} for the basis bracket [e_i, e_j],
+        built on first read (the closed forms and `compact exp` need only
+        the indices, A and gamma) by object index: for parity-0 X and Y,
+        the class sums L of (X, Y) and M of (X, TY) come from `sums` and
+        each gamma_{XY}^L from `alg.gamma`."""
+        m, cat, alg = self.m, self.cat, self.alg
+        sums = alg.chev.sums
         table = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
 
         def put(i, j, vec):
-            table[i][j] = {k: Fraction(v) for k, v in vec.items() if v}
-            table[j][i] = {k: -Fraction(v) for k, v in vec.items() if v}
+            table[i][j] = vec
+            table[j][i] = {k: -v for k, v in vec.items()}
 
-        x0 = [RootCatObject(r, 0) for r in self.positive]
-        for i in range(m):
-            si = cat.simples[i]
-            for y in x0:
-                a = cat.A(si, y)
-                put(i, self.beta_index(y.pos_root), {self.xi_index(y.pos_root): -a})
-                put(i, self.xi_index(y.pos_root), {self.beta_index(y.pos_root): a})
-        # g beta_L and g xi_L, with xi_TL = -xi_L
-        beta = lambda l, g: {self.beta_index(l.pos_root): g}
-        xi = lambda l, g: {self.xi_index(l.pos_root): -g if l.parity else g}
-        for k, x in enumerate(x0):
-            bx, xx = self.beta_index(x.pos_root), self.xi_index(x.pos_root)
+        def step(ix, iy):
+            """(L, gamma_{XY}^L); gamma is 0 where the class sum is not a
+            root (L is None)."""
+            il = sums[ix].get(iy)
+            return il, alg._gamma_to(ix, iy, il)
+
+        def vec(xi, *terms):
+            """The sum of sign g beta_L, or of sign g xi_L with xi_TL =
+            -xi_L, over the terms (sign, (L, g))."""
+            return {m + (l | 1 if xi else l & ~1): -sign * g if xi and l & 1
+                    else sign * g for sign, (l, g) in terms if g}
+
+        for ix in range(0, alg.n_u, 2):  # the parity-0 objects
+            x, bx, xx = alg.objects[ix], m + ix, m + ix + 1
+            for i, s in enumerate(cat.simples):
+                a = cat.A(s, x)
+                if a:
+                    put(i, bx, {xx: -a})
+                    put(i, xx, {bx: a})
             put(bx, xx, {j: -2 * c for j, c in self.alpha_coords(x).items()})
-            for y in x0[k + 1:]:
-                by, xy = self.beta_index(y.pos_root), self.xi_index(y.pos_root)
-                terms = self._gamma_terms(x, y)
-                put(bx, by, _gamma_sum(terms, beta, 1))
-                put(xy, xx, _gamma_sum(terms, beta, -1))
-                put(bx, xy, _gamma_sum(terms, xi, -1))
-                put(by, xx, _gamma_sum(self._gamma_terms(y, x), xi, -1))
+            row = sums[ix]
+            for iy in range(ix + 2, alg.n_u, 2):
+                if iy not in row and iy ^ 1 not in row:
+                    continue  # every bracket of the two roots is 0
+                by, xy = m + iy, m + iy + 1
+                l, mm = step(ix, iy), step(ix, iy ^ 1)
+                put(bx, by, vec(False, (1, l), (1, mm)))
+                put(xy, xx, vec(False, (1, l), (-1, mm)))
+                put(bx, xy, vec(True, (1, l), (-1, mm)))
+                put(by, xx, vec(True, (1, step(iy, ix)), (-1, step(iy, ix ^ 1))))
         return table
 
     def bracket(self, a, b):
@@ -327,7 +339,6 @@ class CompactForm:
     def phi_matrix(self):
         """Columns: alpha_j -> i H'_j, beta_r -> u_{r,0}+u_{r,1},
         xi_r -> i(u_{r,0} - u_{r,1}); a QI matrix into the integer-form basis."""
-        cat, alg = self.cat, self.alg
         i_ = QI.i
         mat = {}
 
@@ -335,10 +346,9 @@ class CompactForm:
             mat.setdefault(r, {})[c] = v
 
         for j in range(self.m):
-            put(alg.n_u + j, j, i_)
-        for k, r in enumerate(self.positive):
-            u0 = cat.index(RootCatObject(r, 0))
-            u1 = cat.index(RootCatObject(r, 1))
+            put(self.alg.n_u + j, j, i_)
+        for k in range(self.npos):
+            u0, u1 = 2 * k, 2 * k + 1  # the objects over the root
             put(u0, self.m + 2 * k, GaussianRational(1))
             put(u1, self.m + 2 * k, GaussianRational(1))
             put(u0, self.m + 2 * k + 1, i_)
@@ -417,7 +427,7 @@ class CompactForm:
             vec = dict(vec)
             for p, bv in pivots.items():
                 if p in vec:
-                    f = vec[p] / bv[p]
+                    f = Fraction(vec[p], bv[p])
                     for k, v in bv.items():
                         w = vec.get(k, 0) - f * v
                         if w:
@@ -449,47 +459,43 @@ class CompactForm:
 # ---------------------------------------------------------------------------
 # closed-form one-parameter subgroups (symbolic TrigPoly matrices)
 
-def _parity0(x):
-    return RootCatObject(x.pos_root, 0)
-
-
 def exp_alpha_matrix(cf: CompactForm, x):
     """exp(t ad alpha_X) as a sparse TrigPoly matrix."""
-    cat = cf.cat
-    one = TrigPoly.const(Fraction(1))
-    mat = {j: {j: one} for j in range(cf.m)}
-    for r in cf.positive:
-        y = RootCatObject(r, 0)
-        a = cat.A(x, y)
-        bi, xi_ = cf.beta_index(r), cf.xi_index(r)
+    cat, m = cf.cat, cf.m
+    one = TrigPoly.const(1)
+    mat = {j: {j: one} for j in range(m)}
+    for iy in range(0, cf.alg.n_u, 2):
+        a = cat.A(x, cf.alg.objects[iy])
+        bi, xi_ = m + iy, m + iy + 1
         ca, sa = trig_multiple(a)
-        mat[bi] = {bi: ca, xi_: sa}
-        mat[xi_] = {bi: -sa, xi_: ca}
-        for k in (bi, xi_):
-            mat[k] = {c: v for c, v in mat[k].items() if v}
+        mat[bi] = {c: v for c, v in ((bi, ca), (xi_, sa)) if v}
+        mat[xi_] = {c: v for c, v in ((bi, -sa), (xi_, ca)) if v}
     return mat
 
 
-def _fixed_columns(cf, x, sign):
-    """The alpha-, own- and partner-columns of exp(t ad g) for parity-0 X:
-    g = beta_X with partner p = xi_X for sign 1, g = xi_X with p = beta_X
-    for sign -1.  alpha_j -> alpha_j + (A_{S_j,X}/2) [(cos2t - 1) alpha_X
-    + sign * sin2t * p], g -> g, and p -> cos2t p - sign * sin2t alpha_X."""
-    cat = cf.cat
-    one = TrigPoly.const(Fraction(1))
+def _fixed_columns(cf, ix, sign):
+    """The alpha-, own- and partner-columns of exp(t ad g) for the parity-0
+    object X of index ix: g = beta_X with partner p = xi_X for sign 1,
+    g = xi_X with p = beta_X for sign -1.  alpha_j -> alpha_j
+    + (A_{S_j,X}/2) [(cos2t - 1) alpha_X + sign * sin2t * p], g -> g, and
+    p -> cos2t p - sign * sin2t alpha_X.  In normal form
+    (A/2)(cos2t - 1) = A c^2 - A and (A/2) sin2t = A s c."""
+    cat, x = cf.cat, cf.alg.objects[ix]
+    one = TrigPoly.const(1)
     cos2, sin2 = trig_multiple(2)
-    cos2m1 = cos2 - one
     ax = cf.alpha_coords(x)
-    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
+    bx, xx = cf.m + ix, cf.m + ix + 1
     own, partner = (bx, xx) if sign == 1 else (xx, bx)
     cols = {}
     for j in range(cf.m):
-        a = Fraction(cat.A(cat.simples[j], x), 2)
+        a = cat.A(cat.simples[j], x)
         col = {j: one}
         if a:
             for k, v in ax.items():
-                col[k] = col.get(k, TrigPoly()) + cos2m1.scale(a * v)
-            col[partner] = col.get(partner, TrigPoly()) + sin2.scale(sign * a)
+                col[k] = col.get(k, TrigPoly()) + TrigPoly(
+                    {(0, 2): a * v, (0, 0): -a * v})
+            col[partner] = col.get(partner, TrigPoly()) + TrigPoly(
+                {(1, 1): sign * a})
         cols[j] = {k: v for k, v in col.items() if v}
     turn = {partner: cos2, **{k: sin2.scale(-sign * v) for k, v in ax.items()}}
     for k in (bx, xx):
@@ -506,70 +512,75 @@ def _from_columns(cols):
 
 def exp_beta_matrix(cf: CompactForm, x, chain=None):
     """exp(t ad beta_X); beta_{TX} = beta_X so only the root of X matters.
-    `chain` is the list of `_chain_terms(cf, X)`, if the caller has it."""
-    x = _parity0(x)
-    cols = _fixed_columns(cf, x, 1)
-    for r, k, lk, dk in _chain_terms(cf, x) if chain is None else chain:
-        bcol = cols.setdefault(cf.beta_index(r), {})
-        xcol = cols.setdefault(cf.xi_index(r), {})
-        bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
+    `chain` is `_chain_terms(cf, ix)` for the parity-0 index ix of X, if the
+    caller has it."""
+    ix, m = cf.cat.index(x) & ~1, cf.m
+    cols = _fixed_columns(cf, ix, 1)
+    for iy, k, il, dk in _chain_terms(cf, ix) if chain is None else chain:
+        bcol = cols.setdefault(m + iy, {})
+        xcol = cols.setdefault(m + iy + 1, {})
+        bi, xi_ = m + (il & ~1), m + (il | 1)
         bcol[bi] = bcol.get(bi, TrigPoly()) + dk
-        xcol[xi_] = xcol.get(xi_, TrigPoly()) + (-dk if lk.parity else dk)
+        xcol[xi_] = xcol.get(xi_, TrigPoly()) + (-dk if il & 1 else dk)
     return _from_columns(cols)
 
 
 def exp_xi_matrix(cf: CompactForm, x, chain=None):
-    """exp(t ad xi_X) for parity-0 X; for TX substitute t -> -t."""
-    flip = x.parity == 1
-    x = _parity0(x)
-    cols = _fixed_columns(cf, x, -1)
-    for r, k, lk, dk in _chain_terms(cf, x) if chain is None else chain:
-        bcol = cols.setdefault(cf.beta_index(r), {})
-        xcol = cols.setdefault(cf.xi_index(r), {})
-        bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
-        xsign = -1 if lk.parity else 1
+    """exp(t ad xi_X) for parity-0 X; for TX substitute t -> -t.  `chain`
+    is as for `exp_beta_matrix`."""
+    ix, m = cf.cat.index(x), cf.m
+    cols = _fixed_columns(cf, ix & ~1, -1)
+    for iy, k, il, dk in _chain_terms(cf, ix & ~1) if chain is None else chain:
+        bcol = cols.setdefault(m + iy, {})
+        xcol = cols.setdefault(m + iy + 1, {})
+        bi, xi_ = m + (il & ~1), m + (il | 1)
+        xsign = -1 if il & 1 else 1
         if k % 2 == 0:
-            s = Fraction(1 if (k // 2) % 2 == 0 else -1)
+            s = 1 if (k // 2) % 2 == 0 else -1
             bcol[bi] = bcol.get(bi, TrigPoly()) + dk.scale(s)
             xcol[xi_] = xcol.get(xi_, TrigPoly()) + dk.scale(s * xsign)
         else:
-            sb = Fraction(1 if ((k - 1) // 2) % 2 == 0 else -1)
-            sx = Fraction(1 if ((k + 1) // 2) % 2 == 0 else -1)
+            sb = 1 if ((k - 1) // 2) % 2 == 0 else -1
+            sx = 1 if ((k + 1) // 2) % 2 == 0 else -1
             bcol[xi_] = bcol.get(xi_, TrigPoly()) + dk.scale(sb * xsign)
             xcol[bi] = xcol.get(bi, TrigPoly()) + dk.scale(sx)
     mat = _from_columns(cols)
-    return sp_map(mat, _flip_sin) if flip else mat
+    return sp_map(mat, _flip_sin) if ix & 1 else mat
 
 
 def closed_forms(cf):
-    """(gen, X, vector, exp(t ad vector)) for every closed-form
-    one-parameter subgroup, yielded lazily in the order alpha_{S_j} over the
-    simples, then beta_X, xi_X and xi_TX for each positive root (X of
-    parity 0).  xi_TX = -xi_X, so its matrix is xi_X's at -t."""
-    for x in cf.cat.simples:
-        yield "alpha", x, cf.alpha_coords(x), exp_alpha_matrix(cf, x)
-    for r in cf.positive:
-        x = RootCatObject(r, 0)
-        tx = cf.cat.shift(x)
-        chain = list(_chain_terms(cf, x))
-        yield "beta", x, cf.beta_coords(x), exp_beta_matrix(cf, x, chain)
-        xi = exp_xi_matrix(cf, x, chain)
-        yield "xi", x, cf.xi_coords(x), xi
-        yield "xi", tx, cf.xi_coords(tx), sp_map(xi, _flip_sin)
+    """[(gen, X, vector, exp(t ad vector))] for every closed-form
+    one-parameter subgroup, in the order alpha_{S_j} over the simples, then
+    beta_X, xi_X and xi_TX for each positive root (X of parity 0).
+    xi_TX = -xi_X, so its matrix is xi_X's at -t.  The list is built on the
+    first call and kept on `cf`; its consumers only read it."""
+    if cf._forms is None:
+        forms = [("alpha", x, cf.alpha_coords(x), exp_alpha_matrix(cf, x))
+                 for x in cf.cat.simples]
+        for ix in range(0, cf.alg.n_u, 2):
+            x, tx = cf.alg.objects[ix], cf.alg.objects[ix + 1]
+            chain = _chain_terms(cf, ix)
+            xi = exp_xi_matrix(cf, x, chain)
+            forms += [("beta", x, cf.beta_coords(x),
+                       exp_beta_matrix(cf, x, chain)),
+                      ("xi", x, cf.xi_coords(x), xi),
+                      ("xi", tx, cf.xi_coords(tx), sp_map(xi, _flip_sin))]
+        cf._forms = forms
+    return cf._forms
 
 
-def _chain_terms(cf, x):
-    """(r, k, L_k, D_{X,Y,k}) for Y = (r, parity 0) over every positive root
-    r other than X's and every k in [-p_XY, q_XY] with D nonzero; L_k is the
-    object of class zeta_Y + k zeta_X."""
-    cat = cf.cat
-    for r in cf.positive:
-        if r == x.pos_root:
-            continue
-        y = RootCatObject(r, 0)
-        for k, dk in d_coefficients(cf.alg, x, y).items():
-            if dk:
-                yield r, k, cat.chain_object(x, y, k, 1), dk
+def _chain_terms(cf, ix):
+    """(Y, k, L_k, D_{X,Y,k}) by index, for the parity-0 object X of index
+    ix, Y of parity 0 over every positive root other than X's and every k
+    in [-p_XY, q_XY] with D nonzero; L_k is the object of class
+    zeta_Y + k zeta_X."""
+    out = []
+    for iy in range(0, cf.alg.n_u, 2):
+        if iy != ix:
+            objs, d = _d_string(cf.alg, ix, iy)
+            out += [(iy, k, il, dk) for il, (k, dk) in zip(objs, d.items())
+                    if dk]
+    return out
 
 
 def _flip_sin(tp):
@@ -592,7 +603,7 @@ def ad_matrix_numeric(cf, vec):
     import numpy as np
     out = np.zeros((cf.dim, cf.dim))
     for j in range(cf.dim):
-        img = cf.bracket(vec, {j: Fraction(1)})
+        img = cf.bracket(vec, {j: 1})
         for i, v in img.items():
             out[i, j] = float(v)
     return out

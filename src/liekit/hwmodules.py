@@ -54,33 +54,21 @@ def weight_bilinear(cartan, mu, nu):
                for mu_i, row in zip(mu, _weight_form(cartan)))
 
 
-def _reflection_walk(cartan, mu):
-    """Reflect mu by the first simple reflection s_i with <mu, alpha_i^vee>
-    < 0 until it is dominant; the dominant weight and the i taken."""
+def dominant_conjugate(cartan, mu):
+    """The dominant Weyl-chamber representative of a weight: mu reflected
+    by the first simple reflection s_i with <mu, alpha_i^vee> < 0 until it
+    is dominant."""
     m = len(cartan.a)
     mu = list(mu)
-    word = []
     while True:
         for i in range(m):
             if mu[i] < 0:
                 c = mu[i]
                 for j in range(m):
                     mu[j] -= c * cartan.a[j][i]
-                word.append(i)
                 break
         else:
-            return tuple(mu), word
-
-
-def dominant_conjugate(cartan, mu):
-    """The dominant Weyl-chamber representative of a weight."""
-    return _reflection_walk(cartan, mu)[0]
-
-
-def longest_word(cartan):
-    """A reduced word for the longest Weyl element, via the walk from -rho
-    to rho; its length is the number of positive roots."""
-    return _reflection_walk(cartan, (-1,) * len(cartan.a))[1]
+            return tuple(mu)
 
 
 def weyl_dim(cartan, lam):

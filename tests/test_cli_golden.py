@@ -25,7 +25,12 @@ compact` on D4 with gamma(0, 4) flipped (witness (0, 5, 8), exit 1).
 E6, E7, E8, B8, C8 and D8 by the sha256 of stdout and the exit code,
 recorded from the construction that walked every object pair with
 `chain_object` and rotated mixed-sign constants through `Fraction`s; the
-E8 gamma table alone is 391 kB of JSON, too large to keep verbatim."""
+E8 gamma table alone is 391 kB of JSON, too large to keep verbatim.  It
+also pins `compact verify` on D4, F4 and E6 and two `compact exp` runs on
+E6 (beta of object 17, xi of the parity-1 object 41), recorded from the
+compact form that walked objects and held `Fraction` coefficients; the
+`deviations` of `compact verify` print full float reprs, so a reordered
+sum in `TrigPoly.evaluate` would show there."""
 
 import hashlib
 import json

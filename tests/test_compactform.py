@@ -282,9 +282,10 @@ def test_d_coefficients_match_per_k_walks(series, rank):
             if x.pos_root == y.pos_root:
                 continue
             p, q = alg.cat.pq(x, y)
+            ix, iy = alg.cat.index(x), alg.cat.index(y)
             for fn, dual in ((d_coefficients, False),
                              (d_coefficients_dual, True)):
-                got = fn(alg, x, y)
+                got = fn(alg, ix, iy)
                 assert list(got) == list(range(-p, q + 1))
                 assert got == {k: _reference_d(alg, x, y, k, dual)
                                for k in got}

@@ -7,24 +7,40 @@ products give M[e_i, e_j] and [M e_i, M e_j] for every j > i, compared with
 reduced every product in the domain, and the per-pair sweep it replaced,
 which took [M e_i, M e_j] with `table_bracket` and M[e_i, e_j] as a one-row
 `sp_mul` for each pair.  `CompactForm.phi_inverse` is D phi^H; the reference
-is the hand-built inverse.  `closed_forms` is the one sequence of closed-form
-subgroups; the reference is the earlier list built by each check for itself,
-with its own beta and xi builders.  Each pair must agree exactly: the same
-first failing pair, the same matrix entries, the same sequence order.
+is the hand-built inverse.
+
+The compact form walks root strings by object index through `alg.chev.sums`
+and `alg.gamma`, and holds every coefficient as an int; `closed_forms`
+builds its list once per `CompactForm`.  The references are the object
+walks over `Fraction`s they replaced: the chains by `chain_object` and
+`gamma_of`, the bracket table by `_gamma_terms` and one-row `sp_add`s, the
+fixed columns with (A/2)(cos 2t - 1), and the closed forms built afresh on
+every call.  The tables, the D coefficients and the closed forms must be
+equal, each TrigPoly's terms in the same order, so that they evaluate to
+the same floats.  The checks must give the same verdicts and witnesses on
+every single gamma flip of A2, B2 and G2 and on every single gamma of B2
+doubled; the D coefficients must be equal with any one gamma of B2 or G2
+doubled or raised by 1, which makes some of them proper Fractions.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from liekit.chevgroup import ChevalleyGroup, random_group_element
-from liekit.compactform import (CompactForm, TrigPoly, _chain_terms,
-                                _flip_sin, closed_forms, exp_alpha_matrix,
-                                trig_multiple)
-from liekit.exact import (QI, QQ, GaussianRational, PrimeField, sp_mul,
-                          sp_transpose)
-from liekit.liealg import first_bracket_failure, lie_algebra, table_bracket
+from liekit.compactform import (TRIG_QI, CompactForm, TrigPoly, _flip_sin,
+                                _fixed_columns, _gaussian, closed_form_vs_expm,
+                                closed_forms, d_coefficients,
+                                d_coefficients_dual, d_equals_dual_check,
+                                exp_beta_factorization_check,
+                                gamma_string_product_check,
+                                gram_preservation_deviation)
+from liekit.exact import (QI, QQ, ZZ, GaussianRational, PrimeField, sp_add,
+                          sp_eq, sp_map, sp_mul, sp_mul_many, sp_transpose)
+from liekit.liealg import (first_bracket_failure, jacobi_sweep, lie_algebra,
+                           table_bracket)
 from liekit.rootcat import RootCatObject
 
 
@@ -102,56 +118,258 @@ def reference_phi_inverse(cf):
     return mat
 
 
-def _reference_alpha_columns(cf, x, partner_coords, sign):
+# The object walks over Fractions that the index walks over ints replaced,
+# kept as they were: the chains by `chain_object` and `gamma_of`, the
+# bracket table by `_gamma_terms` and one-row `sp_add`s, and the closed
+# forms with Fraction coefficients.
+
+_SIN = TrigPoly({(1, 0): Fraction(1)})
+_COS = TrigPoly({(0, 1): Fraction(1)})
+
+
+def reference_trig_multiple(a):
+    """(cos(a*t), sin(a*t)) as TrigPolys, integer a."""
+    cosk, sink = TrigPoly.const(Fraction(1)), TrigPoly()
+    c, s = _COS, _SIN
+    for _ in range(abs(a)):
+        cosk, sink = c * cosk - s * sink, s * cosk + c * sink
+    return cosk, (-sink if a < 0 else sink)
+
+
+def _chain(alg, x, y, n):
+    """The n steps gamma_{X, L_l}^{L_{l+1}} of the X-chain from L_0 = Y."""
+    cat = alg.cat
+    out = []
+    for _ in range(n):
+        nxt = cat.chain_object(x, y, 1, 1)
+        out.append(alg.gamma_of(x, y, nxt))
+        y = nxt
+    return out
+
+
+def _chain_coeff(steps):
+    """C_{X,Y,j,1} = (1/j!) prod_{l<j} gamma_{X, L_l}^{L_{l+1}} from the j
+    steps of the X-chain from Y."""
+    return Fraction(math.prod(steps), math.factorial(len(steps)))
+
+
+def reference_d_coefficients(alg, x, y):
+    """{k: D_{X,Y,k}} as TrigPolys in t for k in [-p_XY, q_XY], from one walk
+    down the TX-chain from Y to L_{-p} and one up the X-chain from there to
+    L_q, L_s being the object of class zeta_Y + s zeta_X."""
+    p, q = alg.cat.pq(x, y)
+    tx = alg.cat.shift(x)
+    down = _chain(alg, tx, y, p)
+    up = _chain(alg, x, alg.cat.chain_object(tx, y, p, 1), p + q)
+    out = {}
+    for k in range(-p, q + 1):
+        out[k] = TrigPoly()
+        for j in range(max(0, -k), p + 1):
+            # C_{TX,Y,j,1} C_{X,L_{-j},j+k,1} sin^{2j} tan^k cos^{q-p}
+            coeff = _chain_coeff(down[:j]) * _chain_coeff(up[p - j:p + k])
+            out[k] = out[k] + TrigPoly.monomial(coeff, 2 * j + k, -k + q - p)
+    return out
+
+
+def reference_d_coefficients_dual(alg, x, y):
+    """{k: D'_{X,Y,k}}, equal to `d_coefficients` by a trigonometric
+    identity, from one walk up the X-chain from Y to L_q and one up the
+    X-chain from TL_q to TL_{-p}."""
+    cat = alg.cat
+    p, q = cat.pq(x, y)
+    up = _chain(alg, x, y, q)
+    tup = _chain(alg, x, cat.chain_object(cat.shift(x), cat.shift(y), q, 1), p + q)
+    out = {}
+    for k in range(-p, q + 1):
+        out[k] = TrigPoly()
+        for j in range(max(0, k), q + 1):
+            # C_{X,Y,j,1} C_{X,TL_j,j-k,1} sin^{2j-k} cos^{k+p-q}
+            coeff = _chain_coeff(up[:j]) * _chain_coeff(tup[q - j:q - k])
+            out[k] = out[k] + TrigPoly.monomial(coeff, 2 * j - k, k + p - q)
+    return out
+
+
+def reference_gamma_string_product_check(alg):
+    cat = alg.cat
+    for x in cat.objects:
+        for y in cat.objects:
+            if x.pos_root == y.pos_root:
+                continue
+            p, q = cat.pq(x, y)
+            if p != 0:
+                continue
+            up = _chain(alg, x, y, q)
+            tlq = cat.chain_object(cat.shift(x), cat.shift(y), q, 1)
+            tup = _chain(alg, x, tlq, q)
+            for k in range(q + 1):
+                for j in range(k, q + 1):
+                    prod = math.prod(up[k:j]) * math.prod(tup[q - j:q - k])
+                    want = ((-1) ** (j - k) * math.factorial(q - k)
+                            * math.factorial(j)
+                            // (math.factorial(q - j) * math.factorial(k)))
+                    if prod != want:
+                        return False, (x, y, k, j, prod, want)
+    return True, None
+
+
+def reference_d_equals_dual_check(alg):
+    cat = alg.cat
+    for x in cat.objects:
+        for y in cat.objects:
+            if x.pos_root == y.pos_root:
+                continue
+            dual = reference_d_coefficients_dual(alg, x, y)
+            for k, d in reference_d_coefficients(alg, x, y).items():
+                if d != dual[k]:
+                    return False, (x, y, k)
+    return True, None
+
+
+def reference_alpha_coords(cf, x):
+    return {j: Fraction(c) for j, c in enumerate(cf.alg.hprime_coords(x)) if c}
+
+
+def reference_beta_coords(cf, x):
+    return {cf.beta_index(x.pos_root): Fraction(1)}
+
+
+def reference_xi_coords(cf, x):
+    return {cf.xi_index(x.pos_root): Fraction(-1 if x.parity else 1)}
+
+
+def _gamma_sum(terms, coords, sign):
+    """coords(L, g) + sign coords(M, h) for the terms (L, g), (M, h) of
+    `_gamma_terms`, as one sparse add of one-row matrices."""
+    a, b = ({0: coords(l, g)} if g else {} for l, g in terms)
+    return sp_add(a, b, ZZ, sign).get(0, {})
+
+
+def _gamma_terms(cf, x, y):
+    """(L, gamma_{XY}^L) and (M, gamma_{X,TY}^M); gamma is 0 where the
+    class sum is not a root."""
+    out = []
+    for other in (y, cf.cat.shift(y)):
+        l = cf.cat.chain_object(x, other, 1, 1)
+        out.append((l, cf.alg.gamma_of(x, other, l) if l else 0))
+    return out
+
+
+def reference_brackets(cf):
+    """table[i][j] = {k: coeff} for the basis bracket [e_i, e_j]."""
+    m, cat = cf.m, cf.cat
+    table = [[{} for _ in range(cf.dim)] for _ in range(cf.dim)]
+
+    def put(i, j, vec):
+        table[i][j] = {k: Fraction(v) for k, v in vec.items() if v}
+        table[j][i] = {k: -Fraction(v) for k, v in vec.items() if v}
+
+    x0 = [RootCatObject(r, 0) for r in cf.positive]
+    for i in range(m):
+        si = cat.simples[i]
+        for y in x0:
+            a = cat.A(si, y)
+            put(i, cf.beta_index(y.pos_root), {cf.xi_index(y.pos_root): -a})
+            put(i, cf.xi_index(y.pos_root), {cf.beta_index(y.pos_root): a})
+    # g beta_L and g xi_L, with xi_TL = -xi_L
+    beta = lambda l, g: {cf.beta_index(l.pos_root): g}
+    xi = lambda l, g: {cf.xi_index(l.pos_root): -g if l.parity else g}
+    for k, x in enumerate(x0):
+        bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
+        put(bx, xx, {j: -2 * c for j, c in reference_alpha_coords(cf, x).items()})
+        for y in x0[k + 1:]:
+            by, xy = cf.beta_index(y.pos_root), cf.xi_index(y.pos_root)
+            terms = _gamma_terms(cf, x, y)
+            put(bx, by, _gamma_sum(terms, beta, 1))
+            put(xy, xx, _gamma_sum(terms, beta, -1))
+            put(bx, xy, _gamma_sum(terms, xi, -1))
+            put(by, xx, _gamma_sum(_gamma_terms(cf, y, x), xi, -1))
+    return table
+
+
+def _parity0(x):
+    return RootCatObject(x.pos_root, 0)
+
+
+def reference_exp_alpha_matrix(cf, x):
+    """exp(t ad alpha_X) as a sparse TrigPoly matrix."""
     cat = cf.cat
-    cos2, sin2 = trig_multiple(2)
-    cos2m1 = cos2 - TrigPoly.const(Fraction(1))
-    ax = cf.alpha_coords(x)
+    one = TrigPoly.const(Fraction(1))
+    mat = {j: {j: one} for j in range(cf.m)}
+    for r in cf.positive:
+        y = RootCatObject(r, 0)
+        a = cat.A(x, y)
+        bi, xi_ = cf.beta_index(r), cf.xi_index(r)
+        ca, sa = reference_trig_multiple(a)
+        mat[bi] = {bi: ca, xi_: sa}
+        mat[xi_] = {bi: -sa, xi_: ca}
+        for k in (bi, xi_):
+            mat[k] = {c: v for c, v in mat[k].items() if v}
+    return mat
+
+
+def reference_fixed_columns(cf, x, sign):
+    """The alpha-, own- and partner-columns of exp(t ad g) for parity-0 X:
+    g = beta_X with partner p = xi_X for sign 1, g = xi_X with p = beta_X
+    for sign -1.  alpha_j -> alpha_j + (A_{S_j,X}/2) [(cos2t - 1) alpha_X
+    + sign * sin2t * p], g -> g, and p -> cos2t p - sign * sin2t alpha_X."""
+    cat = cf.cat
+    one = TrigPoly.const(Fraction(1))
+    cos2, sin2 = reference_trig_multiple(2)
+    cos2m1 = cos2 - one
+    ax = reference_alpha_coords(cf, x)
+    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
+    own, partner = (bx, xx) if sign == 1 else (xx, bx)
     cols = {}
     for j in range(cf.m):
         a = Fraction(cat.A(cat.simples[j], x), 2)
-        col = {j: TrigPoly.const(Fraction(1))}
+        col = {j: one}
         if a:
             for k, v in ax.items():
                 col[k] = col.get(k, TrigPoly()) + cos2m1.scale(a * v)
-            for k, v in partner_coords.items():
-                col[k] = col.get(k, TrigPoly()) + sin2.scale(sign * a * v)
+            col[partner] = col.get(partner, TrigPoly()) + sin2.scale(sign * a)
         cols[j] = {k: v for k, v in col.items() if v}
+    turn = {partner: cos2, **{k: sin2.scale(-sign * v) for k, v in ax.items()}}
+    for k in (bx, xx):
+        cols[k] = {own: one} if k == own else turn
     return cols
 
 
-def reference_exp_beta(cf, x):
-    cols = _reference_alpha_columns(cf, x, cf.xi_coords(x), 1)
-    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
-    cols[bx] = {bx: TrigPoly.const(Fraction(1))}
-    cos2, sin2 = trig_multiple(2)
-    col = {xx: cos2}
-    for k, v in cf.alpha_coords(x).items():
-        col[k] = sin2.scale(-v)
-    cols[xx] = col
-    for r, k, lk, dk in _chain_terms(cf, x):
+def _from_columns(cols):
+    return sp_transpose({c: {r: v for r, v in col.items() if v}
+                         for c, col in cols.items()})
+
+
+def reference_chain_terms(cf, x):
+    """(r, k, L_k, D_{X,Y,k}) for Y = (r, parity 0) over every positive root
+    r other than X's and every k in [-p_XY, q_XY] with D nonzero; L_k is the
+    object of class zeta_Y + k zeta_X."""
+    cat = cf.cat
+    for r in cf.positive:
+        if r == x.pos_root:
+            continue
+        y = RootCatObject(r, 0)
+        for k, dk in reference_d_coefficients(cf.alg, x, y).items():
+            if dk:
+                yield r, k, cat.chain_object(x, y, k, 1), dk
+
+
+def reference_exp_beta_matrix(cf, x, chain=None):
+    x = _parity0(x)
+    cols = reference_fixed_columns(cf, x, 1)
+    for r, k, lk, dk in reference_chain_terms(cf, x) if chain is None else chain:
         bcol = cols.setdefault(cf.beta_index(r), {})
         xcol = cols.setdefault(cf.xi_index(r), {})
         bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
         bcol[bi] = bcol.get(bi, TrigPoly()) + dk
         xcol[xi_] = xcol.get(xi_, TrigPoly()) + (-dk if lk.parity else dk)
-    return sp_transpose({c: {r: v for r, v in col.items() if v}
-                         for c, col in cols.items()})
+    return _from_columns(cols)
 
 
-def reference_exp_xi(cf, x):
-    """exp(t ad xi_X), built afresh for TX as well."""
+def reference_exp_xi_matrix(cf, x, chain=None):
     flip = x.parity == 1
-    x = RootCatObject(x.pos_root, 0)
-    cols = _reference_alpha_columns(cf, x, cf.beta_coords(x), -1)
-    bx, xx = cf.beta_index(x.pos_root), cf.xi_index(x.pos_root)
-    cos2, sin2 = trig_multiple(2)
-    col = {bx: cos2}
-    for k, v in cf.alpha_coords(x).items():
-        col[k] = sin2.scale(v)
-    cols[bx] = col
-    cols[xx] = {xx: TrigPoly.const(Fraction(1))}
-    for r, k, lk, dk in _chain_terms(cf, x):
+    x = _parity0(x)
+    cols = reference_fixed_columns(cf, x, -1)
+    for r, k, lk, dk in reference_chain_terms(cf, x) if chain is None else chain:
         bcol = cols.setdefault(cf.beta_index(r), {})
         xcol = cols.setdefault(cf.xi_index(r), {})
         bi, xi_ = cf.beta_index(lk.pos_root), cf.xi_index(lk.pos_root)
@@ -165,25 +383,48 @@ def reference_exp_xi(cf, x):
             sx = Fraction(1 if ((k + 1) // 2) % 2 == 0 else -1)
             bcol[xi_] = bcol.get(xi_, TrigPoly()) + dk.scale(sb * xsign)
             xcol[bi] = xcol.get(bi, TrigPoly()) + dk.scale(sx)
-    mat = sp_transpose({c: {r: v for r, v in col.items() if v}
-                        for c, col in cols.items()})
-    if flip:
-        mat = {i: {j: _flip_sin(v) for j, v in row.items()}
-               for i, row in mat.items()}
-    return mat
+    mat = _from_columns(cols)
+    return sp_map(mat, _flip_sin) if flip else mat
 
 
 def reference_closed_forms(cf):
-    """[(vector, matrix)] in the order `closed_form_vs_expm` listed them."""
-    gens = []
-    for j in range(cf.m):
-        gens.append(({j: Fraction(1)}, exp_alpha_matrix(cf, cf.cat.simples[j])))
+    """[(gen, X, vector, exp(t ad vector))], built afresh on every call."""
+    out = []
+    for x in cf.cat.simples:
+        out.append(("alpha", x, reference_alpha_coords(cf, x),
+                    reference_exp_alpha_matrix(cf, x)))
     for r in cf.positive:
-        y, ty = RootCatObject(r, 0), RootCatObject(r, 1)
-        gens.append(({cf.beta_index(r): Fraction(1)}, reference_exp_beta(cf, y)))
-        gens.append(({cf.xi_index(r): Fraction(1)}, reference_exp_xi(cf, y)))
-        gens.append(({cf.xi_index(r): Fraction(-1)}, reference_exp_xi(cf, ty)))
-    return gens
+        x = RootCatObject(r, 0)
+        tx = cf.cat.shift(x)
+        chain = list(reference_chain_terms(cf, x))
+        out.append(("beta", x, reference_beta_coords(cf, x),
+                    reference_exp_beta_matrix(cf, x, chain)))
+        xi = reference_exp_xi_matrix(cf, x, chain)
+        out.append(("xi", x, reference_xi_coords(cf, x), xi))
+        out.append(("xi", tx, reference_xi_coords(cf, tx), sp_map(xi, _flip_sin)))
+    return out
+
+
+def reference_exp_beta_factorization_check(alg, cf):
+    grp = ChevalleyGroup(alg)
+    phi = sp_map(cf.phi_matrix(), TrigPoly.const)
+    phiinv = sp_map(cf.phi_inverse(), TrigPoly.const)
+    tan = TrigPoly({(1, -1): GaussianRational(1)})
+    itan = TrigPoly({(1, -1): QI.i})
+    sec = TrigPoly({(0, -1): GaussianRational(1)})
+    args = {"beta": (tan, tan), "xi": (itan, -itan)}
+    for gen, x, _, sym in reference_closed_forms(cf):
+        if gen == "alpha" or x.parity:
+            continue
+        lhs = sp_mul_many([phi, sp_map(sym, _gaussian), phiinv], TRIG_QI)
+        a, b = args[gen]
+        rhs = sp_mul_many([
+            grp.E(x, a, TRIG_QI),
+            grp.h(x, sec, TRIG_QI),
+            grp.E(cf.cat.shift(x), b, TRIG_QI)], TRIG_QI)
+        if not sp_eq(lhs, rhs, TRIG_QI):
+            return False, (gen, x.pos_root)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +592,187 @@ def test_phi_inverse_is_the_hand_built_inverse(series, rank):
                for row in got.values() for v in row.values())
 
 
+def _items(mat):
+    """Every entry of a TrigPoly matrix with its terms in stored order: the
+    order `TrigPoly.evaluate` sums them in, so equal items give equal
+    floats."""
+    return {i: {j: list(v.c.items()) for j, v in row.items()}
+            for i, row in mat.items()}
+
+
+def _same_forms(got, want):
+    assert len(got) == len(want)
+    for (gen, x, vec, mat), (wgen, wx, wvec, wmat) in zip(got, want):
+        assert (gen, x, vec) == (wgen, wx, wvec)
+        assert _items(mat) == _items(wmat), (gen, x)
+
+
 @pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2), ("D", 4)])
 def test_closed_forms_match_the_earlier_lists(series, rank):
-    """Entries and order; the Gram words draw on the parity-0 entries, the
-    earlier list without xi_TX."""
+    """Entries and order; the Gram words draw on the parity-0 entries."""
     cf = CompactForm(lie_algebra(series, rank))
-    seq = list(closed_forms(cf))
-    want = reference_closed_forms(cf)
-    assert [(vec, mat) for _, _, vec, mat in seq] == want
-    assert [sym for _, x, _, sym in seq if not x.parity] == [
-        sym for k, (_, sym) in enumerate(want)
-        if k < cf.m or (k - cf.m) % 3 != 2]
+    seq = closed_forms(cf)
+    _same_forms(seq, reference_closed_forms(cf))
     assert [(gen, x) for gen, x, _, _ in seq[:cf.m + 3]] == (
         [("alpha", s) for s in cf.cat.simples]
         + [("beta", RootCatObject(cf.positive[0], 0)),
            ("xi", RootCatObject(cf.positive[0], 0)),
            ("xi", RootCatObject(cf.positive[0], 1))])
+
+
+INDEX_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+               + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+               + [("G", 2), ("F", 4), ("E", 6), ("E", 7)])
+
+
+def _ids(types):
+    return [f"{s}{r}" for s, r in types]
+
+
+@pytest.mark.parametrize("series,rank", INDEX_TYPES + [
+    pytest.param("E", 8, marks=pytest.mark.slow)], ids=_ids(INDEX_TYPES) + ["E8"])
+def test_index_walks_match_the_object_walks(series, rank):
+    """The bracket table, every fixed column pair and every closed form are
+    equal to the object walks over Fractions, term order included; the
+    chain and D coefficients of every pair with X of parity 0 as well."""
+    cf = CompactForm(lie_algebra(series, rank))
+    alg, cat = cf.alg, cf.cat
+    assert cf._brackets == reference_brackets(cf)
+    for ix in range(0, alg.n_u, 2):
+        x = alg.objects[ix]
+        for sign in (1, -1):
+            got = _fixed_columns(cf, ix, sign)
+            want = reference_fixed_columns(cf, x, sign)
+            assert _items(got) == _items(want)
+        for iy in range(alg.n_u):
+            if ix >> 1 != iy >> 1:
+                y = alg.objects[iy]
+                assert d_coefficients(alg, ix, iy) == reference_d_coefficients(
+                    alg, x, y)
+                assert d_coefficients_dual(alg, ix, iy) == (
+                    reference_d_coefficients_dual(alg, x, y))
+    _same_forms(closed_forms(cf), reference_closed_forms(cf))
+
+
+def _ints(mat):
+    return [v for row in mat.values() for tp in row.values()
+            for v in tp.c.values()]
+
+
+@pytest.mark.parametrize("series,rank", INDEX_TYPES, ids=_ids(INDEX_TYPES))
+def test_coefficients_are_ints(series, rank):
+    """No Fraction creeps in: every compact bracket entry, every closed-form
+    vector and matrix coefficient, and every D coefficient is an int."""
+    cf = CompactForm(lie_algebra(series, rank))
+    assert all(type(v) is int for row in cf._brackets for d in row
+               for v in d.values())
+    for _, _, vec, mat in closed_forms(cf):
+        assert all(type(v) is int for v in vec.values())
+        assert all(type(v) is int for v in _ints(mat))
+    alg = cf.alg
+    assert all(type(v) is int for ix in range(0, alg.n_u, 2)
+               for iy in range(alg.n_u) if ix >> 1 != iy >> 1
+               for d in d_coefficients(alg, ix, iy).values()
+               for v in d.c.values())
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ArithmeticError it raised
+    (the exponential table of a changed algebra may not be integral)."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return False, (type(exc), str(exc))
+
+
+def _verdicts(alg):
+    """The four checks, each by the index walk and by the object walk."""
+    cf = CompactForm(alg)
+    got = (cf.jacobi_check(), d_equals_dual_check(alg),
+           gamma_string_product_check(alg),
+           _outcome(exp_beta_factorization_check, alg, cf))
+    want = (jacobi_sweep(reference_brackets(cf)),
+            reference_d_equals_dual_check(alg),
+            reference_gamma_string_product_check(alg),
+            _outcome(reference_exp_beta_factorization_check, alg, cf))
+    return got, want
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_flips_give_the_object_walks_verdicts(series, rank):
+    """Every single gamma flip: the same verdicts and witnesses, and every
+    flip fails at least one of the four checks."""
+    alg = lie_algebra(series, rank)
+    got, want = _verdicts(alg)
+    assert got == want
+    assert all(ok for ok, _ in got)
+    for key in sorted(alg.gamma):
+        flip = _flipped(series, rank, key)
+        got, want = _verdicts(flip)
+        assert got == want, key
+        assert not all(ok for ok, _ in got), key
+
+
+def _changed(series, rank, key, fn):
+    alg = lie_algebra(series, rank)
+    il, g = alg.gamma[key]
+    return alg.with_gamma({key: (il, fn(g))})
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2)])
+def test_changed_magnitudes_keep_exact_coefficients(series, rank):
+    """gamma doubled, or raised by 1, on every key in turn: the D
+    coefficients of every pair with X of parity 0 equal the object walk's
+    Fractions, and on B2 with gamma doubled the four checks give its
+    verdicts.  Raising by 1 breaks the integrality of some chain
+    coefficient (1/j!) prod gamma, so some D coefficient is a Fraction with
+    denominator > 1, which no truncation may round."""
+    split = 0
+    for key in sorted(lie_algebra(series, rank).gamma):
+        for doubled in (True, False):
+            alg = _changed(series, rank, key,
+                           (lambda g: 2 * g) if doubled else (lambda g: g + 1))
+            for ix in range(0, alg.n_u, 2):
+                for iy in range(alg.n_u):
+                    if ix >> 1 == iy >> 1:
+                        continue
+                    x, y = alg.objects[ix], alg.objects[iy]
+                    got = d_coefficients(alg, ix, iy)
+                    assert got == reference_d_coefficients(alg, x, y)
+                    assert d_coefficients_dual(alg, ix, iy) == (
+                        reference_d_coefficients_dual(alg, x, y))
+                    split += any(type(v) is Fraction
+                                 for d in got.values() for v in d.c.values())
+            if doubled and series == "B":
+                got, want = _verdicts(alg)
+                assert got == want, key
+    assert split
+
+
+def test_cached_forms_survive_their_consumers():
+    """perfbench's order on one form: the factorization, the expm comparison
+    and the Gram words read the forms built once; afterwards they still
+    equal a fresh build, entry by entry, and hold ints only (a Gaussian
+    copy of an entry made in place would still compare equal)."""
+    alg = lie_algebra("B", 3)
+    cf = CompactForm(alg)
+    assert exp_beta_factorization_check(alg, cf) == (True, None)
+    forms = closed_forms(cf)
+    assert closed_form_vs_expm(cf) < 1e-10
+    assert gram_preservation_deviation(cf, words=6, max_len=3) < 1e-9
+    assert closed_forms(cf) is forms
+    _same_forms(forms, reference_closed_forms(cf))
+    assert all(type(v) is int for *_, mat in forms for v in _ints(mat))
+
+
+def test_a_changed_algebra_builds_its_own_forms():
+    """A `with_gamma` algebra's CompactForm does not see the forms already
+    built for the algebra it was derived from."""
+    cf = CompactForm(lie_algebra("B", 2))
+    forms = closed_forms(cf)
+    flip = CompactForm(_flipped("B", 2, (7, 4)))
+    got = closed_forms(flip)
+    assert got is not forms
+    _same_forms(got, reference_closed_forms(flip))
+    assert [m for *_, m in got] != [m for *_, m in forms]
+    _same_forms(closed_forms(cf), reference_closed_forms(cf))

@@ -1,8 +1,9 @@
 """Highest-weight modules: dimensions, multiplicities, generators.
 
 The module relations [E_i, F_j] = delta_ij H_i and Serre, the block direct
-sum and the injectivity probe of the unipotent parametrization are used by
-these tests only, so they are defined here, not in `liekit.hwmodules`.
+sum, the injectivity probe of the unipotent parametrization and the
+reduced word `longest_word` it runs along are used by these tests only, so
+they are defined here, not in `liekit.hwmodules`.
 """
 
 import random
@@ -15,10 +16,28 @@ from liekit.exact import (QI, QQ, GaussianRational, sp_add, sp_eq, sp_mul,
                           sp_mul_many)
 from liekit.hwmodules import (FreudenthalTable, ModuleGenerators,
                               WeightModule, adjoint_check, build_irrep,
-                              dominant_conjugate, longest_word,
+                              dominant_conjugate,
                               shapovalov_binomial_check, unitarity_deviation,
                               weight_bilinear, weyl_dim)
 from liekit.rootdata import build_cartan, root_system
+
+
+def longest_word(cartan):
+    """A reduced word for the longest Weyl element: the simple reflections
+    s_i taken, each at the first i with <mu, alpha_i^vee> < 0, by the walk
+    from -rho to rho; its length is the number of positive roots."""
+    m = len(cartan.a)
+    mu, word = [-1] * m, []
+    while True:
+        for i in range(m):
+            if mu[i] < 0:
+                c = mu[i]
+                for j in range(m):
+                    mu[j] -= c * cartan.a[j][i]
+                word.append(i)
+                break
+        else:
+            return word
 
 
 def commutation_check(mod):

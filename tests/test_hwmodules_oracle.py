@@ -15,10 +15,10 @@ the L D L^T of each weight Gram off `Bareiss.of`; its reference is the same
 routine on the rational LDL^T it used before, and the two must agree to the
 last bit.  `FreudenthalTable` walks the dominant weights of V(lam) by
 positive-root steps from lam, `weight_bilinear` reads one cached form and
-`longest_word` is the reflection walk from -rho; their references are the
-Freudenthal recursion over the whole box of depth vectors, one
-`solve_linear` per pairing, and the descent walk from rho.  Each fast path
-must agree with its reference exactly.
+`longest_word` (defined in `test_hwmodules`) is the reflection walk from
+-rho; their references are the Freudenthal recursion over the whole box of
+depth vectors, one `solve_linear` per pairing, and the descent walk from
+rho.  Each fast path must agree with its reference exactly.
 """
 
 import math
@@ -37,11 +37,12 @@ from liekit.exact import (QI, QQ, Bareiss, GaussianRational, components,
 from liekit.hwmodules import (FreudenthalTable, ModuleGenerators,
                               WeightModule, _nullspace, adjoint_check,
                               build_irrep, dominant_conjugate, irrep_columns,
-                              longest_word, root_fund,
+                              root_fund,
                               shapovalov_binomial_check,
                               unitarity_deviation, weight_bilinear, weyl_dim)
 from liekit.peterweyl import MatrixCoefficient, OElement, end_inner
 from liekit.rootdata import build_cartan, root_system
+from test_hwmodules import longest_word
 
 
 # ---------------------------------------------------------------------------
