@@ -257,10 +257,6 @@ class LaurentPoly(SparsePoly):
             v = _rational(Fraction(v))
         return cls({(0, 0): v} if v else {})
 
-    @classmethod
-    def var_t(cls, e=1):
-        return cls({(e, 0): 1})
-
     def __mul__(self, other):
         out = {}
         for (a1, b1), v1 in self.c.items():

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .exact import (QQ, QI, Bareiss, GaussianRational, components,
-                    dense_inverse, divided_powers, ff_column, ff_pairing,
-                    gauss_jordan, sp_add, sp_eq, sp_map, sp_mul, sp_mul_many,
+from .exact import (QQ, QI, Bareiss, components, dense_inverse,
+                    divided_powers, ff_column, ff_pairing, gauss_jordan,
+                    sp_add, sp_eq, sp_identity, sp_map, sp_mul, sp_mul_many,
                     sp_transpose, sum_powers)
 from .rootdata import root_system
 
@@ -147,9 +147,6 @@ class WeightModule:
         self.weights = weights  # {depth: {"fund","basis","gram","raw_labels"}}
         self.weight_of = weight_of  # global index -> fundamental coords
         self._gram = self._gram_inverse = self._generators = None
-
-    def h_value(self, i, g):
-        return self.weight_of[g][i]
 
     def _block_sparse(self, block_of):
         """The block-diagonal matrix with block_of(weight data) on each
@@ -482,36 +479,43 @@ def dagger(mod, mat, dom=QI):
                         sp_map(mod.gram_sparse(), dom.embed)], dom)
 
 
-def _is_adjoint(mat, other, gram, dom):
-    """M^H G == G N: (M x, y) = (x, N y) for all x, y, which for the
+def _is_adjoint(mat, other, gram):
+    """M^T G == G N over Q: (M x, y) = (x, N y) for all x, y, which for the
     nondegenerate Gram of a module is M^dagger = N with no inverse formed."""
-    return sp_eq(sp_mul(sp_map(sp_transpose(mat), dom.conj), gram, dom),
-                 sp_mul(gram, other, dom), dom)
+    return sp_eq(sp_mul(sp_transpose(mat), gram, QQ), sp_mul(gram, other, QQ),
+                 QQ)
 
 
-def adjoint_check(mod, hs=None):
-    """x_i(h)^dagger = y_i(conj h) and E^dagger = F, exact; over Q for E and
-    for real h, over Q(i) otherwise."""
-    gens = mod.generators()
-    if hs is None:
-        hs = [GaussianRational(2), GaussianRational(-1),
-              GaussianRational(Fraction(3, 5)),
-              GaussianRational(Fraction(1, 2), Fraction(-2, 3))]
+def _divided_power_failure(table, gen, dim):
+    """The first k at which the table [M_0, M_1, ...], with M_k = 0 past its
+    end, breaks M_0 = I or k M_k = gen M_{k-1}; None if there is none, and
+    then M_k = gen^k / k! for every k."""
+    want = sp_identity(dim, QQ)
+    for k, mat in enumerate(table + [{}]):
+        if not sp_eq(mat, want, QQ):
+            return k
+        want = sp_map(sp_mul(gen, mat, QQ), lambda v: v / (k + 1))
+    return None
+
+
+def adjoint_check(mod):
+    """E_i^dagger = F_i for every i, exact over Q; then the divided-power law
+    on the cached x_i and y_i tables, so x_i(h)^dagger = y_i(conj h) for
+    every h: dagger is conjugate-linear and reverses products, so
+    (E_i^k / k!)^dagger = F_i^k / k!.  Every E line is checked first: a
+    failure (i, "E") names the first i that fails, and one
+    (i, "x" | "y", k), at M_k of a table, means every E line held."""
     gram = mod.gram_sparse()
-    gram_qi = sp_map(gram, QI.embed)
     for i in range(mod.m):
-        if not _is_adjoint(mod.E[i], mod.F[i], gram, QQ):
+        if not _is_adjoint(mod.E[i], mod.F[i], gram):
             return False, (i, "E")
-        for h in hs:
-            hq = QI.embed(h)
-            if hq.im == 0:
-                ok = _is_adjoint(gens.x(i, hq.re, QQ), gens.y(i, hq.re, QQ),
-                                 gram, QQ)
-            else:
-                ok = _is_adjoint(gens.x(i, hq, QI),
-                                 gens.y(i, hq.conjugate(), QI), gram_qi, QI)
-            if not ok:
-                return False, (i, h)
+    gens = mod.generators()
+    for i in range(mod.m):
+        for name, table, gen in (("x", gens.ex[i], mod.E[i]),
+                                 ("y", gens.fx[i], mod.F[i])):
+            k = _divided_power_failure(table, gen, mod.dim)
+            if k is not None:
+                return False, (i, name, k)
     return True, None
 
 
@@ -519,6 +523,9 @@ def unitarity_deviation(mod, ts=(0.37, 1.1)):
     """exp(t(E_i - F_i)) and exp(it(E_i + F_i)) are unitary for the
     hermitian inner product; returns the worst |U U^H - I| entry in the
     orthonormalized coordinates.
+
+    Kept as the tests' float oracle, and because the benchmark calls it:
+    `verify` reads unitarity off the exact E_i^dagger = F_i instead.
 
     Each weight block of the Gram is factored exactly as L D L^T, read off
     its `Bareiss.of` elimination, so u = D^{1/2} L^T x are orthonormal

@@ -309,14 +309,6 @@ class LieAlgebraZ:
 
     # -- gamma --------------------------------------------------------------
 
-    def gamma_of(self, x, y, l):
-        """gamma_{XY}^L by objects (0 when ungraded)."""
-        key = (self.cat.index(x), self.cat.index(y))
-        got = self.gamma.get(key)
-        if got and got[0] == self.cat.index(l):
-            return got[1]
-        return 0
-
     def _gamma_to(self, ix, iy, il):
         """gamma_{XY}^L by indices (0 when the entry of (X, Y) targets
         another object or is absent)."""
@@ -440,7 +432,7 @@ class LieAlgebraZ:
         The root block is read off the gamma table: each entry
         (TX, Y) -> L whose target L is the class-sum object adds
         gamma_{TX,Y}^L gamma_{X,L}^Y to (u_X, u_TX), the second factor
-        counting only if it targets Y (as `gamma_of` requires).  The Cartan
+        counting only if it targets Y (as `_gamma_to` requires).  The Cartan
         block comes from one vector ((S_i|Z))_i per object Z.
         """
         cat, n_u, m, objs = self.cat, self.n_u, self.m, self.objects

@@ -173,12 +173,6 @@ class RootSystem:
         """Symmetrizer d_alpha = (alpha|alpha)/2 of a root (1 for short)."""
         return self._d[tuple(v)]
 
-    def reflect_in_root(self, alpha, beta):
-        """s_alpha(beta) = beta - <beta, alpha^vee> alpha."""
-        c = Fraction(self.sym_form(alpha, beta), self.root_d(alpha))
-        assert c.denominator == 1
-        return tuple(b - int(c) * a for a, b in zip(alpha, beta))
-
     def weyl_order(self):
         """|W| = prod (e + 1) over the exponents e; exponent k occurs
         n_k - n_{k+1} times, n_k being the number of positive roots of

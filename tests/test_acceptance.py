@@ -188,7 +188,7 @@ def test_criterion_11_generator_identities():
         assert dev < 1e-10, (series, rank, dev)
     report(11, True,
            "torus product formula, double-sum reflection, torus conjugation "
-           "over Q; adjoint law over Q(i); unitarity < 1e-10")
+           "over Q; adjoint law and divided powers over Q; unitarity < 1e-10")
 
 
 def test_criterion_12_schur_orthogonality_quadrature():

@@ -13,11 +13,11 @@ The compact form walks root strings by object index through `alg.chev.sums`
 and `alg.gamma`, and holds every coefficient as an int; `closed_forms`
 builds its list once per `CompactForm`.  The references are the object
 walks over `Fraction`s they replaced: the chains by `chain_object` and
-`gamma_of`, the bracket table by `_gamma_terms` and one-row `sp_add`s, the
-fixed columns with (A/2)(cos 2t - 1), and the closed forms built afresh on
-every call.  The tables, the D coefficients and the closed forms must be
-equal, each TrigPoly's terms in the same order, so that they evaluate to
-the same floats.  The checks must give the same verdicts and witnesses on
+`ref_gamma_of`, the bracket table by `_gamma_terms` and one-row
+`sp_add`s, the fixed columns with (A/2)(cos 2t - 1), and the closed forms
+built afresh on every call.  The tables, the D coefficients and the closed
+forms must be equal, each TrigPoly's terms in the same order, so that they
+evaluate to the same floats.  The checks must give the same verdicts and witnesses on
 every single gamma flip of A2, B2 and G2 and on every single gamma of B2
 doubled; the D coefficients must be equal with any one gamma of B2 or G2
 doubled or raised by 1, which makes some of them proper Fractions.
@@ -42,6 +42,7 @@ from liekit.exact import (QI, QQ, ZZ, GaussianRational, PrimeField, sp_add,
 from liekit.liealg import (first_bracket_failure, jacobi_sweep, lie_algebra,
                            table_bracket)
 from liekit.rootcat import RootCatObject
+from test_liealg_oracle import ref_gamma_of
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def reference_phi_inverse(cf):
 
 
 # The object walks over Fractions that the index walks over ints replaced,
-# kept as they were: the chains by `chain_object` and `gamma_of`, the
+# kept as they were: the chains by `chain_object` and `ref_gamma_of`, the
 # bracket table by `_gamma_terms` and one-row `sp_add`s, and the closed
 # forms with Fraction coefficients.
 
@@ -142,7 +143,7 @@ def _chain(alg, x, y, n):
     out = []
     for _ in range(n):
         nxt = cat.chain_object(x, y, 1, 1)
-        out.append(alg.gamma_of(x, y, nxt))
+        out.append(ref_gamma_of(alg, x, y, nxt))
         y = nxt
     return out
 
@@ -250,7 +251,7 @@ def _gamma_terms(cf, x, y):
     out = []
     for other in (y, cf.cat.shift(y)):
         l = cf.cat.chain_object(x, other, 1, 1)
-        out.append((l, cf.alg.gamma_of(x, other, l) if l else 0))
+        out.append((l, ref_gamma_of(cf.alg, x, other, l) if l else 0))
     return out
 
 

@@ -49,7 +49,7 @@ def commutation_check(mod):
             want = {}
             if i == j:
                 for g in range(mod.dim):
-                    hv = Fraction(mod.h_value(i, g))
+                    hv = Fraction(mod.weight_of[g][i])
                     if hv:
                         want[g] = {g: hv}
             if not sp_eq(lhs, want, QQ):

@@ -2,15 +2,20 @@
 
 `build_irrep` works on integers: E and F by column, each an integer dict
 over one denominator, an integer Gram, and pivots selected by fraction-free
-elimination; `adjoint_check` tests M^H G == G N with no inverse;
-`end_inner` sums only the trace of B* A; `gram_positive_definite` reads the
-leading minors off `Bareiss.of`; `shapovalov_binomial_check` and
-`s_second_sum` read columns through one transpose and apply matrices by
-`sp_mul`.  The references below
+elimination; `adjoint_check` tests E_i^T G == G F_i with no inverse and
+then the divided-power law on the cached x_i and y_i tables, so that
+x_i(h)^dagger = y_i(conj h) follows for every h; `end_inner` sums only the
+trace of B* A; `gram_positive_definite` reads the leading minors off
+`Bareiss.of`; `shapovalov_binomial_check` and `s_second_sum` read columns
+through one transpose and apply matrices by `sp_mul`.  The references below
 are the direct algorithms they replace: a `Fraction` build that re-solves
 the pivot Gram for every candidate, row scans of E and F, the adjoint
 G^{-1} M^H G over Q(i), the full product B* A, every leading principal
-minor, and a per-vector scan of every row.  `unitarity_deviation` reads
+minor, and a per-vector scan of every row.  The adjoint reference also
+samples x_i(h)^dagger = y_i(conj h) at four h, over Q(i), and the
+`irrep_unitary` verdict of `verify modules`, which is read off
+`adjoint_check` and the Gram minors, must agree with the float
+`unitarity_deviation` below 1e-10.  `unitarity_deviation` reads
 the L D L^T of each weight Gram off `Bareiss.of`; its reference is the same
 routine on the rational LDL^T it used before, and the two must agree to the
 last bit.  `FreudenthalTable` walks the dominant weights of V(lam) by
@@ -21,6 +26,7 @@ depth vectors, one `solve_linear` per pairing, and the descent walk from
 rho.  Each fast path must agree with its reference exactly.
 """
 
+import json
 import math
 import random
 
@@ -29,7 +35,9 @@ from itertools import product as iproduct
 from operator import mul
 
 import pytest
+from click.testing import CliRunner
 
+from liekit import cli
 from liekit.exact import (QI, QQ, Bareiss, GaussianRational, components,
                           dense_inverse, leading_principal_minors,
                           solve_linear, sp_eq, sp_map, sp_mul, sp_mul_many,
@@ -270,7 +278,9 @@ def reference_dagger(mod, mat):
 
 
 def reference_adjoint_check(mod, hs):
-    gens = ModuleGenerators(mod)
+    """E^dagger = F and x_i(h)^dagger = y_i(conj h) at each sampled h, the
+    x_i and y_i summed from the module's cached divided-power tables."""
+    gens = mod.generators()
     for i in range(mod.m):
         if not sp_eq(reference_dagger(mod, sp_map(mod.E[i], QI.embed)),
                      sp_map(mod.F[i], QI.embed), QI):
@@ -580,17 +590,96 @@ GOOD = [("A", 2, (1, 1)), ("B", 2, (0, 1)), ("G", 2, (1, 0)),
         ("A", 3, (1, 0, 0)), ("B", 3, (0, 0, 1))]
 
 
+def _verify_unitary(monkeypatch, mod):
+    """The `irrep_unitary` verdicts of `verify modules` with every
+    fundamental module replaced by mod."""
+    monkeypatch.setattr(cli, "build_irrep", lambda cartan, lam: mod)
+    res = CliRunner().invoke(cli.main, ["verify", "modules", "--type",
+                                        f"{mod.cartan.series}{mod.m}"])
+    return [c["ok"] for c in json.loads(res.output)["checks"]
+            if c["check"].startswith("irrep_unitary_")]
+
+
 @pytest.mark.parametrize("series,rank,lam", GOOD)
-def test_adjoint_check_matches_dagger(series, rank, lam):
+def test_adjoint_check_matches_dagger(series, rank, lam, monkeypatch):
     mod = build_irrep(build_cartan(series, rank), lam)
     assert adjoint_check(mod) == reference_adjoint_check(mod, HS) == (True, None)
+    assert unitarity_deviation(mod) < 1e-10
+    assert _verify_unitary(monkeypatch, mod) == [True] * rank
 
 
 @pytest.mark.parametrize("i", [0, 2])
-def test_adjoint_check_witness_on_doubled_f(i):
+def test_adjoint_check_witness_on_doubled_f(i, monkeypatch):
     mod = _doubled_f(build_irrep(build_cartan("A", 3), (1, 0, 0)), i)
     got = adjoint_check(mod)
     assert got == reference_adjoint_check(mod, HS) == (False, (i, "E"))
+    assert not unitarity_deviation(mod) < 1e-10
+    assert _verify_unitary(monkeypatch, mod) == [False] * 3
+
+
+# modules with an alpha_i-string of length 3 or more, so that E_i^2 != 0
+LONG_STRINGS = [("A", 2, (1, 1)), ("B", 2, (1, 0)), ("G", 2, (0, 1))]
+
+
+def _longest(tables):
+    """The i whose divided-power table is longest, the first of them."""
+    return max(range(len(tables)), key=lambda i: len(tables[i]))
+
+
+@pytest.mark.parametrize("series,rank,lam", LONG_STRINGS)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_adjoint_check_rejects_a_changed_divided_power(series, rank, lam, k,
+                                                       monkeypatch):
+    """One entry of M_k in the longest x_i table doubled, or a new entry
+    where M_k has none: the law fails at M_k, the sampled x(h)^dagger =
+    y(conj h) at some h, and E^dagger = F still holds, so unitarity
+    stands."""
+    for planted in ("doubled", "added"):
+        mod = build_irrep(build_cartan(series, rank), lam)
+        tables = mod.generators().ex
+        i = _longest(tables)
+        table = tables[i]
+        assert len(table) > 2
+        r = next(iter(table[k]))
+        if planted == "doubled":
+            c = next(iter(table[k][r]))
+            row = {**table[k][r], c: 2 * table[k][r][c]}
+        else:
+            c = next(g for g in range(mod.dim) if g not in table[k][r])
+            row = {**table[k][r], c: Fraction(1)}
+        table[k] = {**table[k], r: row}
+        got = adjoint_check(mod)
+        assert got == (False, (i, "x", k)), planted
+        assert reference_adjoint_check(mod, HS)[0] is False, planted
+        assert unitarity_deviation(mod) < 1e-10
+        assert _verify_unitary(monkeypatch, mod) == [True] * rank
+
+
+@pytest.mark.parametrize("series,rank,lam", LONG_STRINGS)
+def test_adjoint_check_rejects_a_wrong_divided_power(series, rank, lam):
+    """The longest y_i table built with F^k/(k-1)! for F^k/k!: M_0 and
+    M_1 are right, M_2 is twice what it should be."""
+    mod = build_irrep(build_cartan(series, rank), lam)
+    tables = mod.generators().fx
+    i = _longest(tables)
+    table = tables[i]
+    assert len(table) > 2
+    for k in range(2, len(table)):
+        table[k] = {r: {c: k * v for c, v in row.items()}
+                    for r, row in table[k].items()}
+    assert adjoint_check(mod) == (False, (i, "y", 2))
+    assert reference_adjoint_check(mod, HS)[0] is False
+
+
+def test_adjoint_check_rejects_a_table_cut_short():
+    """x_0's table with its last divided power dropped: M_1 M_last = 0
+    fails, and so does the sampled law."""
+    mod = build_irrep(build_cartan("G", 2), (1, 0))
+    table = mod.generators().ex[0]
+    last = len(table) - 1
+    del table[last]
+    assert adjoint_check(mod) == (False, (0, "x", last))
+    assert reference_adjoint_check(mod, HS)[0] is False
 
 
 @pytest.mark.parametrize("series,rank,lam", [("A", 2, (1, 1)),
@@ -645,11 +734,12 @@ def test_unitarity_deviation_rejects_a_gram_that_is_not_positive_definite():
                 dev(bad)
 
 
-def test_adjoint_check_accepts_rational_arguments():
+def test_adjoint_check_matches_dagger_at_rational_arguments():
+    """The law proved once holds at rational, integer and imaginary h."""
     mod = build_irrep(build_cartan("B", 2), (1, 0))
     hs = [Fraction(-7, 3), 4, GaussianRational(0, 2)]
     want = reference_adjoint_check(mod, [QI.embed(h) for h in hs])
-    assert adjoint_check(mod, hs) == want == (True, None)
+    assert adjoint_check(mod) == want == (True, None)
 
 
 def test_end_inner_matches_full_product():

@@ -57,7 +57,7 @@ def reference_killing_gram(alg):
             l = cat.chain_object(tx, y, 1, 1)
             if l is None:
                 continue
-            val += alg.gamma_of(tx, y, l) * alg.gamma_of(x, l, y)
+            val += ref_gamma_of(alg, tx, y, l) * ref_gamma_of(alg, x, l, y)
         gram[ix][itx] = val
     for i in range(m):
         si = cat.simples[i]
@@ -187,7 +187,7 @@ def test_planted_gamma_values(series, rank):
 @pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2), ("F", 4)])
 def test_retargeted_gamma_entry(series, rank):
     """A gamma entry whose target is not the class-sum object counts for
-    neither factor of the root block, as `gamma_of` reads it."""
+    neither factor of the root block, as `ref_gamma_of` reads it."""
     base = lie_algebra(series, rank)
     rng = random.Random(f"retarget {series}{rank}")
     for key in rng.sample(sorted(base.gamma), 4):
