@@ -10,9 +10,13 @@ int, since in a Chevalley basis ad(e)^j / j! is integral (Humphreys,
 exact Fraction.  One-parameter subgroups exp(t ad alpha_X), exp(t ad
 beta_X), exp(t ad xi_X) have closed forms whose entries live in the
 trigonometric ring Q[sin, cos, cos^-1] modulo sin^2 + cos^2 = 1; identities
-in that ring are decidable, and the same symbolic matrices evaluate to
-floats for comparison against scipy's expm.  `closed_forms` builds them
-once per `CompactForm`, for every check that walks them.
+in that ring are decidable.  `closed_forms` builds them once per
+`CompactForm`, for every check that walks them.  `closed_form_ode_check`
+proves each one is exp(t ad vec) by F' = ad(vec) F and F(0) = I, and
+`exp_beta_factorization_check` proves the unipotent-torus factorization
+through phi by relabelling and scaling integer tables; neither multiplies
+two TrigPolys.  The same matrices evaluate to floats for the comparison
+against scipy's expm that the tests and `compact verify` keep.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .chevgroup import ChevalleyGroup
+from .chevgroup import ChevalleyGroup, LaurentGroup
 from .exact import (QI, QQ, Bareiss, Domain, GaussianRational, SparsePoly,
-                    _rational, components, sp_eq, sp_from_dense, sp_map,
+                    _finish_row, _rational, components, sp_from_dense, sp_map,
                     sp_mul_many, sp_to_dense, sp_transpose)
 from .liealg import (LieAlgebraZ, first_bracket_failure, jacobi_sweep,
                      table_bracket)
@@ -74,6 +78,17 @@ class TrigPoly(SparsePoly):
         if not v:
             return TrigPoly()
         return TrigPoly({k: v * w for k, w in self.c.items()})
+
+    def derivative(self):
+        """d/dt, with s = sin t and c = cos t: d(c^b) = -b s c^(b-1), and
+        d(s c^b) = (1 + b) c^(b+1) - b c^(b-1) after s^2 = 1 - c^2."""
+        out = {}
+        for (sd, cd), v in self.c.items():
+            terms = ((((0, cd + 1), (1 + cd) * v), ((0, cd - 1), -cd * v))
+                     if sd else (((1, cd - 1), -cd * v),))
+            for k, w in terms:
+                out[k] = out.get(k, 0) + w
+        return TrigPoly({k: v for k, v in out.items() if v})
 
     def inverse(self):
         out = super().inverse()
@@ -354,14 +369,6 @@ class CompactForm:
             put(u0, self.m + 2 * k + 1, i_)
             put(u1, self.m + 2 * k + 1, GaussianRational(0) - i_)
         return mat
-
-    def phi_inverse(self):
-        """D phi^H, D = 1 on the m Cartan rows and 1/2 on the root rows:
-        H'_j = -i alpha_j, u_{r,0} = (beta - i xi)/2, u_{r,1} = (beta + i xi)/2."""
-        half = Fraction(1, 2)
-        return {r: {c: v.conjugate() * (half if r >= self.m else 1)
-                    for c, v in row.items()}
-                for r, row in sp_transpose(self.phi_matrix()).items()}
 
     def phi_homomorphism_check(self):
         """phi([a,b]) == [phi a, phi b] on all basis pairs, over Q(i)."""
@@ -646,38 +653,132 @@ def gram_preservation_deviation(cf, words=24, max_len=6, seed=20240819):
 
 
 # ---------------------------------------------------------------------------
-# the factorization of exp(t ad(u_X + u_TX)) through the Chevalley generators
+# the closed forms decided exactly by the differential equation
 
-def exp_beta_factorization_check(alg, cf=None):
-    """exp(t ad(u_X+u_TX)) = E_X(tan t) h_X(1/cos t) E_TX(tan t), and the
-    Gaussian twin for i(u_X - u_TX), as identities of TrigPoly matrices
-    transported through phi.  Returns (ok, witness)."""
-    if cf is None:
-        cf = CompactForm(alg)
-    grp = ChevalleyGroup(alg)
-    phi = sp_map(cf.phi_matrix(), TrigPoly.const)
-    phiinv = sp_map(cf.phi_inverse(), TrigPoly.const)
-    tan = TrigPoly({(1, -1): GaussianRational(1)})
-    itan = TrigPoly({(1, -1): QI.i})
-    sec = TrigPoly({(0, -1): GaussianRational(1)})
-    # beta: E_X(tan t) h_X(1/cos t) E_TX(tan t);
-    # xi, exp(t ad i(u_X - u_TX)): E_X(i tan t) h_X(1/cos t) E_TX(-i tan t)
-    args = {"beta": (tan, tan), "xi": (itan, -itan)}
-    for gen, x, _, sym in closed_forms(cf):
-        if gen == "alpha" or x.parity:
-            continue
-        # transport exp(t ad g) into the integer-form basis
-        lhs = sp_mul_many([phi, sp_map(sym, _gaussian), phiinv], TRIG_QI)
-        a, b = args[gen]
-        rhs = sp_mul_many([
-            grp.E(x, a, TRIG_QI),
-            grp.h(x, sec, TRIG_QI),
-            grp.E(cf.cat.shift(x), b, TRIG_QI)], TRIG_QI)
-        if not sp_eq(lhs, rhs, TRIG_QI):
-            return False, (gen, x.pos_root)
+def closed_form_ode_check(cf):
+    """Every closed form F of `closed_forms` is exp(t ad vec), decided
+    exactly: F = I at t = 0 (s = 0, c = 1), and F' = ad(vec) F as TrigPoly
+    matrices.  exp(tA) is the unique solution of F' = A F with F(0) = I
+    (Hall, *Lie Groups, Lie Algebras, and Representations*, 2.1), and the
+    ring embeds in the functions on |t| < pi/2, so the two identities hold
+    iff F = exp(t ad vec).  ad(vec) F scales rows of F by the ints of
+    `cf._brackets`.  Returns (ok, witness), the witness (gen, X, "initial"
+    or "ode", row) at the first failing row of the first failing form."""
+    table, dim = cf._brackets, cf.dim
+    for gen, x, vec, mat in closed_forms(cf):
+        ad = {}  # ad(vec) by rows: ad[i][k] = coefficient of e_i in [vec, e_k]
+        for a, va in vec.items():
+            for k, img in enumerate(table[a]):
+                for i, v in img.items():
+                    row = ad.setdefault(i, {})
+                    row[k] = row.get(k, 0) + va * v
+        for i in range(dim):
+            row = mat.get(i, {})
+            at0 = {j: w for j, tp in row.items()
+                   if (w := sum(v for (sd, _), v in tp.c.items() if not sd))}
+            if at0 != {i: 1}:
+                return False, (gen, x, "initial", i)
+            want = {}
+            for k, v in ad.get(i, {}).items():
+                for j, tp in mat.get(k, {}).items():
+                    for (sd, cd), w in tp.c.items():
+                        want[j, sd, cd] = want.get((j, sd, cd), 0) + v * w
+            got = {(j, sd, cd): w for j, tp in row.items()
+                   for (sd, cd), w in tp.derivative().c.items()}
+            if got != _finish_row(want, None):
+                return False, (gen, x, "ode", i)
     return True, None
 
 
-def _gaussian(tp):
-    """A rational-coefficient TrigPoly with its coefficients in Q(i)."""
-    return tp.scale(QI.one)
+# ---------------------------------------------------------------------------
+# the factorization of exp(t ad(u_X + u_TX)) through the Chevalley generators
+
+def _phi_turns(cf):
+    """phi by rows, {row: [(col, q)]}, the entry being i^q: phi has at most
+    two entries per row, each 1, i or -i."""
+    turn = {QI.one: 0, QI.i: 1, -QI.one: 2, -QI.i: 3}
+    return {r: [(c, turn[v]) for c, v in row.items()]
+            for r, row in cf.phi_matrix().items()}
+
+
+def _put(acc, key, v, q):
+    """Add v i^q at `key` + (part,) of `acc`, a Gaussian coefficient being
+    held as its real (part 0) and imaginary (part 1) parts."""
+    k = key + (q & 1,)
+    acc[k] = acc.get(k, 0) + (-v if q & 2 else v)
+
+
+def _phi_times(phi, mat):
+    """phi . mat for a TrigPoly matrix `mat`: row r is the sum of at most two
+    rows of `mat`, times 1, i or -i, held as {(col, s_deg, c_deg, part):
+    coeff}."""
+    out = {}
+    for r, prow in phi.items():
+        acc = {}
+        for c, q in prow:
+            for col, tp in mat.get(c, {}).items():
+                for (sd, cd), v in tp.c.items():
+                    _put(acc, (col, sd, cd), v, q)
+        if acc := _finish_row(acc, None):
+            out[r] = acc
+    return out
+
+
+def _sin_powers(n):
+    """s^n in normal form as [(s_deg, c_deg, coeff)], by the flat sum
+    s^(2h+r) = sum_l (-1)^l C(h, l) s^r c^(2l)."""
+    h, r = divmod(n, 2)
+    return [(r, 2 * l, (-1) ** l * math.comb(h, l)) for l in range(h + 1)]
+
+
+def _times_phi(prod, phi, base, xi):
+    """R . phi in the form of `_phi_times`, for the exponent-keyed product
+    (see `ek_mul`) R = E_X(t u^-1) h_X(u^-1) E_TX(t^base u^-1), u standing
+    for c = cos and t counting the powers: its key (col, k1 + base k2, b),
+    from the k1-th power of E_X and the k2-th of E_TX, stands for
+    s^(k1 + k2) c^b, times i^k1 (-i)^k2 when `xi` is set.  Each term is
+    brought to normal form once and relabelled through phi's row `col`."""
+    sin_powers = {}
+    out = {}
+    for r, row in prod.items():
+        acc = {}
+        for (col, et, cd), v in row.items():
+            k2, k1 = divmod(et, base)
+            q0 = k1 - k2 if xi else 0
+            n = k1 + k2
+            red = sin_powers.get(n)
+            if red is None:
+                red = sin_powers[n] = _sin_powers(n)
+            for c, q in phi[col]:
+                for sd, dc, w in red:
+                    _put(acc, (c, sd, cd + dc), w * v, q + q0)
+        if acc := _finish_row(acc, None):
+            out[r] = acc
+    return out
+
+
+def exp_beta_factorization_check(alg, cf=None):
+    """exp(t ad(u_X+u_TX)) = E_X(tan t) h_X(1/cos t) E_TX(tan t), and the
+    Gaussian twin exp(t ad i(u_X - u_TX)) = E_X(i tan t) h_X(1/cos t)
+    E_TX(-i tan t), for every parity-0 X.  The closed form S of beta_X or
+    xi_X is carried through phi as phi S = R phi, which holds iff
+    phi S phi^-1 = R, as phi is invertible.  R comes from one integer
+    exponent-keyed product per root, with tan = s c^-1 and sec = c^-1, whose
+    keys keep the powers of E_X and E_TX apart (`_times_phi`), so the beta
+    and xi sides read the same product.  No TrigPoly is multiplied by
+    another.  Returns (ok, witness), the witness (gen, root)."""
+    if cf is None:
+        cf = CompactForm(alg)
+    lg = LaurentGroup(ChevalleyGroup(alg))
+    phi = _phi_turns(cf)
+    for gen, x, _, sym in closed_forms(cf):
+        if gen == "alpha" or x.parity:
+            continue
+        if gen == "beta":
+            ix = cf.cat.index(x)
+            base = len(lg.grp.exp_table(ix))  # above every power of E_X
+            prod = lg.mul(lg.E(ix, 1, 1, -1), lg.h(ix, 0, -1),
+                          lg.E(ix ^ 1, 1, base, -1))
+        if _phi_times(phi, sym) != _times_phi(prod, phi, base, gen == "xi"):
+            return False, (gen, x.pos_root)
+    return True, None

@@ -167,10 +167,11 @@ def test_peterweyl_schur_band(monkeypatch):
 
 @pytest.mark.parametrize("suite,tp", [
     ("liealg", "B4"), ("liealg", "C4"), ("liealg", "D5"), ("liealg", "F4"),
-    ("liealg", "E6"), ("compact", "F4"), ("compact", "E6")])
+    ("liealg", "E6"), ("compact", "F4"), ("compact", "E6"), ("compact", "E7"),
+    pytest.param("compact", "E8", marks=pytest.mark.slow)])
 def test_verify_type_matrix(suite, tp):
     """Types past the ranks of the acceptance criteria: every check runs
-    and passes."""
+    and passes (`verify compact` up to E7 in the default run, E8 `slow`)."""
     res = run("verify", suite, "--type", tp)
     assert res.exit_code == 0, res.output
     data = json.loads(res.output)
@@ -327,7 +328,7 @@ def test_verify_group_rank_3_and_up(type_name):
 @pytest.mark.slow
 def test_compact_verify_e7():
     """Every check of `compact verify` passes on E7, the exp(t ad beta_X)
-    factorization over Q(i) included."""
+    factorization, read off integer exponent-keyed products, included."""
     res = run("compact", "verify", "--type", "E7")
     assert res.exit_code == 0, res.output
     data = json.loads(res.output)

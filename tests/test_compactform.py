@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from liekit.compactform import (CompactForm, TrigPoly, closed_form_vs_expm,
-                                d_coefficients, d_coefficients_dual,
-                                d_equals_dual_check,
+from liekit.compactform import (CompactForm, TrigPoly, closed_form_ode_check,
+                                closed_form_vs_expm, d_coefficients,
+                                d_coefficients_dual, d_equals_dual_check,
                                 exp_beta_factorization_check,
                                 gamma_string_product_check,
                                 gram_preservation_deviation, trig_multiple)
@@ -55,6 +55,32 @@ def test_trigpoly_normal_form(a):
     """Normal form keeps sin-degree at most 1."""
     sq = a * a
     assert all(sd <= 1 for (sd, _) in sq.c)
+
+
+def test_derivative_of_sin_and_cos_powers():
+    s, c = TrigPoly.sin(), TrigPoly.cos()
+    assert s.derivative() == c
+    assert c.derivative() == -s
+    assert TrigPoly.const(5).derivative() == TrigPoly()
+    # d(c^-2) = 2 s c^-3 and d(s c^-1) = c^-2 (tan' = sec^2)
+    assert TrigPoly.cos(-2).derivative() == TrigPoly({(1, -3): 2})
+    assert TrigPoly({(1, -1): 1}).derivative() == TrigPoly.cos(-2)
+
+
+@given(trig, trig)
+def test_derivative_is_a_derivation(a, b):
+    """The Leibniz rule on products, with d(s) = c and d(c) = -s, fixes
+    the derivative on the whole ring."""
+    assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+    assert (a + b).derivative() == a.derivative() + b.derivative()
+
+
+@given(trig, st.floats(0.1, 1.4))
+def test_derivative_matches_a_difference_quotient(a, t):
+    h = 1e-6
+    quotient = (a.evaluate(t + h) - a.evaluate(t - h)) / (2 * h)
+    assert abs(a.derivative().evaluate(t) - quotient) < 1e-4 * (
+        1 + sum(abs(float(v)) for v in a.c.values())) / math.cos(t) ** 4
 
 
 @given(st.integers(0, 6), st.floats(0.1, 3.0))
@@ -295,6 +321,7 @@ def test_d_coefficients_match_per_k_walks(series, rank):
 @pytest.mark.parametrize("series,rank", TYPES)
 def test_closed_form_exponentials(series, rank):
     cf = CompactForm(lie_algebra(series, rank))
+    assert closed_form_ode_check(cf) == (True, None)
     assert closed_form_vs_expm(cf) < 1e-10
 
 

@@ -6,8 +6,8 @@ products give M[e_i, e_j] and [M e_i, M e_j] for every j > i, compared with
 `dom.eq`.  It has two references: the sweep over `bracket_over`, which
 reduced every product in the domain, and the per-pair sweep it replaced,
 which took [M e_i, M e_j] with `table_bracket` and M[e_i, e_j] as a one-row
-`sp_mul` for each pair.  `CompactForm.phi_inverse` is D phi^H; the reference
-is the hand-built inverse.
+`sp_mul` for each pair.  D phi^H, kept here as `dagger_phi_inverse`, is
+compared with the hand-built inverse.
 
 The compact form walks root strings by object index through `alg.chev.sums`
 and `alg.gamma`, and holds every coefficient as an int; `closed_forms`
@@ -21,6 +21,12 @@ evaluate to the same floats.  The checks must give the same verdicts and witness
 every single gamma flip of A2, B2 and G2 and on every single gamma of B2
 doubled; the D coefficients must be equal with any one gamma of B2 or G2
 doubled or raised by 1, which makes some of them proper Fractions.
+
+`exp_beta_factorization_check` compares phi S with R phi by relabelling
+and scaling integer tables; the reference multiplies phi S phi^-1 and
+E_X h_X E_TX out over TRIG_QI.  The exact `closed_form_ode_check` has the
+float expm comparison as its oracle, and A^T K + K A = 0 is checked here as
+the exact twin of the Gram words.
 """
 
 import math
@@ -31,9 +37,10 @@ import pytest
 
 from liekit.chevgroup import ChevalleyGroup, random_group_element
 from liekit.compactform import (TRIG_QI, CompactForm, TrigPoly, _flip_sin,
-                                _fixed_columns, _gaussian, closed_form_vs_expm,
-                                closed_forms, d_coefficients,
-                                d_coefficients_dual, d_equals_dual_check,
+                                _fixed_columns, closed_form_ode_check,
+                                closed_form_vs_expm, closed_forms,
+                                d_coefficients, d_coefficients_dual,
+                                d_equals_dual_check,
                                 exp_beta_factorization_check,
                                 gamma_string_product_check,
                                 gram_preservation_deviation)
@@ -42,6 +49,7 @@ from liekit.exact import (QI, QQ, ZZ, GaussianRational, PrimeField, sp_add,
 from liekit.liealg import (first_bracket_failure, jacobi_sweep, lie_algebra,
                            table_bracket)
 from liekit.rootcat import RootCatObject
+from test_gaussian_oracle import _gaussian
 from test_liealg_oracle import ref_gamma_of
 
 
@@ -94,6 +102,14 @@ def pairwise_first_bracket_failure(src, dst, mat, dom):
                    for k in img.keys() | got.keys()):
                 return i, j
     return None
+
+
+def dagger_phi_inverse(cf):
+    """D phi^H, D = 1 on the m Cartan rows and 1/2 on the root rows."""
+    half = Fraction(1, 2)
+    return {r: {c: v.conjugate() * (half if r >= cf.m else 1)
+                for c, v in row.items()}
+            for r, row in sp_transpose(cf.phi_matrix()).items()}
 
 
 def reference_phi_inverse(cf):
@@ -406,15 +422,20 @@ def reference_closed_forms(cf):
     return out
 
 
-def reference_exp_beta_factorization_check(alg, cf):
+def reference_exp_beta_factorization_check(alg, cf, forms=None):
+    """phi S phi^-1 = E_X(tan t) h_X(sec t) E_TX(tan t) and its xi twin,
+    each side multiplied out over TRIG_QI; `forms` defaults to a fresh
+    build of the closed forms."""
+    if forms is None:
+        forms = reference_closed_forms(cf)
     grp = ChevalleyGroup(alg)
     phi = sp_map(cf.phi_matrix(), TrigPoly.const)
-    phiinv = sp_map(cf.phi_inverse(), TrigPoly.const)
+    phiinv = sp_map(reference_phi_inverse(cf), TrigPoly.const)
     tan = TrigPoly({(1, -1): GaussianRational(1)})
     itan = TrigPoly({(1, -1): QI.i})
     sec = TrigPoly({(0, -1): GaussianRational(1)})
     args = {"beta": (tan, tan), "xi": (itan, -itan)}
-    for gen, x, _, sym in reference_closed_forms(cf):
+    for gen, x, _, sym in forms:
         if gen == "alpha" or x.parity:
             continue
         lhs = sp_mul_many([phi, sp_map(sym, _gaussian), phiinv], TRIG_QI)
@@ -586,11 +607,15 @@ def test_row_sweep_returns_the_least_failing_j_of_a_row():
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3),
     ("D", 4), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)])
 def test_phi_inverse_is_the_hand_built_inverse(series, rank):
+    """D phi^H is the hand-built inverse, and inverts phi on both sides."""
     cf = CompactForm(lie_algebra(series, rank))
-    got, want = cf.phi_inverse(), reference_phi_inverse(cf)
+    got, want = dagger_phi_inverse(cf), reference_phi_inverse(cf)
     assert got == want
     assert all(isinstance(v, GaussianRational)
                for row in got.values() for v in row.values())
+    identity = {k: {k: QI.one} for k in range(cf.dim)}
+    phi = cf.phi_matrix()
+    assert sp_mul(phi, want, QI) == sp_mul(want, phi, QI) == identity
 
 
 def _items(mat):
@@ -777,3 +802,156 @@ def test_a_changed_algebra_builds_its_own_forms():
     _same_forms(got, reference_closed_forms(flip))
     assert [m for *_, m in got] != [m for *_, m in forms]
     _same_forms(closed_forms(cf), reference_closed_forms(cf))
+
+
+# ---------------------------------------------------------------------------
+# the exact exponential checks: the factorization by relabel-and-scale
+# against the reference that multiplies both sides out over TRIG_QI, and
+# the differential equation F' = ad(vec) F, F(0) = I against the float expm
+
+FACTOR_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("series,rank", FACTOR_TYPES, ids=_ids(FACTOR_TYPES))
+def test_factorization_matches_the_multiplied_out_reference(series, rank):
+    """The kept forms, which the index walks build equal to the reference's
+    (`test_index_walks_match_the_object_walks`), spare the reference a
+    rebuild."""
+    alg = lie_algebra(series, rank)
+    cf = CompactForm(alg)
+    got = exp_beta_factorization_check(alg, cf)
+    assert got == reference_exp_beta_factorization_check(
+        alg, cf, closed_forms(cf)) == (True, None)
+
+
+def test_factorization_matches_the_reference_on_d4_flipped():
+    alg = _flipped("D", 4, (0, 4))
+    cf = CompactForm(alg)
+    got = _outcome(exp_beta_factorization_check, alg, cf)
+    assert got == _outcome(reference_exp_beta_factorization_check, alg, cf)
+    assert got[0] is False
+
+
+@pytest.mark.parametrize("series,rank,rejected", [("A", 2, 10), ("B", 2, 21),
+                                                  ("G", 2, 54)])
+def test_ode_check_gives_the_expm_verdict_on_every_flip(series, rank,
+                                                        rejected):
+    """Every single gamma flip: the exact verdict is the float one, and the
+    flips it rejects are counted."""
+    count = 0
+    for key in sorted(lie_algebra(series, rank).gamma):
+        cf = CompactForm(_flipped(series, rank, key))
+        ok, witness = closed_form_ode_check(cf)
+        assert ok == (closed_form_vs_expm(cf) < 1e-10), key
+        assert (witness is None) == ok, key
+        count += not ok
+    assert count == rejected
+
+
+def test_ode_check_rejects_d4_flipped():
+    cf = CompactForm(_flipped("D", 4, (0, 4)))
+    ok, witness = closed_form_ode_check(cf)
+    assert ok is False and witness[2] == "ode"
+    assert closed_form_vs_expm(cf) >= 1e-10
+
+
+def _planted(cf, n, edit):
+    """cf with its n-th closed form replaced by edit(form matrix), the
+    other forms shared."""
+    forms = list(closed_forms(cf))
+    gen, x, vec, mat = forms[n]
+    forms[n] = gen, x, vec, edit({i: dict(row) for i, row in mat.items()})
+    cf._forms = forms
+    return gen, x
+
+
+def _form_index(cf, gen, k):
+    """The index in `closed_forms` of alpha_{S_k} or of the beta_X or xi_X
+    of the k-th positive root."""
+    return k if gen == "alpha" else cf.m + 3 * k + (gen == "xi")
+
+
+@pytest.mark.parametrize("series,rank", [("B", 2), ("G", 2), ("D", 4)])
+@pytest.mark.parametrize("gen", ["alpha", "beta", "xi"])
+def test_a_changed_closed_form_entry_is_rejected(series, rank, gen):
+    """s c added to one entry: the entry is still 0 at t = 0, so the
+    equation fails, and the factorization of beta_X or xi_X fails there as
+    in the reference."""
+    alg = lie_algebra(series, rank)
+    cf = CompactForm(alg)
+    n = _form_index(cf, gen, 1)
+    r = max(closed_forms(cf)[n][3])
+
+    def edit(mat):
+        mat[r][0] = mat[r].get(0, TrigPoly()) + TrigPoly({(1, 1): 1})
+        return mat
+    _, x = _planted(cf, n, edit)
+    ok, witness = closed_form_ode_check(cf)
+    assert ok is False and witness[:3] == (gen, x, "ode")
+    assert closed_form_vs_expm(cf) >= 1e-10
+    got = exp_beta_factorization_check(alg, cf)
+    want = reference_exp_beta_factorization_check(alg, cf, closed_forms(cf))
+    assert got == want
+    assert got == ((True, None) if gen == "alpha"
+                   else (False, (gen, x.pos_root)))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("gen", ["alpha", "beta", "xi"])
+def test_a_doubled_column_fails_only_at_t_0(series, rank, gen):
+    """F times diag(1, .., 2, .., 1) solves F' = ad(vec) F too; only F(0) = I
+    tells it from exp."""
+    cf = CompactForm(lie_algebra(series, rank))
+    n, j = _form_index(cf, gen, 0), cf.dim - 1
+
+    def edit(mat):
+        return {i: {c: v.scale(2) if c == j else v for c, v in row.items()}
+                for i, row in mat.items()}
+    gen, x = _planted(cf, n, edit)
+    assert closed_form_ode_check(cf) == (False, (gen, x, "initial", j))
+    assert closed_form_vs_expm(cf) >= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the exact Gram twin: exp(tA) preserves K iff A^T K + K A = 0
+
+def _gram_defect(cf, vec, gram, change=None):
+    """The rows of A^T K + K A with a nonzero entry, A = ad(vec) with
+    `change` (i, j) adding 1 to A[i][j], K the compact Gram as sparse rows.
+    Column j of A is [vec, e_j]."""
+    cols = {j: cf.bracket(vec, {j: 1}) for j in range(cf.dim)}
+    if change is not None:
+        i, j = change
+        cols[j] = {**cols[j], i: cols[j].get(i, 0) + 1}
+    rows = sp_transpose(cols)
+    out = {}
+    for j in range(cf.dim):
+        acc = {}
+        for i, a in cols[j].items():  # (A^T K)[j] = sum_i A[i][j] K[i]
+            for l, k in gram.get(i, {}).items():
+                acc[l] = acc.get(l, 0) + a * k
+        for i, k in gram.get(j, {}).items():  # (K A)[j] = sum_i K[j][i] A[i]
+            for l, a in rows.get(i, {}).items():
+                acc[l] = acc.get(l, 0) + k * a
+        if any(acc.values()):
+            out[j] = acc
+    return out
+
+
+GRAM_TYPES = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+              ("D", 4), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("series,rank", GRAM_TYPES, ids=_ids(GRAM_TYPES))
+def test_every_generator_is_skew_for_the_gram(series, rank):
+    """A^T K + K A = 0 for every closed-form generator, which is the exact
+    twin of `gram_preservation_deviation`; one entry of A changed off the
+    diagonal breaks it, since K[i][i] is not 0."""
+    cf = CompactForm(lie_algebra(series, rank))
+    gram = {i: {j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(cf.killing_gram())}
+    forms = closed_forms(cf)
+    assert all(not _gram_defect(cf, vec, gram) for _, _, vec, _ in forms)
+    vec = forms[cf.m][2]
+    assert _gram_defect(cf, vec, gram, change=(0, cf.dim - 1))

@@ -14,8 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from liekit.compactform import TrigPoly, _gaussian
+from liekit.compactform import TrigPoly
 from liekit.exact import QI, GaussianRational
+
+
+def _gaussian(tp):
+    """A rational-coefficient TrigPoly with its coefficients in Q(i)."""
+    return tp.scale(QI.one)
 
 
 def _ref_embed(v):
