@@ -8,7 +8,10 @@ Laurent-polynomial ring Z[t^{+-1}, s^{+-1}], on a `LaurentGroup`: every
 argument the proofs use is a monomial c t^a s^b or the sum t + s, so each
 generator is an integer matrix whose column keys (col, et, es) carry the
 exponents, E_X(c t^a s^b) putting c^k times entry (i, j) of M_k at (i, (j,
-ka, kb)), and the torus conjugation only moves keys.  Evaluation at a unit
+ka, kb)), and the torus conjugation only moves keys.  n_X(u) is built once
+per object over Z[u^{+-1}], and n_X at any monomial is the substitution of
+that monomial for u, with no further product; conjugation by n_X(t) is one
+pass over the entries of the conjugated matrix.  Evaluation at a unit
 point of Q or F_p is a ring homomorphism, so a proved identity holds at
 every point: a sample point evaluates (`ek_at`) only the two sides of a
 proof that failed, and names that proof where they differ.
@@ -118,8 +121,12 @@ class LaurentGroup:
     and exponents (a, b); n inverts its argument, so there c is +-1, and h
     is taken at t^a s^b.  Every generator is a relabelling of the integer
     exp table or of the torus exponents: entry v of M_k in E_X(c t^a s^b)
-    goes to the key (col, k a, k b) with value c^k v.  E and n are memoised
-    by (index, c, a, b).
+    goes to the key (col, k a, k b) with value c^k v.  n_X(u) = E_X(u)
+    E_TX(u^{-1}) E_X(u) takes two products once per object, as the memo
+    entry at (c, a, b) = (1, 1, 0), whose keys are (col, e, 0); at any other
+    monomial n is the substitution u = c t^a s^b (`_substituted`), a ring
+    map, with no product.  Conjugation by n_X(t) is one pass over the
+    entries of M (`conj_by_n`).  E and n are memoised by (index, c, a, b).
     """
 
     def __init__(self, grp):
@@ -177,18 +184,83 @@ class LaurentGroup:
                 for i, row in mat.items()}
 
     def n(self, ix, c, a, b):
-        """E_X(m) E_TX(m^{-1}) E_X(m) for m = c t^a s^b, c = +-1."""
+        """E_X(m) E_TX(m^{-1}) E_X(m) for m = c t^a s^b, c = +-1: n_X(u)
+        at u = m, entry v at (col, e, 0) going to (col, e a, e b) with
+        value c^e v."""
+        if c not in (1, -1):
+            raise ValueError(f"n_X(c t^a s^b) needs c = +-1, not {c}")
         key = ("n", ix, c, a, b)
         out = self._memo.get(key)
         if out is None:
-            itx = self.cat.index(self.cat.shift(self.cat.objects[ix]))
-            e1 = self.E(ix, c, a, b)
-            out = self._memo[key] = self.mul(e1, self.E(itx, c, -a, -b), e1)
+            if (c, a, b) == (1, 1, 0):  # n_X(u), by two products
+                itx = self.cat.index(self.cat.shift(self.cat.objects[ix]))
+                e1 = self.E(ix, 1, 1, 0)
+                out = self.mul(e1, self.E(itx, 1, -1, 0), e1)
+            else:
+                out = _substituted(self.n(ix, 1, 1, 0), c, a, b)
+            self._memo[key] = out
         return out
 
     def n_inv(self, ix, c, a, b):
         """n_X(m)^{-1} = n_X(-m), sharing its memo entry."""
         return self.n(ix, -c, a, b)
+
+    def conj_by_n(self, ix, mat):
+        """n_X(t) M n_X(t)^{-1} in one pass, with no product formed between.
+
+        Each entry of row i of n_X(t), at column k, each entry of row k of
+        M, at column l, and each entry of row l of n_X(-t) add their product
+        at the column of the last and the sums of the three exponents.  No
+        shape of n_X is assumed; its rows and those of n_X(-t) are listed
+        once per object.  Rows end as in `ek_mul`, so the result is `==` to
+        the product of the three."""
+        rows = self._memo.get(("conj", ix))
+        if rows is None:
+            rows = self._memo["conj", ix] = (
+                [(i, tuple(r.items())) for i, r in self.n(ix, 1, 1, 0).items()],
+                {k: tuple(r.items()) for k, r in self.n(ix, -1, 1, 0).items()})
+        n_rows, inv_rows = rows
+        out = {}
+        for i, nrow in n_rows:
+            acc = {}
+            for (k, at, as_), nv in nrow:
+                mrow = mat.get(k)
+                if not mrow:
+                    continue
+                for (l, mt, ms), mv in mrow.items():
+                    irow = inv_rows.get(l)
+                    if not irow:
+                        continue
+                    et, es, v = at + mt, as_ + ms, nv * mv
+                    for (j, bt, bs), bv in irow:
+                        key = j, et + bt, es + bs
+                        if key in acc:
+                            acc[key] += v * bv
+                        else:
+                            acc[key] = v * bv
+            if not all(acc.values()):
+                acc = {key: v for key, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return out
+
+
+def _substituted(mat, c, a, b):
+    """The exponent-keyed `mat`, a matrix over Z[u^{+-1}] with keys (col,
+    e, 0), at u = c t^a s^b for c = +-1: entry v goes to (col, e a, e b)
+    with value c^e v, which is c v for odd e.  Keys meet only when a = b =
+    0; there they are summed and zeros dropped."""
+    out = {}
+    for i, row in mat.items():
+        r = {}
+        for (j, e, _), v in row.items():
+            jk = j, e * a, e * b
+            if e & 1:
+                v *= c
+            r[jk] = r[jk] + v if jk in r else v
+        if r := {jk: v for jk, v in r.items() if v}:
+            out[i] = r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +298,7 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     objs = cat.objects
     lg = LaurentGroup(grp)
     idx = range(len(objs))
-    # t = (1, 1, 0) and s = (1, 0, 1) as (c, a, b) of c t^a s^b
-    n_t = [lg.n(ix, 1, 1, 0) for ix in idx]
-    n_t_inv = [lg.n_inv(ix, 1, 1, 0) for ix in idx]
+    # s = (1, 0, 1) as (c, a, b) of c t^a s^b
     n_s = [lg.n(ix, 1, 0, 1) for ix in idx]
     E_s = [lg.E(ix, 1, 0, 1) for ix in idx]
     h_t = [lg.h(ix, 1, 0) for ix in idx]
@@ -242,7 +312,7 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
             iw = cat.index(cat.omega(x, y))
             A = cat.A(x, y)
             # (1) n_X(t) E_Y(s) n_X(t)^{-1} = E_{omega}(eta t^{-A} s)
-            lhs = lg.mul(n_t[ix], E_s[iy], n_t_inv[ix])
+            lhs = lg.conj_by_n(ix, E_s[iy])
             got = None
             for e in (1, -1):
                 if lhs == lg.E(iw, e, -A, 1):
@@ -257,11 +327,11 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
                 failures.append(("h_E_conj", ix, iy))
             # (3) n_X(t) n_Y(s) n_X(t)^{-1} = n_{omega}(eta t^{-A} s)
             if got is not None:
-                lhs = lg.mul(n_t[ix], n_s[iy], n_t_inv[ix])
+                lhs = lg.conj_by_n(ix, n_s[iy])
                 if lhs != lg.n(iw, got, -A, 1):
                     failures.append(("n_n_conj", ix, iy))
             # (4) n_X(t) h_Y(s) n_X(t)^{-1} = h_{omega}(s)
-            lhs = lg.mul(n_t[ix], h_s[iy], n_t_inv[ix])
+            lhs = lg.conj_by_n(ix, h_s[iy])
             if lhs != h_s[iw]:
                 failures.append(("n_h_conj", ix, iy))
             # (5) h_X(t) h_Y(s) = h_Y(s) h_X(t)
@@ -391,8 +461,8 @@ def steinberg_report(alg, primes=(2, 3, 5, 7, 11, 13), samples=10,
             ("additive", lg.mul(lg.E(ix, 1, 1, 0), lg.E(ix, 1, 0, 1)),
              lg.E_sum(ix)),
             ("h_mult", lg.mul(lg.h(ix, 1, 0), lg.h(ix, 0, 1)), lg.h(ix, 1, 1)),
-            ("n_self", lg.mul(lg.n(ix, 1, 1, 0), lg.E(ix, 1, 0, 1),
-                              lg.n_inv(ix, 1, 1, 0)), lg.E(itx, 1, -2, 1))]
+            ("n_self", lg.conj_by_n(ix, lg.E(ix, 1, 0, 1)),
+             lg.E(itx, 1, -2, 1))]
         failed += [((name, ix), lhs, rhs)
                    for name, lhs, rhs in proofs if lhs != rhs]
 

@@ -12,6 +12,7 @@ over QQ or a `PrimeField`, torus conjugation a full product with
 h_X(t^-1), and every commutator product started from the identity.  Both
 must give equal reports: on healthy algebras, on every algebra with one
 structure constant flipped (all 12 of A2 in tier 1, all 24 of B2 under
+`slow`), on B3 and on D4 with gamma(0, 4) flipped (conjugation, under
 `slow`), and on a group with a changed exponential table, whose Steinberg
 failure lists at the points of Q and F_p must be non-empty.
 """
@@ -249,26 +250,32 @@ def ref_steinberg(alg, primes, samples, seed, grp=None):
             "prime_failures": prime_failures}
 
 
+FLIPS = {"B2-flip": ("B2", (7, 4)), "D4-flip": ("D4", (0, 4))}
+
+
 def _algebra(case):
-    """A2, B2, G2, or B2 with gamma(7, 4) flipped as `verify --mutate-gamma`."""
-    if case != "B2-flip":
-        return lie_algebra(case[0], int(case[1]))
-    alg = lie_algebra("B", 2)
-    il, g = alg.gamma[(7, 4)]
-    return alg.with_gamma({(7, 4): (il, -g)})
+    """A type such as A2, or one of `FLIPS`: a type with one gamma flipped
+    as `verify --mutate-gamma` does."""
+    name, key = FLIPS.get(case, (case, None))
+    alg = lie_algebra(name[0], int(name[1]))
+    if key is None:
+        return alg
+    il, g = alg.gamma[key]
+    return alg.with_gamma({key: (il, -g)})
 
 
 CASES = ["A2", "B2", "G2", "B2-flip"]
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", CASES + [
+    pytest.param(case, marks=pytest.mark.slow) for case in ("B3", "D4-flip")])
 def test_conjugation_matches_reference(case):
     alg = _algebra(case)
     got = verify_conjugation_relations(alg, samples=2, seed=11)
     want = ref_conjugation(alg, samples=2, seed=11)
     for key in want:
         assert got[key] == want[key], key
-    assert got["ok"] is (case != "B2-flip")
+    assert got["ok"] is (case not in FLIPS)
 
 
 @pytest.mark.parametrize("case", CASES)
