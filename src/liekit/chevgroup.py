@@ -383,11 +383,11 @@ def commutator_constants(alg, x, y, lg=None):
     ix, iy = cat.index(x), cat.index(y)
     R = lg.mul(lg.E(ix, 1, 1, 0), lg.E(iy, 1, 0, 1),
                lg.E(ix, -1, 1, 0), lg.E(iy, -1, 0, 1))
-    cands = sorted((i, j) for i in range(1, 6) for j in range(1, 6)
-                   if cat.chain_object(x, y, i, j) is not None)
     out = []
-    for (i, j) in cands:
+    for i, j in iproduct(range(1, 6), repeat=2):  # lexicographic
         lobj = cat.chain_object(x, y, i, j)
+        if lobj is None:
+            continue
         il = cat.index(lobj)
         coef = {}
         for r, row in R.items():
@@ -395,20 +395,15 @@ def commutator_constants(alg, x, y, lg=None):
                 if et == i and es == j:
                     coef.setdefault(r, {})[c] = v
         adl = alg.ad_matrix(il)
-        # ratio against the first nonzero ad entry, then full proportionality
-        C = Fraction(0)
-        for r, row in adl.items():
-            for c, v in row.items():
-                C = Fraction(coef.get(r, {}).get(c, Fraction(0)), v)
-                break
-            break
-        for r in set(adl) | set(coef):
-            cols = set(adl.get(r, {})) | set(coef.get(r, {}))
-            for c in cols:
-                if coef.get(r, {}).get(c, Fraction(0)) != C * adl.get(r, {}).get(c, 0):
-                    raise ArithmeticError(
-                        f"commutator coefficient of t^{i}s^{j} is not "
-                        f"proportional to a root operator")
+        # the ratio against the first ad entry, then proportionality at once
+        r0, row0 = next(iter(adl.items()))
+        c0, v0 = next(iter(row0.items()))
+        C = Fraction(coef.get(r0, {}).get(c0, 0), v0)
+        if coef != ({r: {c: C * v for c, v in row.items()}
+                     for r, row in adl.items()} if C else {}):
+            raise ArithmeticError(
+                f"commutator coefficient of t^{i}s^{j} is not "
+                f"proportional to a root operator")
         if C.denominator != 1:
             raise ArithmeticError("non-integer commutator constant")
         C = int(C)

@@ -3,9 +3,9 @@
 Basis: alpha over the simple objects, then (beta, xi) per positive root.
 The defining brackets only involve the A-pairing and the gamma constants,
 read by object index (object 2k + e is the positive root k with parity e,
-so T is `ix ^ 1`); root strings are walked through the class-sum rows
-`alg.chev.sums`, which do not depend on gamma.  Every coefficient is an
-int, since in a Chevalley basis ad(e)^j / j! is integral (Humphreys,
+so T is `ix ^ 1`); root strings are walks `rs.walk` on the class-sum table
+`rs.sums`, which does not depend on gamma.  Every coefficient is an int,
+since in a Chevalley basis ad(e)^j / j! is integral (Humphreys,
 *Introduction to Lie Algebras*, 25.5); a changed gamma table may leave an
 exact Fraction.  One-parameter subgroups exp(t ad alpha_X), exp(t ad
 beta_X), exp(t ad xi_X) have closed forms whose entries live in the
@@ -160,16 +160,20 @@ TRIG_QI = TrigDomain(GaussianRational(1))
 
 def _chain(alg, ix, iy):
     """The X-chain from Y, by index: the objects L_0 = Y, L_1, ... of class
-    zeta_Y + l zeta_X up to the end of the string, and the steps
-    gamma_{X, L_l}^{L_{l+1}} between them."""
-    sums = alg.chev.sums[ix]
-    objs, steps = [iy], []
-    while iy in sums:
-        nxt = sums[iy]
-        steps.append(alg._gamma_to(ix, iy, nxt))
-        objs.append(nxt)
-        iy = nxt
+    zeta_Y + l zeta_X up to the end of the string (`RootSystem.walk`), and
+    the steps gamma_{X, L_l}^{L_{l+1}} between them."""
+    objs, steps = alg.rs.walk(ix, iy), []
+    for il in objs[1:]:
+        steps.append(alg._gamma_to(ix, iy, il))
+        iy = il
     return objs, steps
+
+
+def _dual_chains(alg, ix, iy):
+    """The steps up the X-chain from Y to L_q, and those up the X-chain
+    from TL_q to TL_{-p}."""
+    highs, up = _chain(alg, ix, iy)
+    return up, _chain(alg, ix, highs[-1] ^ 1)[1]
 
 
 def _chain_coeff(steps):
@@ -208,8 +212,7 @@ def d_coefficients_dual(alg, ix, iy):
     """{k: D'_{X,Y,k}}, equal to `d_coefficients` by a trigonometric
     identity, from one walk up the X-chain from Y to L_q and one up the
     X-chain from TL_q to TL_{-p}."""
-    highs, up = _chain(alg, ix, iy)
-    _, tup = _chain(alg, ix, highs[-1] ^ 1)
+    up, tup = _dual_chains(alg, ix, iy)
     q = len(up)
     p = len(tup) - q
     out = {}
@@ -229,13 +232,13 @@ def gamma_string_product_check(alg):
     (-1)^{j-k} (q-k)! j! / ((q-j)! k!); returns (ok, witness).  The product
     is gamma_{X,L_l}^{L_{l+1}} over k <= l < j, read up the X-chain from Y,
     times gamma_{X,TL_l}^{TL_{l-1}} over k < l <= j, read up the X-chain
-    from TL_q, as in `d_coefficients_dual`."""
-    sums, objects = alg.chev.sums, alg.objects
+    from TL_q (`_dual_chains`, as in `d_coefficients_dual`)."""
+    sums, objects = alg.rs.sums, alg.objects
     for ix, iy in product(range(alg.n_u), repeat=2):
-        if ix >> 1 == iy >> 1 or iy in sums[ix ^ 1]:  # one root, or p_XY > 0
+        # one root, p_XY > 0, or q_XY = 0 (only k = j = 0: both products empty)
+        if ix >> 1 == iy >> 1 or iy in sums[ix ^ 1] or iy not in sums[ix]:
             continue
-        highs, up = _chain(alg, ix, iy)
-        _, tup = _chain(alg, ix, highs[-1] ^ 1)
+        up, tup = _dual_chains(alg, ix, iy)
         q = len(up)
         for k in range(q + 1):
             for j in range(k, q + 1):
@@ -304,7 +307,7 @@ class CompactForm:
         the class sums L of (X, Y) and M of (X, TY) come from `sums` and
         each gamma_{XY}^L from `alg.gamma`."""
         m, cat, alg = self.m, self.cat, self.alg
-        sums = alg.chev.sums
+        sums = alg.rs.sums
         table = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
 
         def put(i, j, vec):

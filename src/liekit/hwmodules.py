@@ -203,11 +203,11 @@ class WeightModule:
         return True, None
 
 
-# the largest module `build_irrep` builds unless asked for a larger one
+# the largest module `build_irrep` builds
 DIM_CAP = 5000
 
 
-def irrep_columns(cartan, lam, cap=DIM_CAP):
+def irrep_columns(cartan, lam):
     """V(lam) on integers: (E, F, weights, weight_of) with E[j] and F[i]
     held by columns, {g: (N, d)}, each column an integer dict N over one
     denominator d in lowest terms (`ff_column`), and integer weight Grams.
@@ -223,9 +223,9 @@ def irrep_columns(cartan, lam, cap=DIM_CAP):
     if any(v < 0 for v in lam):
         raise ValueError("weight is not dominant")
     wdim = weyl_dim(cartan, lam)
-    if wdim > cap:
+    if wdim > DIM_CAP:
         raise ValueError(
-            f"Weyl dimension {wdim} exceeds the configured cap {cap}")
+            f"Weyl dimension {wdim} exceeds the configured cap {DIM_CAP}")
     m = len(cartan.a)
     # E[j][g] is column g of E_j; F[i][b] is column b of F_i
     E = [{} for _ in range(m)]
@@ -311,8 +311,8 @@ def irrep_columns(cartan, lam, cap=DIM_CAP):
             if not pivots:
                 continue
             basis = list(range(nglobal, nglobal + len(pivots)))
-            if basis[-1] >= cap:
-                raise ValueError(f"module exceeded the configured cap {cap}")
+            if basis[-1] >= DIM_CAP:
+                raise ValueError(f"module exceeded the configured cap {DIM_CAP}")
             weight_of.extend([fund] * len(pivots))
             weights[depth] = {"fund": fund, "basis": basis, "gram": gram,
                               "raw_labels": list(cands)}
@@ -342,11 +342,11 @@ def _fraction_rows(cols):
     return out
 
 
-def build_irrep(cartan, lam, cap=DIM_CAP):
+def build_irrep(cartan, lam):
     """The irreducible `WeightModule` with highest weight lam, built on
     integers by `irrep_columns`.  `Fraction`s are made only here, at the
     boundary: the entries of E, F and of every weight's Gram."""
-    E, F, weights, weight_of = irrep_columns(cartan, lam, cap)
+    E, F, weights, weight_of = irrep_columns(cartan, lam)
     for data in weights.values():
         data["gram"] = [[Fraction(v) for v in row] for row in data["gram"]]
     # in place, so that each matrix's integer columns go as it is converted

@@ -6,11 +6,11 @@ simple objects.  The structure constants gamma_{XY}^L have magnitude p+1
 construction of Chevalley constants N_{alpha,beta} on the underlying root
 system (Carter, *Simple Groups of Lie Type*, 4.1-4.2).  The construction
 works on indices: object 2k + e is the positive root k with parity e, so T
-is `ix ^ 1` and the class of an object is the root of its index.  One pass
-over the unordered positive pairs alpha < beta looks up alpha + beta and
-alpha - beta and gives each object its row {Y: L} of class sums; every
-mixed-sign N is rotated to a same-sign one by exact integer division, which
-raises `ArithmeticError` if it does not divide.  Antisymmetry and class
+is `ix ^ 1` and the class of an object is the root of its index.  Each
+object's row {Y: L} of class sums is the root system's table `rs.sums`,
+and each p is one walk `rs.walk` down a root string; every mixed-sign N
+is rotated to a same-sign one by exact integer division, which raises
+`ArithmeticError` if it does not divide.  Antisymmetry and class
 grading hold by construction; `structure_constants` re-verifies the
 gamma*gamma range and the triangle-sign law on every pair whose class sum
 is a root, reading gamma by index, and aborts on a violation.  Jacobi is
@@ -45,7 +45,6 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, sub
 
 from .exact import ZZ, sp_mul, sp_transpose
 from .rootcat import RootCategory, root_category
@@ -181,37 +180,23 @@ class ChevalleyConstants:
     """N_{x,y} for all pairs of roots whose sum is a root, built by height
     induction on the positive pairs.
 
-    A root is named by the index 2k + e: rs.positive[k] for e = 0 and its
-    negative for e = 1, the class of the root-category object of that
-    index, so negation is `x ^ 1`.  One pass over the unordered positive
-    pairs a < b looks up alpha + beta and alpha - beta and fills
-    `sums[x] = {y: index of x + y}`, each row in ascending y.  Extraspecial
-    pairs get N = p+1; remaining special pairs are solved from the standard
-    zero-sum Jacobi identities.  Conventions: [e_a, e_b] = N_{a,b} e_{a+b},
-    [e_a, e_{-a}] = h_a, N_{-a,-b} = -N_{a,b}.
+    A root is named by its root index 2k + e (`RootSystem`), the index of
+    the root-category object of that class, so negation is `x ^ 1`.  The
+    class sums are the root system's table `sums = rs.sums`, {y: index of
+    x + y} per x in ascending y, and root strings are `rs.walk`.
+    Extraspecial pairs get N = p+1; remaining special pairs are solved from
+    the standard zero-sum Jacobi identities.  Conventions: [e_a, e_b] =
+    N_{a,b} e_{a+b}, [e_a, e_{-a}] = h_a, N_{-a,-b} = -N_{a,b}.
     """
 
     def __init__(self, rs):
-        pos = rs.positive
-        index = {}
-        for k, r in enumerate(pos):
-            index[r], index[tuple(-c for c in r)] = 2 * k, 2 * k + 1
-        self.d = [rs.root_d(r) for r in pos for _ in (0, 1)]  # (v, v) = 2 d_v
-        rows = [{} for _ in index]
-        pairs = [[] for _ in pos]  # the positive pairs of each sum, by alpha
-        for a, alpha in enumerate(pos):
-            x = 2 * a
-            for b in range(a + 1, len(pos)):
-                beta = pos[b]
-                for y, v in ((2 * b, map(add, alpha, beta)),
-                             (2 * b + 1, map(sub, alpha, beta))):
-                    s = index.get(tuple(v))
-                    if s is not None:
-                        rows[x][y] = rows[y][x] = s
-                        rows[x ^ 1][y ^ 1] = rows[y ^ 1][x ^ 1] = s ^ 1
-                        if not y & 1:
-                            pairs[s >> 1].append((x, y))
-        self.sums = [dict(sorted(row.items())) for row in rows]
+        self.rs, self.sums = rs, rs.sums
+        self.d = [rs.root_d(r) for r in rs.positive for _ in (0, 1)]  # (v, v) = 2 d_v
+        pairs = [[] for _ in rs.positive]  # the positive pairs of each sum, by alpha
+        for x in range(0, len(self.sums), 2):
+            for y, s in self.sums[x].items():
+                if y > x and not y & 1:
+                    pairs[s >> 1].append((x, y))
         self._n = {}  # N_{alpha,beta} on the positive pairs alpha < beta
         for k, found in enumerate(pairs):
             if found:
@@ -223,10 +208,7 @@ class ChevalleyConstants:
 
     def _p(self, x, y):
         """The largest p with y - p x a root."""
-        p, minus = 0, self.sums[x ^ 1]
-        while y in minus:
-            p, y = p + 1, minus[y]
-        return p
+        return len(self.rs.walk(x ^ 1, y)) - 1
 
     def _solve_special(self, gamma, alpha, beta, xi, eta):
         """Jacobi coefficient identity with (b,c,d) = (-xi, -eta, beta):

@@ -2,8 +2,8 @@
 
 Indecomposables are (positive root, parity) pairs; the shift T flips parity.
 Everything the downstream constructions need — Grothendieck classes, the
-symmetric Euler form, extension chains L_{X,Y,i,j}, the exponents p/q and the
-omega symbol — is root-lattice arithmetic on classes.
+symmetric Euler form, extension chains L_{X,Y,i,j} — is root-lattice
+arithmetic on classes; p/q and omega are root-string walks on indices.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootdata import build_cartan, root_string, root_system, RootSystem
+from .rootdata import build_cartan, root_system, RootSystem
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class RootCategory:
     def __init__(self, series, rank):
         self.cartan = build_cartan(series, rank)
         self.rs: RootSystem = root_system(series, rank)
-        # object 2k + parity lies over rs.positive[k], so the index of TX is
-        # that of X ^ 1; the Lie algebra's index-built tables rely on it
+        # object 2k + parity lies over rs.positive[k]: its index is the root
+        # index of its class and TX's is X's ^ 1; index-built code relies on it
         self.objects = [RootCatObject(r, p)
                         for r in self.rs.positive for p in (0, 1)]
         self._index = {x: k for k, x in enumerate(self.objects)}
@@ -82,17 +82,18 @@ class RootCategory:
         """(p_XY, q_XY): extents of the zeta_X-chain through zeta_Y."""
         if x.pos_root == y.pos_root:
             raise ValueError("p/q undefined for X isomorphic to Y or TY")
-        return root_string(self.rs, x.cls, y.cls)
+        ix, iy = self._index[x], self._index[y]
+        return len(self.rs.walk(ix ^ 1, iy)) - 1, len(self.rs.walk(ix, iy)) - 1
 
     def omega(self, m, n):
         """The omega_M(N) symbol: TN on the degenerate diagonal, else the
-        reflected chain endpoint."""
+        reflected chain endpoint, q - p steps up the zeta_M-chain from N."""
         if m.pos_root == n.pos_root:
             return self.shift(n)
-        p, q = self.pq(m, n)
-        if p - q > 0:
-            return self.chain_object(self.shift(m), n, p - q, 1)
-        return self.chain_object(m, n, q - p, 1)
+        im, i_n = self._index[m], self._index[n]
+        down, up = self.rs.walk(im ^ 1, i_n), self.rs.walk(im, i_n)
+        k = len(up) - len(down)  # q - p
+        return self.objects[up[k] if k >= 0 else down[-k]]
 
 
 @lru_cache(maxsize=None)

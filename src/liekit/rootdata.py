@@ -3,8 +3,8 @@
 The order of the Weyl group is read off the root heights rather than by
 enumerating W: if n_k positive roots have height k, the exponent k occurs
 n_k - n_{k+1} times, and |W| is the product of (exponent + 1) (Kostant).
-Root strings (`root_string`) serve the Chevalley constants and the p/q
-exponents of the root category alike.
+The root-string walk `RootSystem.walk` serves the root category's p/q and
+omega, the Chevalley constants and the compact form alike.
 
 Conventions fixed here and used by every other module:
 
@@ -23,8 +23,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import mul
+from functools import cached_property, lru_cache
+from operator import add, mul, sub
 
 SERIES_RANKS = {
     "A": lambda n: n >= 1,
@@ -120,7 +120,8 @@ def build_cartan(series, rank):
 
 
 class RootSystem:
-    """Full root set, closed under simple reflections, with fast membership."""
+    """Full root set, closed under simple reflections, with fast membership;
+    root index 2k + e is positive[k], negated for e = 1 (negation is x ^ 1)."""
 
     def __init__(self, cartan):
         self.cartan = cartan
@@ -173,6 +174,36 @@ class RootSystem:
         """Symmetrizer d_alpha = (alpha|alpha)/2 of a root (1 for short)."""
         return self._d[tuple(v)]
 
+    @cached_property
+    def sums(self):
+        """sums[x] = {y: index of x + y} by root index, rows in ascending y,
+        from one pass over the positive pairs a < b (alpha +- beta)."""
+        pos = self.positive
+        index = {}
+        for k, r in enumerate(pos):
+            index[r], index[tuple(-c for c in r)] = 2 * k, 2 * k + 1
+        rows = [{} for _ in index]
+        for a, alpha in enumerate(pos):
+            x = 2 * a
+            for b in range(a + 1, len(pos)):
+                beta = pos[b]
+                for y, v in ((2 * b, map(add, alpha, beta)),
+                             (2 * b + 1, map(sub, alpha, beta))):
+                    s = index.get(tuple(v))
+                    if s is not None:
+                        rows[x][y] = rows[y][x] = s
+                        rows[x ^ 1][y ^ 1] = rows[y ^ 1][x ^ 1] = s ^ 1
+        return [dict(sorted(row.items())) for row in rows]
+
+    def walk(self, x, y):
+        """[y, y + x, y + 2x, ...] by root index, to the last root: so
+        p, q = len(walk(x ^ 1, y)) - 1, len(walk(x, y)) - 1."""
+        out, row = [y], self.sums[x]
+        while y in row:
+            y = row[y]
+            out.append(y)
+        return out
+
     def weyl_order(self):
         """|W| = prod (e + 1) over the exponents e; exponent k occurs
         n_k - n_{k+1} times, n_k being the number of positive roots of
@@ -188,32 +219,12 @@ def root_system(series, rank):
 
 
 def parse_type(name):
-    """'G2' -> ('G', 2)."""
+    """'G2' -> ('G', 2); outer spaces aside, only an ASCII letter and ASCII
+    digits (`int` would also take a sign, '_' or a non-ASCII digit)."""
     name = name.strip()
-    if len(name) < 2 or not name[0].isalpha():
+    if not (name.isascii() and name[:1].isalpha() and name[1:].isdigit()):
         raise ValueError(f"bad type name {name!r}")
     return name[0].upper(), int(name[1:])
-
-
-def root_string(rs, alpha, beta):
-    """(p, q): p = max r with beta - r*alpha a root, q = max s likewise up.
-
-    beta must not be proportional to alpha.
-    """
-    alpha, beta = tuple(alpha), tuple(beta)
-    if beta == alpha or beta == tuple(-c for c in alpha):
-        raise ValueError("root string through +-alpha is undefined here")
-    p = 0
-    cur = tuple(b - a for a, b in zip(alpha, beta))
-    while rs.contains(cur):
-        p += 1
-        cur = tuple(c - a for a, c in zip(alpha, cur))
-    q = 0
-    cur = tuple(b + a for a, b in zip(alpha, beta))
-    while rs.contains(cur):
-        q += 1
-        cur = tuple(c + a for a, c in zip(alpha, cur))
-    return p, q
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,35 @@ def test_commutator_constants_a2():
         a + b for a, b in zip(x.cls, y.cls))
 
 
+def _doubled(ad, dim):
+    return {r: {c: 2 * v for c, v in row.items()} for r, row in ad.items()}
+
+
+def _zero_cell_first(ad, dim):
+    r = min(set(range(dim)) - set(ad))  # a row where ad, and so R, is 0
+    return {r: {r: 1}, **ad}
+
+
+@pytest.mark.parametrize("plant,message", [
+    (_doubled, "non-integer commutator constant"),
+    (_zero_cell_first, "not proportional")])
+def test_commutator_constants_refuses_a_planted_chain_operator(
+        monkeypatch, plant, message):
+    """On A2 with ad of the chain root planted: doubled, the t s coefficient
+    is +-1/2 times it, proportional but not integral; with a first entry in
+    a row where the coefficient is 0, the ratio is 0 and the nonzero
+    coefficient is not proportional."""
+    alg = lie_algebra("A", 2).with_gamma({})
+    cat = alg.cat
+    x, y = cat.objects[0], cat.objects[2]
+    il = cat.index(cat.chain_object(x, y, 1, 1))
+    ad = alg.ad_matrix
+    monkeypatch.setattr(alg, "ad_matrix", lambda i: (
+        plant(ad(i), alg.dim) if i == il else ad(i)))
+    with pytest.raises(ArithmeticError, match=message):
+        commutator_constants(alg, x, y)
+
+
 def test_steinberg_b2():
     rep = steinberg_report(lie_algebra("B", 2), primes=(2, 5), samples=4)
     assert rep["ok"], rep

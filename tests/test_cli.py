@@ -31,6 +31,19 @@ def test_invalid_type_is_usage_error():
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("name", ["A1_0", "E 6", "G+2", "A\uff12"])
+def test_coerced_type_name_is_usage_error(name):
+    """A rank that `int` would coerce is refused, not read as another type
+    (A1_0 would run as A10)."""
+    res = run("roots", "--type", name)
+    assert res.exit_code == 2
+    assert "bad type name" in res.output
+
+
+def test_type_name_with_outer_spaces_runs():
+    assert json.loads(run("roots", "--type", " g2 ").output)["type"] == "G2"
+
+
 def test_csv_emission():
     res = run("roots", "--type", "A1", "--emit", "csv")
     assert res.exit_code == 0
@@ -317,9 +330,11 @@ def test_verify_modules_f4():
 
 
 @pytest.mark.parametrize("type_name", [
-    "B3", "C3", "F4", pytest.param("E6", marks=pytest.mark.slow)])
+    "B3", "C3", "B4", "C4", "D4", "D5", "F4",
+    pytest.param("E6", marks=pytest.mark.slow)])
 def test_verify_group_rank_3_and_up(type_name):
-    """Conjugation and Steinberg relations pass on B3, C3, F4 and E6."""
+    """Conjugation and Steinberg relations pass on B3, C3, B4, C4, D4, D5,
+    F4 and E6."""
     res = run("verify", "group", "--type", type_name)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["ok"] is True

@@ -38,8 +38,9 @@ from liekit.compactform import CompactForm
 from liekit.liealg import (ChevalleyConstants, jacobi_sweep, lie_algebra,
                            structure_constants)
 from liekit.rootcat import root_category
-from liekit.rootdata import root_string, root_system
+from liekit.rootdata import root_system
 from test_liealg import ALL
+from test_rootdata import root_string
 
 
 def reference_killing_gram(alg):

@@ -3,6 +3,7 @@
 import pytest
 
 from liekit.rootcat import RootCategory, root_category
+from test_rootdata import root_string
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("G", 2)]
@@ -83,3 +84,32 @@ def test_omega_reflection(series, rank):
                 zn = [(-1 if n.parity else 1) * c for c in n.pos_root]
                 want = reflect_in_root(rs, zm, zn)
                 assert w.cls == tuple(want)
+
+
+def reference_omega(cat, m, n):
+    """omega_M(N) on the tuple `root_string` and `chain_object`: TN on the
+    diagonal, else p - q steps down the zeta_M-chain from N if p > q, and
+    q - p steps up it otherwise."""
+    if m.pos_root == n.pos_root:
+        return cat.shift(n)
+    p, q = root_string(cat.rs, m.cls, n.cls)
+    if p > q:
+        return cat.chain_object(cat.shift(m), n, p - q, 1)
+    return cat.chain_object(m, n, q - p, 1)
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 2), ("B", 2), ("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4),
+    ("E", 6)])
+def test_pq_and_omega_match_the_tuple_walk(series, rank):
+    """pq and omega, read off index walks, equal the tuple `root_string`
+    and the reference omega on every object pair."""
+    cat = root_category(series, rank)
+    for m in cat.objects:
+        for n in cat.objects:
+            assert cat.omega(m, n) == reference_omega(cat, m, n)
+            if m.pos_root != n.pos_root:
+                assert cat.pq(m, n) == root_string(cat.rs, m.cls, n.cls)
+            else:
+                with pytest.raises(ValueError):
+                    cat.pq(m, n)

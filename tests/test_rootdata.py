@@ -6,8 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from liekit.rootdata import (build_cartan, invariant_factors, lattice_index,
-                             parse_type, root_string, root_system)
+from liekit.liealg import ChevalleyConstants
+from liekit.rootdata import (SERIES_RANKS, build_cartan, invariant_factors,
+                             lattice_index, parse_type, root_system)
 
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("D", 4), ("G", 2)]
@@ -80,10 +81,88 @@ def test_g2_orientation():
 def test_parse_type():
     assert parse_type("g2") == ("G", 2)
     assert parse_type("A12") == ("A", 12)
+    assert parse_type("  e8 ") == ("E", 8)
     with pytest.raises(ValueError):
         parse_type("2A")
     with pytest.raises(ValueError):
         build_cartan("H", 3)
+
+
+@pytest.mark.parametrize("name", [
+    "A1_0", "E 6", "G+2", "A-1", "A\uff12", "B\u0663", "\u00c42", "A", ""])
+def test_parse_type_refuses_what_int_would_coerce(name):
+    """The rank is ASCII digits only: `int` would read an underscore, a
+    sign, an inner space or a non-ASCII digit."""
+    with pytest.raises(ValueError, match="bad type name"):
+        parse_type(name)
+
+
+def root_string(rs, alpha, beta):
+    """(p, q): p = max r with beta - r*alpha a root, q = max s likewise up,
+    by tuple arithmetic and root-set membership: the oracle for the walks
+    `RootSystem.walk` on root indices.
+
+    beta must not be proportional to alpha.
+    """
+    alpha, beta = tuple(alpha), tuple(beta)
+    if beta == alpha or beta == tuple(-c for c in alpha):
+        raise ValueError("root string through +-alpha is undefined here")
+    p = 0
+    cur = tuple(b - a for a, b in zip(alpha, beta))
+    while rs.contains(cur):
+        p += 1
+        cur = tuple(c - a for a, c in zip(alpha, cur))
+    q = 0
+    cur = tuple(b + a for a, b in zip(alpha, beta))
+    while rs.contains(cur):
+        q += 1
+        cur = tuple(c + a for a, c in zip(alpha, cur))
+    return p, q
+
+
+def root_of(rs, x):
+    """The root of root index x = 2k + e: positive[k], negated for e = 1."""
+    r = rs.positive[x >> 1]
+    return tuple(-c for c in r) if x & 1 else r
+
+
+# every finite type of rank at most 8
+RANK_8 = [(s, n) for s, ok in SERIES_RANKS.items() for n in range(1, 9) if ok(n)]
+
+
+@pytest.mark.parametrize("series,rank", RANK_8)
+def test_walk_matches_tuple_root_string(series, rank):
+    """On every ordered pair of non-proportional roots, `walk(x, y)` is
+    y, y + x, ... by tuple arithmetic, and the two walks give the (p, q)
+    of the tuple `root_string`."""
+    rs = root_system(series, rank)
+    roots = [root_of(rs, x) for x in range(2 * len(rs.positive))]
+    for x, alpha in enumerate(roots):
+        for y, beta in enumerate(roots):
+            if x >> 1 == y >> 1:
+                continue
+            up = rs.walk(x, y)
+            assert ((len(rs.walk(x ^ 1, y)) - 1, len(up) - 1)
+                    == root_string(rs, alpha, beta))
+            assert [roots[z] for z in up] == [
+                tuple(b + k * a for a, b in zip(alpha, beta))
+                for k in range(len(up))]
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 3), ("B", 3), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)])
+def test_sums_is_the_table_of_root_sums(series, rank):
+    """sums[x] is {y: index of x + y} over every pair whose sum is a root,
+    each row in ascending y; `ChevalleyConstants` reads the same list."""
+    rs = root_system(series, rank)
+    roots = [root_of(rs, x) for x in range(2 * len(rs.positive))]
+    index = {r: x for x, r in enumerate(roots)}
+    want = [{y: index[s] for y, beta in enumerate(roots)
+             if (s := tuple(map(sum, zip(alpha, beta)))) in index}
+            for alpha in roots]
+    assert rs.sums == want
+    assert all(list(row) == sorted(row) for row in rs.sums)
+    assert ChevalleyConstants(rs).sums is rs.sums
 
 
 @pytest.mark.parametrize("series,rank", TYPES)
