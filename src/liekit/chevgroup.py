@@ -11,10 +11,23 @@ exponents, E_X(c t^a s^b) putting c^k times entry (i, j) of M_k at (i, (j,
 ka, kb)), and the torus conjugation only moves keys.  n_X(u) is built once
 per object over Z[u^{+-1}], and n_X at any monomial is the substitution of
 that monomial for u, with no further product; conjugation by n_X(t) is one
-pass over the entries of the conjugated matrix.  Evaluation at a unit
-point of Q or F_p is a ring homomorphism, so a proved identity holds at
-every point: a sample point evaluates (`ek_at`) only the two sides of a
-proof that failed, and names that proof where they differ.
+pass over the entries of the conjugated matrix.
+
+The exp table of X is the divided powers of A_X = ad u_X, built by exact
+integer division.  A `LaurentGroup` checks once per object that the table
+it is given is the divided powers of its degree-1 matrix A_X
+(`is_exponential`); then E_X(m) = exp(m A_X) at every monomial m, so
+E_X(t) and E_Y(s) commute when A_X and A_Y do, and two exponentials in s
+are equal iff their s^1 terms are.  A pair with A_X A_Y = A_Y A_X has no
+commutator constants, with no product formed, and relation (1) compares
+n_X(t) A_Y n_X(t)^{-1} with eta t^{-A} A_omega, the s^1 terms of its two
+sides.  A table that fails the check, such as a changed one in the tests,
+takes the product proofs.  Relation (5) forms no product of two diagonal
+torus elements, since diagonal matrices commute.
+
+Evaluation at a unit point of Q or F_p is a ring homomorphism, so a proved
+identity holds at every point: a sample point evaluates (`ek_at`) only the
+two sides of a proof that failed, and names that proof where they differ.
 `ChevalleyGroup.E`, `h` and `n` give the generators over any `Domain`,
 Laurent polynomials included.
 """
@@ -25,9 +38,9 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 
-from .exact import (PrimeField, divided_powers, ek_at, ek_mul, sp_map,
+from .exact import (ZZ, PrimeField, ek_at, ek_mul, sp_identity, sp_mul,
                     sp_mul_many, sum_powers)
 from .liealg import LieAlgebraZ, first_bracket_failure
 from .rootdata import invariant_factors
@@ -44,17 +57,30 @@ class ChevalleyGroup:
     # -- exponential tables --------------------------------------------------
 
     def exp_table(self, ix):
-        """[I, ad u_X, (ad u_X)^2/2!, ...] as integer sparse matrices."""
+        """[I, ad u_X, (ad u_X)^2/2!, ...] as integer sparse matrices, up to
+        the last nonzero term: M_k = M_{k-1} ad u_X / k, each entry divided
+        by k with an exact `divmod`.  A remainder at power k means (ad
+        u_X)^k / k! is not integral, and raises there.  ad u_X shifts the
+        root grading by the root of X, so it is nilpotent."""
         mats = self._exp_tables.get(ix)
         if mats is None:
-            mats = []
-            powers = divided_powers(self.alg.ad_matrix(ix), self.dim)
-            for k, mat in enumerate(powers):
-                intmat = sp_map(mat, int)
-                if intmat != mat:  # int() truncates a non-integral entry
-                    raise ArithmeticError(
-                        f"non-integer exponential coefficient at power {k}")
-                mats.append(intmat)
+            ad = self.alg.ad_matrix(ix)
+            mats = [sp_identity(self.dim, ZZ)]
+            for k in range(1, self.dim + 2):
+                cur = {}
+                for i, row in sp_mul(mats[-1], ad, ZZ).items():
+                    r = cur[i] = {}
+                    for j, v in row.items():
+                        r[j], rem = divmod(v, k)
+                        if rem:
+                            raise ArithmeticError(
+                                "non-integer exponential coefficient at "
+                                f"power {k}")
+                if not cur:
+                    break
+                if k > self.dim:
+                    raise ArithmeticError("generator is not nilpotent")
+                mats.append(cur)
             self._exp_tables[ix] = mats
         return mats
 
@@ -127,6 +153,12 @@ class LaurentGroup:
     monomial n is the substitution u = c t^a s^b (`_substituted`), a ring
     map, with no product.  Conjugation by n_X(t) is one pass over the
     entries of M (`conj_by_n`).  E and n are memoised by (index, c, a, b).
+
+    `is_exponential` checks once per object, by integer products, that the
+    exp table is the divided powers of its M_1 = A_X; `linear` gives the
+    degree-1 term c t^a s^b A_X of E_X, and `commute` decides on the A_X
+    whether E_X(t) and E_Y(s) commute.  The table is read from `grp`, so a
+    changed table is checked as it is.
     """
 
     def __init__(self, grp):
@@ -155,6 +187,50 @@ class LaurentGroup:
             out = self._memo[key] = {
                 i: r for i, row in out.items()
                 if (r := {jk: v for jk, v in row.items() if v})}
+        return out
+
+    def linear(self, ix, c, a, b):
+        """c t^a s^b A_X, the linear term of E_X(c t^a s^b), A_X = M_1 of
+        the exp table: entry v of M_1 goes to (col, a, b) with value c v,
+        c != 0, with no zero entry and no empty row.  Memoised by (index, c,
+        a, b)."""
+        key = ("linear", ix, c, a, b)
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = {
+                i: r for i, row in self.grp.exp_table(ix)[1].items()
+                if (r := {(j, a, b): c * v for j, v in row.items() if v})}
+        return out
+
+    def is_exponential(self, ix):
+        """Is the exp table [M_0, M_1, ...] of X the divided powers of A_X =
+        M_1: M_0 = I, k M_k = M_{k-1} A_X for k >= 2 and M_last A_X = 0, by
+        integer products?  Then E_X(c t^a s^b) = exp(c t^a s^b A_X), and an
+        identity between such exponentials is decided on the A_X.
+        Memoised per object."""
+        key = ("exp", ix)
+        ok = self._memo.get(key)
+        if ok is None:
+            t = self.grp.exp_table(ix)
+            ok = self._memo[key] = (
+                len(t) > 1 and t[0] == sp_identity(self.grp.dim, ZZ) and all(
+                    sp_mul(prev, t[1], ZZ) == {
+                        i: {j: k * v for j, v in row.items()}
+                        for i, row in cur.items()}
+                    for k, prev, cur in zip(count(2), t[1:], t[2:] + [{}])))
+        return ok
+
+    def commute(self, ix, iy):
+        """Are the exp tables of X and Y exponentials with A_X A_Y = A_Y
+        A_X?  Then E_X(t) and E_Y(s) commute.  Memoised per unordered pair."""
+        key = ("commute", min(ix, iy), max(ix, iy))
+        out = self._memo.get(key)
+        if out is None:
+            out = self.is_exponential(ix) and self.is_exponential(iy)
+            if out:
+                ax, ay = (self.grp.exp_table(i)[1] for i in (ix, iy))
+                out = sp_mul(ax, ay, ZZ) == sp_mul(ay, ax, ZZ)
+            self._memo[key] = out
         return out
 
     def E_sum(self, ix):
@@ -245,6 +321,11 @@ class LaurentGroup:
         return out
 
 
+def _is_diagonal(mat):
+    """Is the exponent-keyed `mat` zero off the diagonal?"""
+    return all(j == i for i, row in mat.items() for j, _, _ in row)
+
+
 def _substituted(mat, c, a, b):
     """The exponent-keyed `mat`, a matrix over Z[u^{+-1}] with keys (col,
     e, 0), at u = c t^a s^b for c = +-1: entry v goes to (col, e a, e b)
@@ -286,11 +367,18 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     """Check the six conjugation identities on every ordered pair of objects.
 
     Each is proved once over Z[t^{+-1}, s^{+-1}] on a `LaurentGroup`.
-    Returns a report with the extracted signs eta_{XY} (asserted to be +-1
-    by construction of the check).  At each of `samples` fresh random
-    rational points, `sample_failures` names every pair with a sign whose
-    relation (6) failed and whose two sides differ there; relation (1)
-    holds for such a pair by the proof that found its sign.
+    Relation (1) compares the s^1 terms n_X(t) A_Y n_X(t)^{-1} and eta
+    t^{-A} A_omega when the exp tables of X, TX, Y and omega are the divided
+    powers of their A (`LaurentGroup.is_exponential`): n_X(-t) then inverts
+    n_X(t), and both sides are exponentials in s, equal iff their s^1
+    terms are; otherwise it compares the whole E_Y(s) conjugated with
+    E_omega(eta t^{-A} s).  Relation (5) takes the two products only when
+    h_X(t) or h_Y(s) is not diagonal.  Returns a report with the extracted
+    signs eta_{XY} (asserted to be +-1 by construction of the check).  At
+    each of `samples` fresh random rational points, `sample_failures`
+    names every pair with a sign whose relation (6) failed and whose two
+    sides differ there; relation (1) holds for such a pair by the proof
+    that found its sign.
     """
     if grp is None:
         grp = ChevalleyGroup(alg)
@@ -303,6 +391,8 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
     E_s = [lg.E(ix, 1, 0, 1) for ix in idx]
     h_t = [lg.h(ix, 1, 0) for ix in idx]
     h_s = [lg.h(ix, 0, 1) for ix in idx]
+    exp_ok = [lg.is_exponential(ix) for ix in idx]
+    diag_t, diag_s = ([_is_diagonal(m) for m in hs] for hs in (h_t, h_s))
     eta = {}
     failures = []
     failed = []  # (key, lhs, rhs) of each failed proof a point evaluates
@@ -311,11 +401,16 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
         for iy, y in enumerate(objs):
             iw = cat.index(cat.omega(x, y))
             A = cat.A(x, y)
-            # (1) n_X(t) E_Y(s) n_X(t)^{-1} = E_{omega}(eta t^{-A} s)
-            lhs = lg.conj_by_n(ix, E_s[iy])
+            # (1) n_X(t) E_Y(s) n_X(t)^{-1} = E_{omega}(eta t^{-A} s); when
+            # the tables of X, TX, Y and omega are exponentials, both sides
+            # are exponentials in s, equal iff their s^1 terms are
+            if exp_ok[ix] and exp_ok[ix ^ 1] and exp_ok[iy] and exp_ok[iw]:
+                lhs, gen = lg.conj_by_n(ix, lg.linear(iy, 1, 0, 1)), lg.linear
+            else:
+                lhs, gen = lg.conj_by_n(ix, E_s[iy]), lg.E
             got = None
             for e in (1, -1):
-                if lhs == lg.E(iw, e, -A, 1):
+                if lhs == gen(iw, e, -A, 1):
                     got = e
                     break
             if got is None:
@@ -334,8 +429,9 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
             lhs = lg.conj_by_n(ix, h_s[iy])
             if lhs != h_s[iw]:
                 failures.append(("n_h_conj", ix, iy))
-            # (5) h_X(t) h_Y(s) = h_Y(s) h_X(t)
-            if lg.mul(h_t[ix], h_s[iy]) != lg.mul(h_s[iy], h_t[ix]):
+            # (5) h_X(t) h_Y(s) = h_Y(s) h_X(t): diagonal matrices commute
+            if not (diag_t[ix] and diag_s[iy]) and (
+                    lg.mul(h_t[ix], h_s[iy]) != lg.mul(h_s[iy], h_t[ix])):
                 failures.append(("h_h_conj", ix, iy))
             # (6) h_X(t) n_Y(s) h_X(t)^{-1} = n_Y(t^A s)
             lhs, rhs = lg.conj_by_h(ix, n_s[iy]), lg.n(iy, 1, A, 1)
@@ -367,13 +463,18 @@ def verify_conjugation_relations(alg, samples=2, seed=20240817, grp=None):
 def commutator_constants(alg, x, y, lg=None):
     """Constants C_{i,j} with [E_X(t), E_Y(s)] = prod_{(i,j) lex} E_L(C t^i s^j).
 
-    The commutator matrix is computed exactly over Z[t^{+-1}, s^{+-1}] on a
-    `LaurentGroup`, and the product factors are peeled off in lexicographic
-    order, the coefficient of t^i s^j being read off the keys (col, i, j);
-    each constant is asserted integral and the final residual is asserted to
-    be the identity, which proves the formula as a polynomial identity.
-    A caller that runs many pairs passes one `LaurentGroup` as `lg`, and
-    the pairs share its memo.
+    When the exp tables of X and Y are exponentials and A_X A_Y = A_Y A_X
+    (`LaurentGroup.commute`), the commutator is the identity and there are
+    no constants; no product is formed.
+    Otherwise the commutator matrix R is computed exactly over Z[t^{+-1},
+    s^{+-1}] on a `LaurentGroup`, and the product factors are peeled off in
+    lexicographic order: R's entries are grouped by their exponents (i, j)
+    once per residual, and the least block past the last peeled one, with
+    1 <= i, j <= 5 and a chain root L_{X,Y,i,j}, gives the constant, read
+    off the keys (col, i, j).  Each constant is asserted integral and the
+    final residual is asserted to be the identity, which proves the formula
+    as a polynomial identity.  A caller that runs many pairs passes one
+    `LaurentGroup` as `lg`, and the pairs share its memo.
     """
     cat = alg.cat
     if x.pos_root == y.pos_root:
@@ -381,35 +482,45 @@ def commutator_constants(alg, x, y, lg=None):
     if lg is None:
         lg = LaurentGroup(ChevalleyGroup(alg))
     ix, iy = cat.index(x), cat.index(y)
+    if lg.commute(ix, iy):
+        return []
     R = lg.mul(lg.E(ix, 1, 1, 0), lg.E(iy, 1, 0, 1),
                lg.E(ix, -1, 1, 0), lg.E(iy, -1, 0, 1))
     out = []
-    for i, j in iproduct(range(1, 6), repeat=2):  # lexicographic
-        lobj = cat.chain_object(x, y, i, j)
-        if lobj is None:
-            continue
-        il = cat.index(lobj)
-        coef = {}
+    last = (0, 0)  # a peeled block is not read again
+    while True:
+        blocks = {}
         for r, row in R.items():
             for (c, et, es), v in row.items():
-                if et == i and es == j:
-                    coef.setdefault(r, {})[c] = v
+                if 0 < et < 6 and 0 < es < 6 and (et, es) > last:
+                    blocks.setdefault((et, es), {}).setdefault(r, {})[c] = v
+        for i, j in sorted(blocks):
+            lobj = cat.chain_object(x, y, i, j)
+            if lobj is not None:
+                break
+        else:
+            break
+        il = cat.index(lobj)
+        coef = blocks[i, j]
         adl = alg.ad_matrix(il)
-        # the ratio against the first ad entry, then proportionality at once
+        # the ratio C = w0 / v0 against the first ad entry, proportionality
+        # cross-multiplied; the block is not empty, so C must not be 0
         r0, row0 = next(iter(adl.items()))
         c0, v0 = next(iter(row0.items()))
-        C = Fraction(coef.get(r0, {}).get(c0, 0), v0)
-        if coef != ({r: {c: C * v for c, v in row.items()}
-                     for r, row in adl.items()} if C else {}):
+        w0 = coef.get(r0, {}).get(c0, 0)
+        if not w0 or ({r: {c: v0 * v for c, v in row.items()}
+                       for r, row in coef.items()}
+                      != {r: {c: w0 * v for c, v in row.items()}
+                          for r, row in adl.items()}):
             raise ArithmeticError(
                 f"commutator coefficient of t^{i}s^{j} is not "
                 f"proportional to a root operator")
-        if C.denominator != 1:
+        C, rem = divmod(w0, v0)
+        if rem:
             raise ArithmeticError("non-integer commutator constant")
-        C = int(C)
-        if C:
-            R = lg.mul(lg.E(il, -C, i, j), R)
-            out.append(((i, j), il, C))
+        R = lg.mul(lg.E(il, -C, i, j), R)
+        out.append(((i, j), il, C))
+        last = (i, j)
     if R != lg.identity():
         raise ArithmeticError("commutator does not close on the chain roots")
     return out

@@ -15,6 +15,15 @@ structure constant flipped (all 12 of A2 in tier 1, all 24 of B2 under
 `slow`), on B3 and on D4 with gamma(0, 4) flipped (conjugation, under
 `slow`), and on a group with a changed exponential table, whose Steinberg
 failure lists at the points of Q and F_p must be non-empty.
+
+Where every exp table involved is the divided powers of its M_1, the
+program decides commuting pairs and relation (1) on the degree-1 matrices
+and skips the products of relation (5) for diagonal torus elements; a
+changed table at k = 0, 1, 2 on two objects of each root length of B2 must
+still give the reference's reports.  The exp tables themselves, built by
+exact integer division, must equal `reference_exp_table`, the Fraction
+divided powers converted to int, and raise the same error where those are
+not integral.
 """
 
 import random
@@ -23,10 +32,11 @@ from itertools import product as iproduct
 
 import pytest
 
-from liekit.chevgroup import (ChevalleyGroup, steinberg_report,
+from liekit.chevgroup import (ChevalleyGroup, LaurentGroup, steinberg_report,
                               verify_conjugation_relations)
-from liekit.exact import (QQ, LaurentDomain, LaurentPoly, PrimeField, sp_eq,
-                          sp_identity, sp_mul, sp_mul_many)
+from liekit.exact import (QQ, ZZ, LaurentDomain, LaurentPoly, PrimeField,
+                          divided_powers, sp_eq, sp_identity, sp_map, sp_mul,
+                          sp_mul_many)
 from liekit.liealg import lie_algebra
 
 
@@ -91,6 +101,20 @@ class RefGroup:
         mt, mtinv = dom.neg(t), dom.neg(dom.inv(t))
         return sp_mul_many([self.E(x, mt, dom), self.E(tx, mtinv, dom),
                             self.E(x, mt, dom)], dom)
+
+
+def reference_exp_table(alg, ix):
+    """The exp table of object ix built over Q: the Fraction divided powers
+    of ad u_X, each power converted to int, raising at the first power with
+    an entry that is not an integer."""
+    mats = []
+    for k, mat in enumerate(divided_powers(alg.ad_matrix(ix), alg.dim)):
+        intmat = sp_map(mat, int)
+        if intmat != mat:  # int() truncates a non-integral entry
+            raise ArithmeticError(
+                f"non-integer exponential coefficient at power {k}")
+        mats.append(intmat)
+    return mats
 
 
 def _point(rng):
@@ -318,6 +342,46 @@ def test_every_flip_matches_reference(case, key):
 
 
 # ---------------------------------------------------------------------------
+# the integer exp tables
+
+@pytest.mark.parametrize("case", ["A2", "B2", "G2", "B3", "F4", "E6",
+                                  pytest.param("E7", marks=pytest.mark.slow)])
+def test_exp_tables_match_reference(case):
+    """Every exp table, built by exact integer division, equals the table
+    built over Q, and holds only ints."""
+    alg = _algebra(case)
+    grp = ChevalleyGroup(alg)
+    for ix in range(len(alg.objects)):
+        table = grp.exp_table(ix)
+        assert table == reference_exp_table(alg, ix), ix
+        assert all(type(v) is int
+                   for mat in table for row in mat.values() for v in row.values())
+
+
+def test_non_integral_exp_table_raises_alike():
+    """B2 with a structure constant of modulus 2 halved: (ad u_X)^2 has an
+    odd entry for some X, so (ad u_X)^2 / 2! is not integral, and both
+    paths raise the same message at power 2 for every such X."""
+    alg = lie_algebra("B", 2)
+    key = next(k for k, (_, g) in alg.gamma.items() if abs(g) == 2)
+    il, g = alg.gamma[key]
+    alg = alg.with_gamma({key: (il, g // 2)})
+    odd = []
+    for ix in range(len(alg.objects)):
+        ad = alg.ad_matrix(ix)
+        if any(v % 2 for row in sp_mul(ad, ad, ZZ).values() for v in row.values()):
+            odd.append(ix)
+    assert odd
+    for ix in odd:
+        with pytest.raises(ArithmeticError) as got:
+            ChevalleyGroup(alg).exp_table(ix)
+        with pytest.raises(ArithmeticError) as want:
+            reference_exp_table(alg, ix)
+        assert str(got.value) == str(want.value) == (
+            "non-integer exponential coefficient at power 2")
+
+
+# ---------------------------------------------------------------------------
 # a fault that only the sample points name
 
 def _changed_group(alg, ix=0, k=1):
@@ -330,6 +394,50 @@ def _changed_group(alg, ix=0, k=1):
     row[j] += 1
     grp._exp_tables[ix] = table
     return grp
+
+
+def _changed_cases(series, rank):
+    """(ix, k) for k = 0, 1, 2 and the first and last object of each root
+    length; the last ones in the default run, the first ones under `slow`."""
+    cat = lie_algebra(series, rank).cat
+    by_d = {}
+    for ix, x in enumerate(cat.objects):
+        by_d.setdefault(cat.d(x), []).append(ix)
+    return [pytest.param(ixs[e], k, marks=() if e else pytest.mark.slow)
+            for _, ixs in sorted(by_d.items()) for e in (0, -1)
+            for k in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("ix,k", _changed_cases("B", 2))
+def test_changed_table_falls_back(ix, k):
+    """B2 with exp_table(ix)[k] changed: both reports equal the reference
+    given the same tables.  At k = 0 and k = 2 the table of X is no longer
+    the divided powers of its M_1, so every identity that reads it is
+    proved by products; A_X = M_1 is unchanged, so X still commutes with
+    some Y on the degree-1 matrices while the reference finds constants or
+    a failure there, and a shortcut taken on A_X A_Y = A_Y A_X alone would
+    report [] for that pair.  At k = 1 the table may still be the divided
+    powers of the changed M_1, and the degree-1 proofs then hold for it."""
+    alg = lie_algebra("B", 2)
+    bad = _changed_group(alg, ix, k)
+    lg = LaurentGroup(bad)
+    exp = [lg.is_exponential(iy) for iy in range(len(alg.objects))]
+    assert all(exp[:ix] + exp[ix + 1:])
+    assert k == 1 or not exp[ix]
+    got = steinberg_report(alg, primes=(3,), samples=1, seed=13, grp=bad)
+    want = ref_steinberg(alg, primes=(3,), samples=1, seed=13, grp=bad)
+    for key in want:
+        assert got[key] == want[key], key
+    if k != 1:
+        a = [bad.exp_table(iy)[1] for iy in range(len(alg.objects))]
+        assert any(sp_mul(a[ix], a[iy], ZZ) == sp_mul(a[iy], a[ix], ZZ)
+                   and want["constants"].get((ix, iy)) != []
+                   for iy in range(len(alg.objects)) if iy >> 1 != ix >> 1)
+    got = verify_conjugation_relations(alg, samples=0, grp=bad)
+    want = ref_conjugation(alg, samples=0, seed=0, grp=bad)
+    for key in want:
+        assert got[key] == want[key], key
+    assert got["failures"]
 
 
 @pytest.mark.parametrize("p", [None, 3, 5])

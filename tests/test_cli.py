@@ -331,10 +331,11 @@ def test_verify_modules_f4():
 
 @pytest.mark.parametrize("type_name", [
     "B3", "C3", "B4", "C4", "D4", "D5", "F4",
-    pytest.param("E6", marks=pytest.mark.slow)])
+    pytest.param("E6", marks=pytest.mark.slow),
+    pytest.param("E7", marks=pytest.mark.slow)])
 def test_verify_group_rank_3_and_up(type_name):
     """Conjugation and Steinberg relations pass on B3, C3, B4, C4, D4, D5,
-    F4 and E6."""
+    F4, E6 and E7."""
     res = run("verify", "group", "--type", type_name)
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["ok"] is True
